@@ -96,64 +96,70 @@ def module_dimension(label, r, s):
 
 
 # ---------------------------------------------------------------------------
-# element constructors
+# the cellular basis as a product of factors: a factor is a list of (raw
+# coeff, letters) terms with letters (token, power) pairs; one-term factors
+# (bare words, trivial symmetrizers) have coefficient one
 
-def _apply_perm(engine, x, w, starred=False):
-    """Right-multiply by the basis element g_w (or its starred copy)."""
+def _perm_letters(w, mk):
+    return [(mk(i), 1) for i in reduced_word(w)]
+
+
+def _ecap_letters(engine, f):
+    """Letters of e^f = e_{1,1} ... e_{f,f}."""
+    return [x for i in range(1, f + 1) for x in engine.e_ij_letters(i, i)]
+
+
+def symmetrizer_factor(engine, lam, offset, starred, kind="n"):
+    """n_lam (kind "n") or m_lam (kind "m") of the row stabilizer of lam
+    placed at the offset, on the g strands or (starred) the g* strands."""
+    alg = HeckeAlgebra(engine.s if starred else engine.r, engine.field)
+    sym = alg.n_sym(lam, offset) if kind == "n" else alg.m_sym(lam, offset)
     mk = gs_tok if starred else g_tok
-    for i in reduced_word(w):
-        x = engine.apply_token(x, mk(i))
-    return x
+    return [(c, _perm_letters(w, mk)) for w, c in sym.terms.items()]
 
 
-def _sign_sym_terms(engine, lam, offset, starred):
-    """The {permutation: coefficient} expansion of n_lam at the offset."""
-    n = engine.s if starred else engine.r
-    return HeckeAlgebra(n, engine.field).n_sym(lam, offset).terms
-
-
-def _apply_sign_sym(engine, x, lam, offset, starred):
-    out = engine.zero()
-    for w, c in _sign_sym_terms(engine, lam, offset, starred).items():
-        out = out + _apply_perm(engine, x, w, starred).scale(c)
-    return out
-
-
-def _apply_n_st(engine, x, label, s_tabs, t_tabs):
-    """Right-multiply by n_{st} for the given label."""
+def cellular_factors(engine, label, left, right):
+    """C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d as a list of factors, with
+    n_{st} = sigma(g_{d(s1)} g*_{d(s2)}) n_lam g_{d(t1)} g*_{d(t2)} and n_lam
+    the product of the two component symmetrizers at offset f."""
     f = label.f
-    x = _apply_perm(engine, x, perm_inverse(d_perm(s_tabs[0])))
-    x = _apply_perm(engine, x, perm_inverse(d_perm(s_tabs[1])), starred=True)
-    x = _apply_sign_sym(engine, x, label.shape.first, f, False)
-    x = _apply_sign_sym(engine, x, label.shape.second, f, True)
-    x = _apply_perm(engine, x, d_perm(t_tabs[0]))
-    x = _apply_perm(engine, x, d_perm(t_tabs[1]), starred=True)
+    head = [(tok, 1) for tok in reversed(left.rep.word_pairs())]
+    head += _ecap_letters(engine, f)
+    head += _perm_letters(perm_inverse(d_perm(left.tab[0])), g_tok)
+    head += _perm_letters(perm_inverse(d_perm(left.tab[1])), gs_tok)
+    tail = _perm_letters(d_perm(right.tab[0]), g_tok)
+    tail += _perm_letters(d_perm(right.tab[1]), gs_tok)
+    tail += [(tok, 1) for tok in right.rep.word_pairs()]
+    return [[(engine._one_raw, head)],
+            symmetrizer_factor(engine, label.shape.first, f, False),
+            symmetrizer_factor(engine, label.shape.second, f, True),
+            [(engine._one_raw, tail)]]
+
+
+def sigma_factors(factors):
+    """The anti-involution on a product of factors."""
+    return [[(c, letters[::-1]) for c, letters in factor]
+            for factor in reversed(factors)]
+
+
+def evaluate_factors(engine, factors, x=None):
+    """Right-multiply x (default the identity) by the product of factors."""
+    x = engine.one() if x is None else x
+    for factor in factors:
+        if len(factor) == 1:
+            x = engine.from_letters(factor[0][1], x)
+            continue
+        out = engine.zero()
+        for c, letters in factor:
+            out = out + engine.from_letters(letters, x).scale(c)
+        x = out
     return x
-
-
-def _apply_ecap(engine, x, f):
-    for i in range(1, f + 1):
-        for tok, p in engine.e_ij_letters(i, i):
-            x = engine.apply_token(x, tok, p)
-    return x
-
-
-def n_st_element(engine, label, s_tabs, t_tabs):
-    """The element n_{st} = sigma(g_{d(s1)} g*_{d(s2)}) n_lam g_{d(t1)}
-    g*_{d(t2)}."""
-    return _apply_n_st(engine, engine.one(), label, s_tabs, t_tabs)
 
 
 def cellular_element(engine, label, left, right):
     """C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d."""
-    x = engine.one()
-    for tok in reversed(left.rep.word_pairs()):
-        x = engine.apply_token(x, tok)
-    x = _apply_ecap(engine, x, label.f)
-    x = _apply_n_st(engine, x, label, left.tab, right.tab)
-    for tok in right.rep.word_pairs():
-        x = engine.apply_token(x, tok)
-    return x
+    return evaluate_factors(engine,
+                            cellular_factors(engine, label, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -349,42 +355,20 @@ class CellModule:
             [row.get(j, self.field.raw_from_int(0))
              for j in range(self.dim)] for row in mat])
 
-    def _sign_sym_matrix(self, lam, offset, starred):
+    def factors_matrix(self, factors):
+        """Action matrix of a product of factors."""
         f = self.field
-        mk = gs_tok if starred else g_tok
-        out = _mat_zero(self.dim)
-        for w, c in _sign_sym_terms(self.engine, lam, offset,
-                                    starred).items():
-            out = _mat_axpy(
-                f, out, c,
-                self.letters_matrix([(mk(i), 1) for i in reduced_word(w)]))
-        return out
-
-    def _gram_column_matrix(self, b):
-        """Action matrix of sigma(C_{(u,a)(t,d)}) for the column index."""
-        f = self.field
-        u_tabs, a_rep = self.anchor.tab, self.anchor.rep
-        t_tabs, d_rep = b.tab, b.rep
-        a = self.letters_matrix(
-            [(tok, 1) for tok in reversed(d_rep.word_pairs())])
-        for tab, starred in ((t_tabs[0], False), (t_tabs[1], True)):
-            mk = gs_tok if starred else g_tok
-            a = _mat_mul(f, a, self.letters_matrix(
-                [(mk(i), 1)
-                 for i in reduced_word(perm_inverse(d_perm(tab)))]))
-        a = _mat_mul(f, a, self._sign_sym_matrix(
-            self.label.shape.first, self.label.f, False))
-        a = _mat_mul(f, a, self._sign_sym_matrix(
-            self.label.shape.second, self.label.f, True))
-        for tab, starred in ((u_tabs[0], False), (u_tabs[1], True)):
-            mk = gs_tok if starred else g_tok
-            a = _mat_mul(f, a, self.letters_matrix(
-                [(mk(i), 1) for i in reduced_word(d_perm(tab))]))
-        letters = []
-        for i in range(1, self.label.f + 1):
-            letters.extend(self.engine.e_ij_letters(i, i))
-        letters.extend((tok, 1) for tok in a_rep.word_pairs())
-        return _mat_mul(f, a, self.letters_matrix(letters))
+        a = _mat_identity(f, self.dim)
+        for factor in factors:
+            if len(factor) == 1:
+                for tok, p in factor[0][1]:
+                    a = _mat_mul(f, a, self.token_matrix(tok, p))
+                continue
+            m = _mat_zero(self.dim)
+            for c, letters in factor:
+                m = _mat_axpy(f, m, c, self.letters_matrix(letters))
+            a = _mat_mul(f, a, m)
+        return a
 
 
 def cell_module(engine, label, anchor=None):
@@ -403,7 +387,9 @@ def gram_matrix(module):
     m = module.dim
     cols = []
     for b in module.basis:
-        a = module._gram_column_matrix(b)
+        # the action of sigma(C_{(u,a) b}) = C_{b (u,a)}
+        a = module.factors_matrix(sigma_factors(cellular_factors(
+            module.engine, module.label, module.anchor, b)))
         col = []
         for i in range(m):
             row = a[i]
@@ -462,24 +448,24 @@ def gram_via_truncation(engine, label):
                        extra_relations=[[(f.raw_from_int(1), (E_TOK,))]],
                        expected_dim=math.factorial(rr) * math.factorial(ss))
     small = AlgebraEngine(rr, ss, f)
-    ecap = _apply_ecap(engine, engine.one(), fl)
+    ecap = engine.from_letters(_ecap_letters(engine, fl))
     sandwich = Echelon(f, track=True)
     for t, word in enumerate(small.basis_words):
-        x = ecap
-        for tok, p in _shifted_letters(engine, word, fl):
-            x = engine.apply_token(x, tok, p)
+        x = engine.from_letters(_shifted_letters(engine, word, fl), ecap)
         if not sandwich.insert(x.terms, tag=t):
             raise CellularError("sandwich basis is dependent")
     murphy = _murphy_data(hq)
     bl = basis_labels(engine.r, engine.s, label)
     anchor = anchor_label(label)
     rows = [cellular_element(engine, label, anchor, b) for b in bl]
+    cols = [sigma_factors(cellular_factors(engine, label, anchor, b))
+            for b in bl]
     m = len(bl)
     gram = []
     for i in range(m):
         gram_row = []
         for j in range(m):
-            z = _apply_sigma_cellular(engine, rows[i], label, bl[j], anchor)
+            z = evaluate_factors(engine, cols[j], x=rows[i])
             try:
                 coeffs = sandwich.express(z.terms)
             except LinAlgError:
@@ -489,32 +475,12 @@ def gram_via_truncation(engine, label):
                 zb = vec_axpy(f, zb, c, sandwich.combos[piv])
             zq = hq.zero()
             for t, c in zb.items():
-                x = hq.one()
-                for tok in small.basis_words[t]:
-                    x = hq.apply_token(x, tok)
+                x = hq.from_letters([(tok, 1) for tok in small.basis_words[t]])
                 zq = zq + x.scale(c)
             gram_row.append(FieldElement(
                 f, _murphy_coefficient(murphy, label.shape, zq.terms)))
         gram.append(gram_row)
     return gram
-
-
-def _apply_sigma_cellular(engine, x, label, b, anchor):
-    """Right-multiply x by sigma(C_{(u,a)(t,d)}) via letters."""
-    t_tabs, d_rep = b.tab, b.rep
-    u_tabs, a_rep = anchor.tab, anchor.rep
-    for tok in reversed(d_rep.word_pairs()):
-        x = engine.apply_token(x, tok)
-    x = _apply_perm(engine, x, perm_inverse(d_perm(t_tabs[0])))
-    x = _apply_perm(engine, x, perm_inverse(d_perm(t_tabs[1])), starred=True)
-    x = _apply_sign_sym(engine, x, label.shape.first, label.f, False)
-    x = _apply_sign_sym(engine, x, label.shape.second, label.f, True)
-    x = _apply_perm(engine, x, d_perm(u_tabs[0]))
-    x = _apply_perm(engine, x, d_perm(u_tabs[1]), starred=True)
-    x = _apply_ecap(engine, x, label.f)
-    for tok in a_rep.word_pairs():
-        x = engine.apply_token(x, tok)
-    return x
 
 
 class _MurphyData:
@@ -524,11 +490,14 @@ class _MurphyData:
         self.engine = hq
         self.items = []
         self.ech = Echelon(hq.field, track=True)
+        ident = CosetRep((), ())
         shapes = [lab for lab in cell_labels(hq.r, hq.s) if lab.f == 0]
         for label in shapes:
             for left in std_tableau_pairs(label.shape):
                 for right in std_tableau_pairs(label.shape):
-                    elem = n_st_element(hq, label, left, right)
+                    elem = cellular_element(
+                        hq, label, CellBasisLabel(left, ident),
+                        CellBasisLabel(right, ident))
                     pos = len(self.items)
                     self.items.append((label.shape, left, right))
                     if not self.ech.insert(elem.terms, tag=pos):

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from dataclasses import dataclass, field as dc_field
 
 from .combinat import Bipartition, CombinatError, Partition
@@ -20,7 +21,12 @@ from .engine import (
     engine_to_json,
     verify_relations,
 )
-from .groundfield import FieldError, OneVarField, fields_from_spec
+from .groundfield import (
+    FieldError,
+    GenericField,
+    OneVarField,
+    fields_from_spec,
+)
 from .cellular import (
     CellularError,
     _label_text,
@@ -112,23 +118,45 @@ def _cache_path(config, field):
     return os.path.join(config.cache_dir, name)
 
 
+def _read_cache(path, config, field):
+    """The cached engine, or None when the file is missing, cannot be
+    decoded, or holds an engine for another key."""
+    try:
+        with open(path) as handle:
+            engine = engine_from_json(handle.read())
+    except (OSError, ValueError, LookupError, TypeError, EngineError,
+            FieldError):
+        return None
+    key = (config.r, config.s, field.spec_string(),
+           math.factorial(config.r + config.s))
+    if (engine.r, engine.s, engine.field.spec_string(), engine.dim) != key:
+        return None
+    return engine
+
+
 def load_engine(config, field):
     if config.r + config.s > config.max_total:
         raise UsageError(
             "r + s = %d exceeds the size bound %d; raise it with "
             "--max-total if you accept the runtime"
             % (config.r + config.s, config.max_total))
-    if config.cache_dir:
-        path = _cache_path(config, field)
-        if os.path.exists(path):
-            with open(path) as handle:
-                return engine_from_json(handle.read())
+    if not config.cache_dir:
+        return build_engine(config.r, config.s, field)
+    path = _cache_path(config, field)
+    engine = _read_cache(path, config, field)
+    if engine is None:
         engine = build_engine(config.r, config.s, field)
         os.makedirs(config.cache_dir, exist_ok=True)
-        with open(path, "w") as handle:
-            handle.write(engine_to_json(engine))
-        return engine
-    return build_engine(config.r, config.s, field)
+        # a rename is atomic, so no reader ever sees a partial file
+        fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(engine_to_json(engine))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +338,12 @@ def cmd_simples(config, field):
 
 def cmd_semisimple(config, field):
     mode = config.args.get("mode", "closed_form")
+    engine = None
     if mode != "closed_form":
         # the Gram side needs an engine within the size bound
-        load_engine(config, field)
-    verdict = semisimplicity(config.r, config.s, field, mode=mode)
+        engine = load_engine(config, field)
+    verdict = semisimplicity(config.r, config.s, field, mode=mode,
+                             engine=engine)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "semisimple",
@@ -356,16 +386,26 @@ def cmd_branch(config, field):
             emit(config, report, rows, ["kind", "dim", "scalar"], text))
 
 
-def cmd_sweep(config, field_spec):
-    amax = config.args.get("amax") or config.r + config.s
+def cmd_sweep(config):
+    amax = config.args.get("amax")
+    if amax is None:
+        amax = config.r + config.s
+    elif amax < 0:
+        raise UsageError("--amax must be at least 0")
     mode = config.args.get("mode", "both")
+    generic = None
+    if mode != "closed_form":
+        # Gram determinants are taken over the generic field, then
+        # evaluated at each point
+        generic = load_engine(config, GenericField())
     rows = []
     ok = True
     for a in range(-amax, amax + 1):
         for sign in (1, -1):
             point = OneVarField(a, sign)
             try:
-                verdict = semisimplicity(config.r, config.s, point, mode=mode)
+                verdict = semisimplicity(config.r, config.s, point, mode=mode,
+                                         generic_engine=generic)
             except RepError as exc:
                 return EXIT_FAILURE, str(exc)
             rows.append({
@@ -414,13 +454,14 @@ def build_parser():
                     "walled Brauer algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, field=True):
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--s", type=int, required=True)
-        p.add_argument("--field", default="generic",
-                       help="generic | q-power:<n>[:neg] | rho2:<a> | "
-                            "delta-zero[:neg] | rational:<q>,<rho> | "
-                            "gfp:<p>,<q>,<rho>")
+        if field:
+            p.add_argument("--field", default="generic",
+                           help="generic | q-power:<n>[:neg] | rho2:<a> | "
+                                "delta-zero[:neg] | rational:<q>,<rho> | "
+                                "gfp:<p>,<q>,<rho>")
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
         p.add_argument("--cache-dir")
@@ -449,8 +490,9 @@ def build_parser():
     p.add_argument("f", type=int)
     p.add_argument("shape", help="bipartition, e.g. 1/- ")
     p = sub.add_parser("sweep", help="rho^2 = q^{2a} verdict grid")
-    common(p)
-    p.add_argument("--amax", type=int)
+    common(p, field=False)
+    p.add_argument("--amax", type=int,
+                   help="sweep |a| <= amax (default r+s)")
     p.add_argument("--mode", choices=("closed_form", "gram", "both"),
                    default="both")
     return parser
@@ -461,7 +503,7 @@ def run(config):
     if config.r < 1 or config.s < 1:
         raise UsageError("r and s must be positive")
     if config.command == "sweep":
-        return cmd_sweep(config, config.field_spec)
+        return cmd_sweep(config)
     try:
         fields = fields_from_spec(config.field_spec)
     except FieldError as exc:
@@ -482,7 +524,7 @@ def main(argv=None):
     for key in ("f", "shape", "mode", "amax", "anchors"):
         if hasattr(ns, key):
             extras[key] = getattr(ns, key)
-    config = RunConfig(r=ns.r, s=ns.s, field_spec=ns.field,
+    config = RunConfig(r=ns.r, s=ns.s, field_spec=getattr(ns, "field", None),
                        command=ns.command, fmt=ns.format,
                        cache_dir=ns.cache_dir, max_total=ns.max_total,
                        args=extras)

@@ -137,12 +137,6 @@ def dominance_cmp(a, b):
     return None
 
 
-def dominance_ge(a, b):
-    if isinstance(a, Bipartition):
-        return bip_dominance_cmp(a, b) in (0, 1)
-    return dominance_cmp(a, b) in (0, 1)
-
-
 # ---------------------------------------------------------------------------
 # bipartitions and cell labels
 
@@ -209,10 +203,6 @@ def label_cmp(a, b):
     return bip_dominance_cmp(la, lb)
 
 
-def label_ge(a, b):
-    return label_cmp(a, b) in (0, 1)
-
-
 def label_sort_key(label, r, s):
     """A fixed linear extension: f descending, then partial sums
     lexicographically descending (dominant labels first)."""
@@ -269,10 +259,6 @@ def nodes_addable(lam):
         if lam[i - 2] >= lam[i - 1] + 1:
             out.append(Node(i, lam[i - 1] + 1))
     return out
-
-
-def nodes_addable_removable(lam):
-    return nodes_removable(lam), nodes_addable(lam)
 
 
 def content_scalar(node, field):

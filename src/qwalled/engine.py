@@ -139,6 +139,13 @@ class AlgebraEngine:
 
     def __init__(self, r, s, field, extra_relations=None, expected_dim=None,
                  max_states=None):
+        self._setup(r, s, field, extra_relations, expected_dim)
+        self._max_states = max_states or max(
+            200, 50 * (self.expected_dim or math.factorial(r + s)))
+        self._build()
+
+    def _setup(self, r, s, field, extra_relations, expected_dim):
+        """Everything but the basis and the action table."""
         if r < 1 or s < 1:
             raise EngineError("r and s must be positive")
         self.r = r
@@ -158,11 +165,8 @@ class AlgebraEngine:
         self.expected_dim = expected_dim
         if expected_dim is None and not self.extra_relations:
             self.expected_dim = math.factorial(r + s)
-        self._max_states = max_states or max(
-            200, 50 * (self.expected_dim or math.factorial(r + s)))
         self.relations = self._defining_relations() + self.extra_relations
         self._sigma_cache = {}
-        self._build()
 
     # -- presentation ------------------------------------------------------
 
@@ -425,9 +429,10 @@ class AlgebraEngine:
             raise EngineError("token power must be +-1")
         return res
 
-    def from_letters(self, letters):
-        """Evaluate a product of (token, power) letters as an element."""
-        out = self.one()
+    def from_letters(self, letters, x=None):
+        """Right-multiply x (default the identity) by a product of (token,
+        power) letters."""
+        out = self.one() if x is None else x
         for tok, p in letters:
             out = self.apply_token(out, tok, p)
         return out
@@ -804,20 +809,8 @@ def engine_from_json(text):
         raise EngineError("ambiguous field spec in export")
     field = fields[0]
     eng = AlgebraEngine.__new__(AlgebraEngine)
-    eng.r = data["r"]
-    eng.s = data["s"]
-    eng.field = field
-    one = field.raw_from_int(1)
-    eng._one_raw = one
-    q = field.q().val
-    eng._qdiff = field.raw_sub(q, field.raw_div(one, q))
-    eng.tokens = [E_TOK] + [g_tok(i) for i in range(1, eng.r)] \
-        + [gs_tok(j) for j in range(1, eng.s)]
-    eng.extra_relations = []
-    eng.expected_dim = data["dim"]
+    eng._setup(data["r"], data["s"], field, None, data["dim"])
     eng.dim = data["dim"]
-    eng.relations = eng._defining_relations()
-    eng._sigma_cache = {}
     eng.basis_words = tuple(
         tuple(token_from_text(t) for t in w) for w in data["basis_words"])
     eng.act_table = {}

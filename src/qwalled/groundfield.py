@@ -236,17 +236,6 @@ class FieldElement:
         return "FieldElement(%s)" % self.to_text()
 
 
-def field_arith(a, b, op):
-    """Apply one of '+', '-', '*', '/' to two field elements."""
-    table = {"+": operator.add, "-": operator.sub,
-             "*": operator.mul, "/": operator.truediv,
-             "×": operator.mul, "÷": operator.truediv,
-             "−": operator.sub}
-    if op not in table:
-        raise FieldError("unknown operation %r" % op)
-    return table[op](a, b)
-
-
 class Field:
     """Base class for the scalar fields; concrete fields fix q and rho."""
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .combinat import (
-    Partition,
     d_perm,
     partitions,
     perm_identity,
@@ -255,10 +254,6 @@ class HeckeAlgebra:
 
     # -- cellular-style bases ---------------------------------------------
 
-    def symmetrizers(self, lam, offset=0):
-        """The pair (m_lam, n_lam)."""
-        return self.m_sym(lam, offset), self.n_sym(lam, offset)
-
     def murphy_pair(self, lam, s, t, kind="n"):
         """g_{d(s)^{-1}} x_lam g_{d(t)} for x the chosen symmetrizer."""
         mid = self.n_sym(lam) if kind == "n" else self.m_sym(lam)
@@ -290,22 +285,3 @@ class HeckeAlgebra:
         return [head * self.g_perm(d_perm(t))
                 for t in std_tableaux(lam.conjugate())]
 
-
-def hecke_mul(a, b):
-    """Product of two elements of the same algebra."""
-    return a * b
-
-
-def symmetrizers(lam, field, n=None):
-    """(m_lam, n_lam) in H_n; n defaults to the size of lam."""
-    return HeckeAlgebra(n or lam.size, field).symmetrizers(lam)
-
-
-def murphy_basis(n, field, kind="n"):
-    """All cellular basis elements of H_n with their labels."""
-    return HeckeAlgebra(n, field).murphy_basis(kind)
-
-
-def specht_basis(lam, field):
-    """Basis of the classical Specht module attached to lam."""
-    return HeckeAlgebra(lam.size, field).specht_basis(lam)

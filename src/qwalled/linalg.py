@@ -39,10 +39,6 @@ def vec_axpy(field, u, c, v):
     return out
 
 
-def vec_add(field, u, v):
-    return vec_axpy(field, u, field.raw_from_int(1), v)
-
-
 class Echelon:
     """Incremental row echelon form with optional combination tracking.
 

@@ -20,7 +20,6 @@ from .combinat import (
     content_scalar,
     nodes_addable,
     nodes_removable,
-    reduced_word,
     s_range_word,
 )
 from .engine import (
@@ -31,7 +30,6 @@ from .engine import (
     inv_letters,
 )
 from .groundfield import FieldError, GenericField, transfer_from_generic
-from .hecke import HeckeAlgebra
 from .linalg import Echelon, determinant
 from .cellular import (
     _label_text,
@@ -40,10 +38,12 @@ from .cellular import (
     cell_labels,
     cell_module,
     cellular_element,
+    evaluate_factors,
     gram_determinant,
     gram_via_truncation,
     module_dimension,
     radical_rank,
+    symmetrizer_factor,
 )
 
 DELTA_ZERO_SEMISIMPLE = frozenset({(1, 2), (2, 1), (1, 3), (3, 1)})
@@ -203,41 +203,46 @@ def _closed_form_verdict(r, s, field):
 _GENERIC_DETS = {}
 
 
-def _generic_gram_determinants(r, s):
+def _generic_gram_determinants(r, s, engine=None):
     dets = _GENERIC_DETS.get((r, s))
     if dets is None:
-        eng = _engine(r, s, GenericField())
+        eng = engine if engine is not None else _engine(r, s, GenericField())
         dets = {lab: gram_determinant(_module(eng, lab))
                 for lab in cell_labels(r, s)}
         _GENERIC_DETS[(r, s)] = dets
     return dets
 
 
-def gram_singular_labels(r, s, field):
+def gram_singular_labels(r, s, field, engine=None, generic_engine=None):
     """Labels whose Gram matrix is singular over the field.
 
     Determinants are computed once over the generic field and pushed down;
     labels whose transfer is blocked fall back to a direct computation.
+    engine and generic_engine, when given, are the (r, s) engines over the
+    field and over the generic field.
     """
     if isinstance(field, GenericField):
-        eng = _engine(r, s, field)
+        eng = engine if engine is not None else _engine(r, s, field)
         return [lab for lab in cell_labels(r, s)
                 if radical_rank(_module(eng, lab))[1] > 0]
     out = []
-    for lab, det in _generic_gram_determinants(r, s).items():
+    for lab, det in _generic_gram_determinants(r, s, generic_engine).items():
         try:
             value = transfer_from_generic(det, field)
         except FieldError:
-            eng = _engine(r, s, field)
+            eng = engine if engine is not None else _engine(r, s, field)
             value = gram_determinant(_module(eng, lab))
         if value.is_zero():
             out.append(lab)
     return out
 
 
-def semisimplicity(r, s, field, mode="closed_form"):
+def semisimplicity(r, s, field, mode="closed_form", engine=None,
+                   generic_engine=None):
     """The semisimplicity verdict, by closed form, by Gram determinants,
-    or by both with an integrity comparison."""
+    or by both with an integrity comparison.  engine and generic_engine,
+    when given, are the (r, s) engines over the field and over the generic
+    field, for the Gram side."""
     if mode not in ("closed_form", "gram", "both"):
         raise RepError("unknown mode %r" % (mode,))
     closed = _closed_form_verdict(r, s, field)
@@ -246,7 +251,8 @@ def semisimplicity(r, s, field, mode="closed_form"):
     if closed.reason == "quantum characteristic too small":
         # no Gram work below the quantum characteristic bound
         return closed
-    witnesses = tuple(gram_singular_labels(r, s, field))
+    witnesses = tuple(gram_singular_labels(r, s, field, engine,
+                                           generic_engine))
     gram_verdict = not witnesses
     if mode == "both" and gram_verdict != closed.verdict:
         raise RepError(
@@ -377,10 +383,9 @@ def _anchor_element(engine, label):
 def _y_alpha(engine, label, node):
     """Class of the row-removal section generator in C(f, lambda)."""
     a_k = label.f + label.shape.first.partial_sums(node.row)[-1]
-    x = _anchor_element(engine, label)
-    for i in s_range_word(a_k, engine.r):
-        x = engine.apply_token(x, g_tok(i))
-    return x
+    return engine.from_letters([(g_tok(i), 1)
+                                for i in s_range_word(a_k, engine.r)],
+                               _anchor_element(engine, label))
 
 
 def _z_beta(engine, label, node):
@@ -397,9 +402,7 @@ def _z_beta(engine, label, node):
         letters = [(gs_tok(i), 1) for i in s_range_word(j, c_k)]
         letters += inv_letters([(gs_tok(i), 1) for i in s_range_word(f, c_k)])
         letters += [(g_tok(i), 1) for i in s_range_word(engine.r, f)]
-        x = anchor
-        for tok, p in reversed(letters):
-            x = engine.apply_token(x, tok, p)
+        x = engine.from_letters(letters[::-1], anchor)
         out = out + x.scale((-q) ** (j - c_k))
     return out
 
@@ -515,20 +518,6 @@ def schur_truncation_check(engine, label, idempotent_choice=None):
 # ---------------------------------------------------------------------------
 # submodule witnesses
 
-def _apply_hecke_sym(engine, x, lam, offset, starred, kind):
-    n = engine.s if starred else engine.r
-    alg = HeckeAlgebra(n, engine.field)
-    sym = alg.n_sym(lam, offset) if kind == "n" else alg.m_sym(lam, offset)
-    mk = gs_tok if starred else g_tok
-    out = engine.zero()
-    for w, c in sym.terms.items():
-        y = x
-        for i in reduced_word(w):
-            y = engine.apply_token(y, mk(i))
-        out = out + y.scale(c)
-    return out
-
-
 def submodule_witness(r, s, kind, field=None):
     """The one-arc vector v whose e_1-image vanishes exactly on the
     extreme rho-power line; row uses the single-row shapes, column the
@@ -559,9 +548,10 @@ def submodule_witness(r, s, kind, field=None):
     eng = _engine(r, s, field)
     label = cell_label(r, s, 1, mu)
     mod = _module(eng, label)
-    v = _anchor_element(eng, label)
-    v = _apply_hecke_sym(eng, v, sym_shapes[0], 0, False, sym_kind)
-    v = _apply_hecke_sym(eng, v, sym_shapes[1], 0, True, sym_kind)
+    v = evaluate_factors(eng, [
+        symmetrizer_factor(eng, sym_shapes[0], 0, False, sym_kind),
+        symmetrizer_factor(eng, sym_shapes[1], 0, True, sym_kind)],
+        x=_anchor_element(eng, label))
     vec = mod.element_vector(v)
     e1v = mod.element_vector(v * eng.e1())
     # e_1 v is a multiple of the anchor; the coefficient agrees with the
@@ -626,11 +616,3 @@ def hom_dimension(engine, source, target):
 def report_to_json(report):
     """Canonical JSON for a report dictionary."""
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
-def grid_to_csv(rows, columns):
-    """CSV summary with a fixed column order."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join('"%s"' % row.get(col, "") for col in columns))
-    return "\n".join(lines) + "\n"

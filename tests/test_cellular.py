@@ -6,20 +6,25 @@ import math
 import pytest
 
 from qwalled.combinat import Bipartition, count_std, labels
-from qwalled.engine import E_TOK, build_engine
+from qwalled.engine import E_TOK, build_engine, sigma
 from qwalled.groundfield import (
     GenericField,
     LaurentPoly,
     OneVarField,
+    PrimeField,
     transfer_from_generic,
 )
 from qwalled.cellular import (
     CellularError,
+    anchor_label,
     basis_labels,
     cell_label,
     cell_labels,
     cell_module,
     cellular_basis,
+    cellular_data,
+    cellular_factors,
+    evaluate_factors,
     gram_determinant,
     gram_matrix,
     gram_to_csv,
@@ -28,6 +33,7 @@ from qwalled.cellular import (
     laurent_unit_split,
     module_dimension,
     radical_rank,
+    sigma_factors,
     validate_cell_datum,
 )
 
@@ -47,6 +53,36 @@ def b22():
 @pytest.fixture(scope="module")
 def b32():
     return build_engine(3, 2, GEN)
+
+
+def _same_matrix(field, a, b):
+    zero = field.raw_from_int(0)
+    return len(a) == len(b) and all(
+        field.raw_eq(ra.get(k, zero), rb.get(k, zero))
+        for ra, rb in zip(a, b) for k in set(ra) | set(rb))
+
+
+@pytest.mark.parametrize("r,s,field", [(2, 2, GEN),
+                                       (3, 2, PrimeField(13, 2, 6))])
+def test_two_evaluators_agree(r, s, field):
+    """Both evaluators of sigma(C_{(u,a) b}) give the same action."""
+    eng = build_engine(r, s, field)
+    for label in cell_labels(r, s):
+        mod = cell_module(eng, label)
+        for b in mod.basis:
+            factors = sigma_factors(cellular_factors(
+                eng, label, anchor_label(label), b))
+            assert _same_matrix(
+                field, mod.factors_matrix(factors),
+                mod.action_matrix(evaluate_factors(eng, factors)))
+
+
+@pytest.mark.parametrize("r,s,field", [(2, 2, GEN),
+                                       (3, 2, PrimeField(13, 2, 6))])
+def test_cellular_element_involution(r, s, field):
+    data = cellular_data(build_engine(r, s, field))
+    for label, left, right, elem in data.items:
+        assert sigma(elem) == data.items[data.index[(label, right, left)]][3]
 
 
 def test_label_bookkeeping():

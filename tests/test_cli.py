@@ -168,3 +168,98 @@ def test_text_and_csv_formats(capsys):
                            "--format", "csv", "--amax", "1")
     assert code == EXIT_OK
     assert out.splitlines()[0] == "a,rho,semisimple,reason,witnesses"
+
+
+def test_gram_side_reuses_cached_engine(tmp_path, capsys, monkeypatch):
+    import qwalled.cli
+    import qwalled.repthy
+    cache = str(tmp_path / "cache")
+    code, _, _ = run_cli(capsys, "dims", "--r", "2", "--s", "1",
+                         "--cache-dir", cache)
+    assert code == EXIT_OK
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        raise AssertionError("closure on a warm cache")
+
+    monkeypatch.setattr(qwalled.cli, "build_engine", counting_build)
+    monkeypatch.setattr(qwalled.repthy, "build_engine", counting_build)
+    monkeypatch.setattr(qwalled.repthy, "_ENGINES", {})
+    monkeypatch.setattr(qwalled.repthy, "_GENERIC_DETS", {})
+    for mode in ("gram", "both"):
+        code, out, _ = run_cli(capsys, "semisimple", "--r", "2", "--s", "1",
+                               "--cache-dir", cache, "--mode", mode)
+        assert code == EXIT_OK and json.loads(out)["semisimple"]
+    # sweep takes its generic determinants from the cached engine
+    code, out, _ = run_cli(capsys, "sweep", "--r", "2", "--s", "1",
+                           "--cache-dir", cache, "--amax", "1")
+    assert code == EXIT_OK and len(json.loads(out)["points"]) == 6
+    assert builds == []
+
+
+def test_sweep_has_no_field_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--r", "2", "--s", "1", "--field", "generic"])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_sweep_size_guard(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--r", "4", "--s", "4")
+    assert code == EXIT_USAGE and "max-total" in err
+    _, _, err_dims = run_cli(capsys, "dims", "--r", "4", "--s", "4")
+    assert err == err_dims
+    # the closed form needs no engine, so no bound applies
+    code, out, _ = run_cli(capsys, "sweep", "--r", "4", "--s", "4",
+                           "--mode", "closed_form", "--amax", "0")
+    assert code == EXIT_OK and len(json.loads(out)["points"]) == 2
+
+
+def test_sweep_amax(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--r", "2", "--s", "1",
+                           "--amax", "0")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["amax"] == 0
+    assert [(p["a"], p["rho"]) for p in data["points"]] \
+        == [(0, "q^0"), (0, "-q^0")]
+    code, out, err = run_cli(capsys, "sweep", "--r", "2", "--s", "1",
+                             "--amax", "-1")
+    assert code == EXIT_USAGE and out == "" and "amax" in err
+    code, out, _ = run_cli(capsys, "sweep", "--r", "2", "--s", "1")
+    assert code == EXIT_OK and json.loads(out)["amax"] == 3
+
+
+def _only_cache_file(cache):
+    files = [p for p in cache.iterdir()]
+    assert len(files) == 1
+    return files[0]
+
+
+def test_truncated_cache_is_rebuilt(tmp_path, capsys):
+    argv = ["gram", "--r", "2", "--s", "1", "1", "1/-"]
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    cache = tmp_path / "cache"
+    run_cli(capsys, *argv, "--cache-dir", str(cache))
+    path = _only_cache_file(cache)
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
+    assert code == EXIT_OK and out == cold and err == ""
+    # the rebuilt engine was written back in full
+    assert _only_cache_file(cache).read_text() == text
+
+
+def test_cache_for_another_key_is_rebuilt(tmp_path, capsys):
+    argv = ["dims", "--r", "1", "--s", "2"]
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    cache = tmp_path / "cache"
+    run_cli(capsys, "dims", "--r", "2", "--s", "1", "--cache-dir", str(cache))
+    wrong = _only_cache_file(cache)
+    path = wrong.with_name(wrong.name.replace("-r2-s1-", "-r1-s2-"))
+    wrong.rename(path)
+    code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(cache))
+    assert code == EXIT_OK and out == cold
+    assert '"r":1,"s":2' in path.read_text()

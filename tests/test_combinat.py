@@ -21,13 +21,10 @@ from qwalled.combinat import (
     count_std,
     d_perm,
     dominance_cmp,
-    dominance_ge,
     e_restricted,
     label_cmp,
-    label_ge,
     labels,
     nodes_addable,
-    nodes_addable_removable,
     nodes_removable,
     partitions,
     perm_from_word,
@@ -73,8 +70,8 @@ def test_partitions_count():
 
 
 def test_dominance_examples():
-    assert dominance_ge(Partition((2,)), Partition((1, 1)))
-    assert not dominance_ge(Partition((1, 1)), Partition((2,)))
+    assert dominance_cmp(Partition((2,)), Partition((1, 1))) == 1
+    assert dominance_cmp(Partition((1, 1)), Partition((2,))) == -1
     assert dominance_cmp(Partition((3, 3)), Partition((4, 1, 1))) is None
 
 
@@ -97,20 +94,19 @@ def test_dominance_antisymmetric(a, b):
 def test_dominance_transitive(a, b, c):
     if not (a.size == b.size == c.size):
         return
-    if dominance_ge(a, b) and dominance_ge(b, c):
-        assert dominance_ge(a, c)
+    if dominance_cmp(a, b) in (0, 1) and dominance_cmp(b, c) in (0, 1):
+        assert dominance_cmp(a, c) in (0, 1)
 
 
 @given(small_partitions())
 def test_dominance_reflexive(a):
-    assert dominance_ge(a, a)
+    assert dominance_cmp(a, a) == 0
 
 
 def test_label_order():
     lab1 = (1, Bipartition((1,), ()))
     lab0 = (0, Bipartition((2,), (1,)))
     assert label_cmp(lab1, lab0) == 1  # higher layer dominates any shape
-    assert label_ge(lab1, lab0)
     a = (0, Bipartition((2,), (1, 1)))
     b = (0, Bipartition((1, 1), (2,)))
     assert label_cmp(a, b) is None
@@ -138,14 +134,15 @@ def test_label_dim_bookkeeping(r, s):
 
 def test_nodes_examples():
     empty = Partition(())
-    rem, add = nodes_addable_removable(empty)
-    assert rem == [] and add == [Node(1, 1)]
-    rem, add = nodes_addable_removable(Partition((2, 1)))
-    assert set((p.row, p.col) for p in rem) == {(1, 2), (2, 1)}
-    assert set((p.row, p.col) for p in add) == {(1, 3), (2, 2), (3, 1)}
-    rem, add = nodes_addable_removable(Partition((4,)))
-    assert [(p.row, p.col) for p in rem] == [(1, 4)]
-    assert [(p.row, p.col) for p in add] == [(1, 5), (2, 1)]
+    assert nodes_removable(empty) == []
+    assert nodes_addable(empty) == [Node(1, 1)]
+    lam = Partition((2, 1))
+    assert {(p.row, p.col) for p in nodes_removable(lam)} == {(1, 2), (2, 1)}
+    assert {(p.row, p.col) for p in nodes_addable(lam)} \
+        == {(1, 3), (2, 2), (3, 1)}
+    lam = Partition((4,))
+    assert [(p.row, p.col) for p in nodes_removable(lam)] == [(1, 4)]
+    assert [(p.row, p.col) for p in nodes_addable(lam)] == [(1, 5), (2, 1)]
 
 
 @given(small_partitions())

@@ -145,20 +145,14 @@ def test_dimension_of_cell_chunks():
         assert total == math.factorial(n)
 
 
-def test_module_level_api():
-    from qwalled.hecke import hecke_mul, murphy_basis, specht_basis, \
-        symmetrizers
-    m, n = symmetrizers(Partition((2,)), GEN)
+def test_small_symmetrizers():
     h = HeckeAlgebra(2, GEN)
     q = GEN.q()
-    assert m == h.one() + q.val * h.g(1)
-    assert n == h.one() - (1 / q).val * h.g(1)
-    assert hecke_mul(m, h.one()) == m
-    assert len(murphy_basis(3, GEN)) == 6
-    assert len(specht_basis(Partition((2, 1)), GEN)) == 2
+    assert h.m_sym(Partition((2,))) == h.one() + q.val * h.g(1)
+    assert h.n_sym(Partition((2,))) == h.one() - (1 / q).val * h.g(1)
     # trivial Young subgroup: both symmetrizers are the identity
-    m1, n1 = symmetrizers(Partition((1, 1)), GEN)
-    assert m1 == n1 == h.one()
+    trivial = Partition((1, 1))
+    assert h.m_sym(trivial) == h.n_sym(trivial) == h.one()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -26,7 +26,6 @@ from qwalled.repthy import (
     central_scalar,
     classify_simples,
     delta_zero_gram_checks,
-    grid_to_csv,
     gram_singular_labels,
     hom_dimension,
     is_quasi_hereditary,
@@ -317,6 +316,3 @@ def test_report_serialization():
     js = report_to_json(rep)
     assert report_to_json(rep) == js
     assert json.loads(js)["check"] == "onearc-zero-locus"
-    csv = grid_to_csv([{"a": 1, "ok": True}], ["a", "ok"])
-    assert csv.splitlines()[0] == "a,ok"
-    assert '"1"' in csv and '"True"' in csv
