@@ -118,10 +118,17 @@ def symmetrizer_factor(engine, lam, offset, starred, kind="n"):
     return [(c, _perm_letters(w, mk)) for w, c in sym.terms.items()]
 
 
-def cellular_factors(engine, label, left, right):
+def label_symmetrizers(engine, label):
+    """n_lam as two factors: the symmetrizers of the two components of the
+    label at offset f.  They depend on the label only."""
+    return [symmetrizer_factor(engine, label.shape.first, label.f, False),
+            symmetrizer_factor(engine, label.shape.second, label.f, True)]
+
+
+def cellular_factors(engine, label, left, right, syms):
     """C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d as a list of factors, with
-    n_{st} = sigma(g_{d(s1)} g*_{d(s2)}) n_lam g_{d(t1)} g*_{d(t2)} and n_lam
-    the product of the two component symmetrizers at offset f."""
+    n_{st} = sigma(g_{d(s1)} g*_{d(s2)}) n_lam g_{d(t1)} g*_{d(t2)} and
+    syms = label_symmetrizers(engine, label) the two factors of n_lam."""
     f = label.f
     head = [(tok, 1) for tok in reversed(left.rep.word_pairs())]
     head += _ecap_letters(engine, f)
@@ -130,10 +137,7 @@ def cellular_factors(engine, label, left, right):
     tail = _perm_letters(d_perm(right.tab[0]), g_tok)
     tail += _perm_letters(d_perm(right.tab[1]), gs_tok)
     tail += [(tok, 1) for tok in right.rep.word_pairs()]
-    return [[(engine._one_raw, head)],
-            symmetrizer_factor(engine, label.shape.first, f, False),
-            symmetrizer_factor(engine, label.shape.second, f, True),
-            [(engine._one_raw, tail)]]
+    return [[(engine._one_raw, head)], *syms, [(engine._one_raw, tail)]]
 
 
 def sigma_factors(factors):
@@ -156,10 +160,11 @@ def evaluate_factors(engine, factors, x=None):
     return x
 
 
-def cellular_element(engine, label, left, right):
-    """C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d."""
-    return evaluate_factors(engine,
-                            cellular_factors(engine, label, left, right))
+def cellular_element(engine, label, left, right, syms):
+    """C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d, with syms as in
+    cellular_factors."""
+    return evaluate_factors(
+        engine, cellular_factors(engine, label, left, right, syms))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +185,10 @@ class _CellData:
         for label in self.labels:
             bl = basis_labels(engine.r, engine.s, label)
             self.by_label[label] = bl
+            syms = label_symmetrizers(engine, label)
             for left in bl:
                 for right in bl:
-                    elem = cellular_element(engine, label, left, right)
+                    elem = cellular_element(engine, label, left, right, syms)
                     pos = len(self.items)
                     self.items.append((label, left, right, elem))
                     self.index[(label, left, right)] = pos
@@ -385,11 +391,12 @@ def gram_matrix(module):
         return module._gram
     f = module.field
     m = module.dim
+    syms = label_symmetrizers(module.engine, module.label)
     cols = []
     for b in module.basis:
         # the action of sigma(C_{(u,a) b}) = C_{b (u,a)}
         a = module.factors_matrix(sigma_factors(cellular_factors(
-            module.engine, module.label, module.anchor, b)))
+            module.engine, module.label, module.anchor, b, syms)))
         col = []
         for i in range(m):
             row = a[i]
@@ -457,8 +464,9 @@ def gram_via_truncation(engine, label):
     murphy = _murphy_data(hq)
     bl = basis_labels(engine.r, engine.s, label)
     anchor = anchor_label(label)
-    rows = [cellular_element(engine, label, anchor, b) for b in bl]
-    cols = [sigma_factors(cellular_factors(engine, label, anchor, b))
+    syms = label_symmetrizers(engine, label)
+    rows = [cellular_element(engine, label, anchor, b, syms) for b in bl]
+    cols = [sigma_factors(cellular_factors(engine, label, anchor, b, syms))
             for b in bl]
     m = len(bl)
     gram = []
@@ -493,11 +501,12 @@ class _MurphyData:
         ident = CosetRep((), ())
         shapes = [lab for lab in cell_labels(hq.r, hq.s) if lab.f == 0]
         for label in shapes:
+            syms = label_symmetrizers(hq, label)
             for left in std_tableau_pairs(label.shape):
                 for right in std_tableau_pairs(label.shape):
                     elem = cellular_element(
                         hq, label, CellBasisLabel(left, ident),
-                        CellBasisLabel(right, ident))
+                        CellBasisLabel(right, ident), syms)
                     pos = len(self.items)
                     self.items.append((label.shape, left, right))
                     if not self.ech.insert(elem.terms, tag=pos):

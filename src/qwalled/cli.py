@@ -1,7 +1,10 @@
 """Command-line surface: build or cache engines, run the verification
 suites, and emit tables and reports.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including
+a malformed field spec or a field where q - q^{-1} is not invertible), 141
+when stdout is closed before the output is written (128 + SIGPIPE, the
+status a shell reports for a writer killed by a closed pipe).
 """
 
 import argparse
@@ -55,6 +58,7 @@ import math
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_MAX_TOTAL = 6
 
@@ -508,6 +512,12 @@ def run(config):
         fields = fields_from_spec(config.field_spec)
     except FieldError as exc:
         raise UsageError(str(exc))
+    for field in fields:
+        try:
+            # every subcommand needs the loop parameter delta
+            field.delta()
+        except FieldError as exc:
+            raise UsageError("field %s: %s" % (field.spec_string(), exc))
     outputs = []
     code = EXIT_OK
     for field in fields:
@@ -536,7 +546,16 @@ def main(argv=None):
     except (EngineError, CellularError, RepError, FieldError) as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return EXIT_FAILURE
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -814,11 +814,16 @@ def engine_from_json(text):
     eng.basis_words = tuple(
         tuple(token_from_text(t) for t in w) for w in data["basis_words"])
     eng.act_table = {}
+    # the tables hold few distinct scalars: parse each text once
+    parsed = {}
     for tok_text_, triplets in data["act"].items():
         tok = token_from_text(tok_text_)
         rows = {i: {} for i in range(eng.dim)}
         for i, k, val in triplets:
-            rows[i][k] = field.parse(val).val
+            raw = parsed.get(val)
+            if raw is None:
+                raw = parsed[val] = field.parse(val).val
+            rows[i][k] = raw
         for i in range(eng.dim):
             eng.act_table[(i, tok)] = rows[i]
     return eng

@@ -10,6 +10,14 @@ Four coefficient fields are supported:
 All arithmetic is exact; generic and one-variable values are kept in
 gcd-reduced canonical form so that equality of values implies equality of
 stored representations.
+
+Laurent data (a ``LaurentPoly``, as read from text or taken from a generic
+value by ``to_laurent_fraction``) become field values in one pass through
+``Field.raw_from_laurent``: each term is evaluated at the field's q and rho
+directly, with no intermediate field elements, and the result needs at most
+one normalization.  Parsing, engine cache loads and the generic-to-field
+transfer all go through it, so loading a cached engine costs far less than
+the closure it replaces.
 """
 from __future__ import annotations
 
@@ -261,6 +269,11 @@ class Field:
     def raw_from_int(self, n):
         raise NotImplementedError
 
+    def raw_from_laurent(self, lp):
+        """The canonical raw value of a LaurentPoly at the field's q and
+        rho."""
+        raise NotImplementedError
+
     def normalize(self, v):
         return v
 
@@ -435,22 +448,24 @@ class _FracFieldBase(Field):
 
     def to_laurent_fraction(self, elem):
         """Return (numerator, denominator) as LaurentPoly values."""
-        v = self.reduce_raw(elem.val)
+        v = elem.val  # a FieldElement is reduced on construction
         return (_poly_to_laurent(v.num, self._two_vars),
                 _poly_to_laurent(v.den, self._two_vars))
 
-    def _from_laurent(self, lp):
-        out = self.zero()
-        q = self.q()
-        rho = self.rho() if self._two_vars else None
-        for (a, b), coeff in lp.terms.items():
-            term = self(coeff) * q ** a
-            if b:
-                if rho is None:
-                    raise FieldError("rho exponent in a one-variable scalar")
-                term = term * rho ** b
-            out = out + term
-        return out
+    def raw_from_laurent(self, lp):
+        # shifting the exponents to be non-negative and moving the shift
+        # into a monomial denominator gives a numerator and denominator
+        # with no common monomial, content 1 and positive leading
+        # coefficient: the form reduce_raw returns, with no gcd
+        terms = self._exponent_terms(lp)
+        ring = self._ring
+        if not terms:
+            return _Frac(ring.zero, ring.one)
+        shift = [max(0, -min(m[i] for m in terms)) for i in range(ring.ngens)]
+        dom = ring.domain
+        num = ring.from_dict({tuple(e + k for e, k in zip(m, shift)): dom(c)
+                              for m, c in terms.items()})
+        return _Frac(num, ring.from_dict({tuple(shift): dom.one}))
 
     def to_text(self, elem):
         num, den = self.to_laurent_fraction(elem)
@@ -460,13 +475,13 @@ class _FracFieldBase(Field):
 
     def parse(self, text):
         parts = text.split("/")
+        if len(parts) > 2:
+            raise FieldError("too many '/' in %r" % text)
+        num = self.raw_from_laurent(LaurentPoly.from_text(parts[0]))
         if len(parts) == 1:
-            return self._from_laurent(LaurentPoly.from_text(parts[0]))
-        if len(parts) == 2:
-            num = self._from_laurent(LaurentPoly.from_text(parts[0]))
-            den = self._from_laurent(LaurentPoly.from_text(parts[1]))
-            return num / den
-        raise FieldError("too many '/' in %r" % text)
+            return FieldElement(self, num)
+        den = self.raw_from_laurent(LaurentPoly.from_text(parts[1]))
+        return FieldElement(self, self.raw_div(num, den))
 
 
 class GenericField(_FracFieldBase):
@@ -477,6 +492,10 @@ class GenericField(_FracFieldBase):
     _q_val = _Frac(_GQ, _GENERIC_RING.one)
     _rho_val = _Frac(_GRHO, _GENERIC_RING.one)
     _two_vars = True
+
+    @staticmethod
+    def _exponent_terms(lp):
+        return lp.terms
 
     def quantum_characteristic(self):
         return math.inf
@@ -511,6 +530,14 @@ class OneVarField(_FracFieldBase):
             self._rho_val = _Frac(sign * _OQ ** self.n, _ONEVAR_RING.one)
         else:
             self._rho_val = _Frac(_ONEVAR_RING(sign), _OQ ** (-self.n))
+
+    def _exponent_terms(self, lp):
+        # c q^a rho^b = c sign^b q^(a + n b)
+        out = {}
+        for (a, b), c in lp.terms.items():
+            key = (a + self.n * b,)
+            out[key] = out.get(key, 0) + (-c if self.sign < 0 and b % 2 else c)
+        return {m: c for m, c in out.items() if c}
 
     def quantum_characteristic(self):
         return math.inf
@@ -547,6 +574,11 @@ class RationalField(Field):
 
     def raw_from_int(self, n):
         return Fraction(n)
+
+    def raw_from_laurent(self, lp):
+        q, rho = self._q_val, self._rho_val
+        return sum((c * q ** a * rho ** b for (a, b), c in lp.terms.items()),
+                   Fraction(0))
 
     def quantum_characteristic(self):
         return math.inf
@@ -624,6 +656,11 @@ class PrimeField(Field):
     def raw_from_int(self, n):
         return n % self.p
 
+    def raw_from_laurent(self, lp):
+        p, q, rho = self.p, self._q_val, self._rho_val
+        return sum(c * pow(q, a, p) * pow(rho, b, p)
+                   for (a, b), c in lp.terms.items()) % p
+
     def quantum_characteristic(self):
         qq = (self._q_val * self._q_val) % self.p
         if qq == 1:
@@ -656,16 +693,6 @@ class PrimeField(Field):
         return "PrimeField(p=%d, q=%d, rho=%d)" % (self.p, self._q_val, self._rho_val)
 
 
-def laurent_value(field, lp):
-    """Evaluate a LaurentPoly at the field's q and rho."""
-    out = field.zero()
-    q = field.q()
-    rho = field.rho()
-    for (a, b), coeff in sorted(lp.terms.items()):
-        out = out + field(coeff) * q ** a * rho ** b
-    return out
-
-
 def transfer_from_generic(elem, field):
     """Map a generic scalar into another field by evaluating q and rho.
 
@@ -677,10 +704,11 @@ def transfer_from_generic(elem, field):
     if not isinstance(src, GenericField):
         raise FieldError("transfer source must be the generic field")
     num, den = src.to_laurent_fraction(elem)
-    den_val = laurent_value(field, den)
-    if den_val.is_zero():
+    den_raw = field.raw_from_laurent(den)
+    if field.raw_is_zero(den_raw):
         raise FieldError("denominator vanishes under the specialization")
-    return laurent_value(field, num) / den_val
+    return FieldElement(field,
+                        field.raw_div(field.raw_from_laurent(num), den_raw))
 
 
 def fields_from_spec(spec):
@@ -688,31 +716,35 @@ def fields_from_spec(spec):
 
     Specs: ``generic``, ``q-power:<n>`` (rho = q^n), ``rho2:<a>`` (both sign
     branches rho = +-q^a), ``delta-zero`` (rho = 1), ``delta-zero:neg``
-    (rho = -1), ``rational:<q>,<rho>``, ``gfp:<p>,<q>,<rho>``.
+    (rho = -1), ``rational:<q>,<rho>``, ``gfp:<p>,<q>,<rho>``.  A malformed
+    spec raises FieldError.
     """
     head, _, rest = spec.partition(":")
-    if head == "generic":
-        return [GenericField()]
-    if head == "q-power":
-        n, _, tail = rest.partition(":")
-        if tail == "neg":
-            return [OneVarField(int(n), -1)]
-        if tail:
-            raise FieldError("bad q-power spec %r" % spec)
-        return [OneVarField(int(n))]
-    if head == "rho2":
-        a = int(rest)
-        return [OneVarField(a, 1), OneVarField(a, -1)]
-    if head == "delta-zero":
-        if rest == "neg":
-            return [OneVarField(0, -1)]
-        if rest == "":
-            return [OneVarField(0, 1)]
-        raise FieldError("bad delta-zero spec %r" % spec)
-    if head == "rational":
-        qs, rs = rest.split(",")
-        return [RationalField(Fraction(qs), Fraction(rs))]
-    if head == "gfp":
-        ps, qs, rs = rest.split(",")
-        return [PrimeField(int(ps), int(qs), int(rs))]
+    try:
+        if head == "generic":
+            return [GenericField()]
+        if head == "q-power":
+            n, _, tail = rest.partition(":")
+            if tail == "neg":
+                return [OneVarField(int(n), -1)]
+            if tail:
+                raise FieldError("bad q-power spec %r" % spec)
+            return [OneVarField(int(n))]
+        if head == "rho2":
+            a = int(rest)
+            return [OneVarField(a, 1), OneVarField(a, -1)]
+        if head == "delta-zero":
+            if rest == "neg":
+                return [OneVarField(0, -1)]
+            if rest == "":
+                return [OneVarField(0, 1)]
+            raise FieldError("bad delta-zero spec %r" % spec)
+        if head == "rational":
+            qs, rs = rest.split(",")
+            return [RationalField(Fraction(qs), Fraction(rs))]
+        if head == "gfp":
+            ps, qs, rs = rest.split(",")
+            return [PrimeField(int(ps), int(qs), int(rs))]
+    except (ValueError, ZeroDivisionError):
+        raise FieldError("bad field spec %r" % spec) from None
     raise FieldError("unknown field spec %r" % spec)

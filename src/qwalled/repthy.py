@@ -41,6 +41,7 @@ from .cellular import (
     evaluate_factors,
     gram_determinant,
     gram_via_truncation,
+    label_symmetrizers,
     module_dimension,
     radical_rank,
     symmetrizer_factor,
@@ -376,8 +377,9 @@ def cell_label_any(f, shape):
 
 
 def _anchor_element(engine, label):
-    return cellular_element(engine, label, anchor_label(label),
-                            anchor_label(label))
+    anchor = anchor_label(label)
+    return cellular_element(engine, label, anchor, anchor,
+                            label_symmetrizers(engine, label))
 
 
 def _y_alpha(engine, label, node):

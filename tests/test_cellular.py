@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwalled.combinat import Bipartition, count_std, labels
 from qwalled.engine import E_TOK, build_engine, sigma
@@ -30,6 +31,7 @@ from qwalled.cellular import (
     gram_to_csv,
     gram_to_json,
     gram_via_truncation,
+    label_symmetrizers,
     laurent_unit_split,
     module_dimension,
     radical_rank,
@@ -69,9 +71,10 @@ def test_two_evaluators_agree(r, s, field):
     eng = build_engine(r, s, field)
     for label in cell_labels(r, s):
         mod = cell_module(eng, label)
+        syms = label_symmetrizers(eng, label)
         for b in mod.basis:
             factors = sigma_factors(cellular_factors(
-                eng, label, anchor_label(label), b))
+                eng, label, anchor_label(label), b, syms))
             assert _same_matrix(
                 field, mod.factors_matrix(factors),
                 mod.action_matrix(evaluate_factors(eng, factors)))
@@ -307,6 +310,54 @@ def test_transfer_matches_direct():
         assert moved == direct
     assert transfer_from_generic(det_gen, OneVarField(1)).is_zero()
     assert not transfer_from_generic(det_gen, OneVarField(3)).is_zero()
+
+
+@pytest.fixture(scope="module")
+def generic_dets(b22):
+    """The generic Gram determinants at (2, 2) and (3, 1), by label."""
+    return {(eng.r, eng.s): {lab: gram_determinant(cell_module(eng, lab))
+                             for lab in cell_labels(eng.r, eng.s)}
+            for eng in (b22, build_engine(3, 1, GEN))}
+
+
+@st.composite
+def special_fields(draw):
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([7, 11, 13, 101]))
+        # q != +-1, so q - q^{-1} is invertible
+        return PrimeField(p, draw(st.integers(2, p - 2)),
+                          draw(st.integers(1, p - 1)))
+    return OneVarField(draw(st.integers(-3, 3)), draw(st.sampled_from([1, -1])))
+
+
+@settings(max_examples=12, deadline=None)
+@given(field=special_fields())
+def test_transfer_matches_gram_determinant(generic_dets, field):
+    for (r, s), dets in generic_dets.items():
+        eng = build_engine(r, s, field)
+        for lab, det in dets.items():
+            assert transfer_from_generic(det, field) \
+                == gram_determinant(cell_module(eng, lab))
+
+
+def test_transfer_normalizes_once(generic_dets, monkeypatch):
+    calls = []
+    reduce_raw = OneVarField.reduce_raw
+
+    def counting_reduce(self, v):
+        calls.append(v)
+        return reduce_raw(self, v)
+
+    monkeypatch.setattr(OneVarField, "reduce_raw", counting_reduce)
+    sizes = set()
+    for dets in generic_dets.values():
+        for det in dets.values():
+            sizes.add(len(GEN.to_laurent_fraction(det)[0].terms))
+            calls.clear()
+            transfer_from_generic(det, OneVarField(3, -1))
+            assert len(calls) == 1
+    # the count does not grow with the determinant's term count
+    assert len(sizes) > 5
 
 
 def test_exports(b21):

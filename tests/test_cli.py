@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qwalled.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
@@ -142,6 +143,37 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("spec", ["rational:abc", "gfp:7", "q-power:x",
+                                  "gfp:7,1,2"])
+def test_bad_field_is_a_usage_error(capsys, spec):
+    # gfp:7,1,2 parses, but q^2 = 1 leaves delta undefined
+    code, out, err = run_cli(capsys, "dims", "--r", "2", "--s", "1",
+                             "--field", spec)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_quietly():
+    import os
+    import subprocess
+    import sys
+
+    import qwalled
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalled.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwalled.cli", "dims", "--r", "2",
+             "--s", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
 
 
 def test_cache_roundtrip(tmp_path, capsys):

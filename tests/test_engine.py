@@ -237,6 +237,40 @@ def test_json_roundtrip(b22):
     assert all(ok for _, ok in verify_relations(eng2))
 
 
+@pytest.mark.parametrize("spec", ["generic", "q-power:1", "q-power:0:neg",
+                                  "rational:2,3", "gfp:13,2,6"])
+def test_json_load_matches_closure(spec):
+    eng = build_engine(2, 2, spec)
+    js = engine_to_json(eng)
+    loaded = engine_from_json(js)
+    assert engine_to_json(loaded) == js
+    f = eng.field
+    assert loaded.field == f
+    assert loaded.act_table.keys() == eng.act_table.keys()
+    for key, row in eng.act_table.items():
+        other = loaded.act_table[key]
+        assert other.keys() == row.keys()
+        assert all(f.raw_eq(c, other[k]) for k, c in row.items())
+
+
+def test_json_load_parses_each_text_once(b32, monkeypatch):
+    import json
+    js = engine_to_json(b32)
+    texts = {val for triplets in json.loads(js)["act"].values()
+             for _, _, val in triplets}
+    parsed = []
+    parse = GenericField.parse
+
+    def counting_parse(self, text):
+        parsed.append(text)
+        return parse(self, text)
+
+    monkeypatch.setattr(GenericField, "parse", counting_parse)
+    engine_from_json(js)
+    assert sorted(parsed) == sorted(texts)
+    assert len(parsed) == 20
+
+
 def test_json_schema_guard(b22):
     import json
     data = json.loads(engine_to_json(b22))

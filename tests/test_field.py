@@ -221,6 +221,32 @@ def test_specialization_homomorphism():
 
 
 # ---------------------------------------------------------------------------
+# evaluation of Laurent data
+
+def _term_by_term(field, lp):
+    """Reference evaluation through FieldElement products and powers."""
+    out = field.zero()
+    for (a, b), c in lp.terms.items():
+        out = out + field(c) * field.q() ** a * field.rho() ** b
+    return out
+
+
+def _same_raw(x, y):
+    if hasattr(x, "num"):
+        return x.num == y.num and x.den == y.den
+    return type(x) is type(y) and x == y
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS + [OneVarField(-2, -1)],
+                         ids=repr)
+@given(lp=laurent_polys())
+def test_raw_from_laurent_matches_term_by_term(field, lp):
+    # the one-pass value is the reference value in its canonical form
+    assert _same_raw(field.raw_from_laurent(lp),
+                     _term_by_term(field, lp).val)
+
+
+# ---------------------------------------------------------------------------
 # text round-trips
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
