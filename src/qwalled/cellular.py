@@ -28,7 +28,7 @@ from .combinat import (
 from .engine import AlgebraEngine, E_TOK, g_tok, gs_tok
 from .groundfield import FieldElement
 from .hecke import HeckeAlgebra
-from .linalg import Echelon, LinAlgError, determinant, matrix_rank, vec_axpy
+from .linalg import Echelon, LinAlgError, determinant, matrix_rank
 
 
 class CellularError(Exception):
@@ -201,10 +201,11 @@ class _CellData:
 
     def coords(self, terms):
         """Coordinates of an engine vector in the cellular basis."""
-        f = self.engine.field
+        iaxpy = self.engine.field.vec_iaxpy
+        combos = self.ech.combos
         out = {}
         for piv, c in self.ech.express(terms).items():
-            out = vec_axpy(f, out, c, self.ech.combos[piv])
+            iaxpy(out, c, combos[piv])
         return out
 
 
@@ -231,17 +232,20 @@ def _mat_identity(field, m):
 
 
 def _mat_mul(field, a, b):
+    iaxpy = field.vec_iaxpy
     out = []
     for row in a:
         acc = {}
         for k, c in row.items():
-            acc = vec_axpy(field, acc, c, b[k])
+            iaxpy(acc, c, b[k])
         out.append(acc)
     return out
 
 
 def _mat_axpy(field, a, c, b):
-    return [vec_axpy(field, ra, c, rb) for ra, rb in zip(a, b)]
+    """a + c * b as a fresh matrix."""
+    iaxpy = field.vec_iaxpy
+    return [iaxpy(dict(ra), c, rb) for ra, rb in zip(a, b)]
 
 
 def _mat_zero(m):
@@ -480,7 +484,7 @@ def gram_via_truncation(engine, label):
                 raise CellularError("product escapes the sandwich span")
             zb = {}
             for piv, c in coeffs.items():
-                zb = vec_axpy(f, zb, c, sandwich.combos[piv])
+                f.vec_iaxpy(zb, c, sandwich.combos[piv])
             zq = hq.zero()
             for t, c in zb.items():
                 x = hq.from_letters([(tok, 1) for tok in small.basis_words[t]])
@@ -526,7 +530,7 @@ def _murphy_coefficient(murphy, shape, terms):
     f = murphy.engine.field
     out = {}
     for piv, c in murphy.ech.express(terms).items():
-        out = vec_axpy(f, out, c, murphy.ech.combos[piv])
+        f.vec_iaxpy(out, c, murphy.ech.combos[piv])
     value = f.raw_from_int(0)
     u1 = t_row(shape.first)
     u2 = t_row(shape.second)

@@ -8,6 +8,14 @@ words form the normal basis; its size must come out to (r+s)!.
 
 Token kinds are ("e",), ("g", i) and ("gs", j); inverses are expanded via
 g^{-1} = g - (q - q^{-1}) and never appear as tokens.
+
+At each state taken from the queue, all relations are evaluated through one
+prefix memo {word prefix: vector}, so a prefix shared by several relation
+words is applied once.  A memo entry stays valid when a later imposition
+kills one of its states: it still expresses state * prefix, and the next
+application resolves it through the current substitutions.  Vectors are
+accumulated in place with the field's kernel ``vec_iaxpy``; stored vectors
+(action rows, substitutions, memo entries) are never mutated.
 """
 
 import json
@@ -16,7 +24,7 @@ from collections import deque
 
 from .combinat import coset_reps, s_range_word
 from .groundfield import FieldElement, fields_from_spec
-from .linalg import vec_axpy, vec_scale
+from .linalg import vec_scale
 
 SCHEMA_VERSION = 1
 
@@ -269,8 +277,9 @@ class AlgebraEngine:
             st = self._queue.popleft()
             if st in self._subst:
                 continue
+            memo = {(): {st: one}}
             for rel in self.relations:
-                self._impose(self._eval_relation(st, rel))
+                self._impose(self._eval_relation(memo, rel))
                 if st in self._subst:
                     break
             if st in self._subst:
@@ -317,7 +326,7 @@ class AlgebraEngine:
             self._act[key] = v
             self._queue.append(new)
             return v
-        if any(k in self._subst for k in v):
+        if not self._subst.keys().isdisjoint(v):
             v = self._resolve_vec(v)
             self._act[key] = v
         return v
@@ -334,55 +343,57 @@ class AlgebraEngine:
             for x in subst[k]:
                 if x in subst:
                     stack.append(x)
-        f = self.field
+        iaxpy = self.field.vec_iaxpy
+        one = self._one_raw
         for k in sorted(todo):
             sub = subst[k]
-            if any(x in subst for x in sub):
+            if not subst.keys().isdisjoint(sub):
                 out = {}
                 for x, c in sub.items():
                     s2 = subst.get(x)
-                    if s2 is None:
-                        out = vec_axpy(f, out, c, {x: self._one_raw})
-                    else:
-                        out = vec_axpy(f, out, c, s2)
+                    iaxpy(out, c, {x: one} if s2 is None else s2)
                 subst[k] = out
 
     def _resolve_vec(self, vec):
         subst = self._subst
-        dead = [k for k in vec if k in subst]
-        if not dead:
+        if subst.keys().isdisjoint(vec):
             return vec
-        self._compress(dead)
-        f = self.field
+        self._compress([k for k in vec if k in subst])
+        iaxpy = self.field.vec_iaxpy
+        one = self._one_raw
         out = {}
         for k, c in vec.items():
             sub = subst.get(k)
-            if sub is None:
-                out = vec_axpy(f, out, c, {k: self._one_raw})
-            else:
-                out = vec_axpy(f, out, c, sub)
+            iaxpy(out, c, {k: one} if sub is None else sub)
         return out
 
     def _apply_build(self, vec, tok):
-        f = self.field
-        vec = self._resolve_vec(vec)
+        iaxpy = self.field.vec_iaxpy
+        act_vec = self._act_vec
         out = {}
-        for st, c in vec.items():
-            out = vec_axpy(f, out, c, self._act_vec(st, tok))
+        for st, c in self._resolve_vec(vec).items():
+            iaxpy(out, c, act_vec(st, tok))
         return out
 
-    def _eval_relation(self, st, rel):
-        f = self.field
+    def _eval_word(self, memo, word):
+        """state * word, through the prefix memo of the state."""
+        vec = memo.get(word)
+        if vec is None:
+            vec = self._apply_build(self._eval_word(memo, word[:-1]),
+                                    word[-1])
+            memo[word] = vec
+        return vec
+
+    def _eval_relation(self, memo, rel):
+        iaxpy = self.field.vec_iaxpy
         total = {}
         for coeff, word in rel:
-            vec = {st: self._one_raw}
-            for tok in word:
-                vec = self._apply_build(vec, tok)
-            total = vec_axpy(f, total, coeff, vec)
+            iaxpy(total, coeff, self._eval_word(memo, word))
         return total
 
     def _impose(self, vec):
         f = self.field
+        minus_one = f.raw_from_int(-1)
         pending = [vec]
         while pending:
             v = self._resolve_vec(pending.pop())
@@ -398,9 +409,8 @@ class AlgebraEngine:
             for tok in self.tokens:
                 old = self._act.pop((m, tok), None)
                 if old is not None:
-                    new = self._apply_build(dict(self._subst[m]), tok)
-                    pending.append(
-                        vec_axpy(f, new, f.raw_from_int(-1), old))
+                    new = self._apply_build(self._subst[m], tok)
+                    pending.append(f.vec_iaxpy(new, minus_one, old))
 
     # -- element constructors ---------------------------------------------
 
@@ -416,10 +426,11 @@ class AlgebraEngine:
 
     def apply_token(self, elem, tok, power=1):
         """Right-multiply an element by a generator token or its inverse."""
-        f = self.field
+        iaxpy = self.field.vec_iaxpy
+        act = self.act_table
         out = {}
         for i, c in elem.terms.items():
-            out = vec_axpy(f, out, c, self.act_table[(i, tok)])
+            iaxpy(out, c, act[(i, tok)])
         res = AlgebraElement(self, out)
         if power == -1:
             if tok == E_TOK:
@@ -525,23 +536,24 @@ def multiply(x, y):
     """Product in the engine; y is expanded through its basis words."""
     x._check(y)
     eng = x.engine
-    f = eng.field
+    iaxpy = eng.field.vec_iaxpy
+    act = eng.act_table
     out = {}
     for t, c in y.terms.items():
-        vec = dict(x.terms)
+        vec = x.terms
         for tok in eng.basis_words[t]:
             nxt = {}
             for i, cv in vec.items():
-                nxt = vec_axpy(f, nxt, cv, eng.act_table[(i, tok)])
+                iaxpy(nxt, cv, act[(i, tok)])
             vec = nxt
-        out = vec_axpy(f, out, c, vec)
+        iaxpy(out, c, vec)
     return AlgebraElement(eng, out)
 
 
 def sigma(x):
     """The anti-involution fixing all generators."""
     eng = x.engine
-    f = eng.field
+    iaxpy = eng.field.vec_iaxpy
     cache = eng._sigma_cache
     out = {}
     for t, c in x.terms.items():
@@ -552,7 +564,7 @@ def sigma(x):
                 elem = eng.apply_token(elem, tok)
             v = elem.terms
             cache[t] = v
-        out = vec_axpy(f, out, c, v)
+        iaxpy(out, c, v)
     return AlgebraElement(eng, out)
 
 

@@ -18,6 +18,15 @@ directly, with no intermediate field elements, and the result needs at most
 one normalization.  Parsing, engine cache loads and the generic-to-field
 transfer all go through it, so loading a cached engine costs far less than
 the closure it replaces.
+
+Sparse vectors are dicts from keys to nonzero raw values.  Every
+accumulate loop goes through one in-place kernel per field,
+``Field.vec_iaxpy(u, c, v)``, which adds c * v into u and deletes the keys
+that cancel.  Its contract: the caller owns the accumulator u (a dict it
+made and has not handed out), v is only read, and a vector that has been
+stored (an action-table row, a substitution, a pivot row or combination)
+is never passed as u.  ``PrimeField`` overrides the kernel with one integer
+``%`` per term.
 """
 from __future__ import annotations
 
@@ -277,6 +286,31 @@ class Field:
     def normalize(self, v):
         return v
 
+    def vec_iaxpy(self, u, c, v):
+        """u += c * v in place, deleting keys that cancel; returns u.
+
+        u is a dict the caller owns; v is only read.  Neither holds zero
+        values, and u never will.
+        """
+        if self.raw_is_zero(c):
+            return u
+        mul, add, is_zero = self.raw_mul, self.raw_add, self.raw_is_zero
+        for k, a in v.items():
+            ca = mul(c, a)
+            if k in u:
+                x = add(u[k], ca)
+                if is_zero(x):
+                    del u[k]
+                else:
+                    u[k] = x
+            else:
+                u[k] = ca
+        return u
+
+    def quotient(self, a, b):
+        """The FieldElement a / b of two raw values, normalized once."""
+        return FieldElement(self, self.raw_div(a, b))
+
     # -- wrapped constructors ---------------------------------------------
     def __call__(self, n):
         return FieldElement(self, self.raw_from_int(n))
@@ -404,6 +438,12 @@ class _FracFieldBase(Field):
             raise FieldError("division by zero")
         return self._maybe_reduce(_Frac(a.num * b.den, a.den * b.num))
 
+    def quotient(self, a, b):
+        # no lazy reduction here: the FieldElement reduces exactly once
+        if not b.num:
+            raise FieldError("division by zero")
+        return FieldElement(self, _Frac(a.num * b.den, a.den * b.num))
+
     def _strip_common_monomial(self, num, den):
         # divide both polynomials by their common monomial-with-content factor
         nvars = 2 if self._two_vars else 1
@@ -481,7 +521,7 @@ class _FracFieldBase(Field):
         if len(parts) == 1:
             return FieldElement(self, num)
         den = self.raw_from_laurent(LaurentPoly.from_text(parts[1]))
-        return FieldElement(self, self.raw_div(num, den))
+        return self.quotient(num, den)
 
 
 class GenericField(_FracFieldBase):
@@ -656,6 +696,20 @@ class PrimeField(Field):
     def raw_from_int(self, n):
         return n % self.p
 
+    def vec_iaxpy(self, u, c, v):
+        # one % per term in place of three raw-protocol calls
+        if not c:
+            return u
+        p = self.p
+        get = u.get
+        for k, a in v.items():
+            x = (get(k, 0) + c * a) % p
+            if x:
+                u[k] = x
+            else:
+                u.pop(k, None)
+        return u
+
     def raw_from_laurent(self, lp):
         p, q, rho = self.p, self._q_val, self._rho_val
         return sum(c * pow(q, a, p) * pow(rho, b, p)
@@ -707,8 +761,7 @@ def transfer_from_generic(elem, field):
     den_raw = field.raw_from_laurent(den)
     if field.raw_is_zero(den_raw):
         raise FieldError("denominator vanishes under the specialization")
-    return FieldElement(field,
-                        field.raw_div(field.raw_from_laurent(num), den_raw))
+    return field.quotient(field.raw_from_laurent(num), den_raw)
 
 
 def fields_from_spec(spec):

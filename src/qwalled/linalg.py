@@ -3,6 +3,15 @@
 Vectors are dicts mapping hashable keys to raw field values (never zero).
 Working on raw values keeps the hot loops cheap; callers wrap results in
 FieldElement only at the boundary.
+
+Accumulation goes through the field's in-place kernel
+``field.vec_iaxpy(u, c, v)`` (u += c * v).  Callers own their accumulators:
+``Echelon`` reduces a private copy of each input, and the pivot rows and
+combinations it stores are never mutated once stored.
+
+``Echelon`` scales each pivot row to leading coefficient 1, and
+``determinant`` is Gaussian elimination that normalizes every entry; neither
+is fraction-free.
 """
 
 
@@ -17,24 +26,6 @@ def vec_scale(field, u, c):
     for k, a in u.items():
         ca = field.raw_mul(a, c)
         if not field.raw_is_zero(ca):
-            out[k] = ca
-    return out
-
-
-def vec_axpy(field, u, c, v):
-    """u + c * v as a fresh dict."""
-    if field.raw_is_zero(c):
-        return dict(u)
-    out = dict(u)
-    for k, a in v.items():
-        ca = field.raw_mul(c, a)
-        if k in out:
-            acc = field.raw_add(out[k], ca)
-            if field.raw_is_zero(acc):
-                del out[k]
-            else:
-                out[k] = acc
-        else:
             out[k] = ca
     return out
 
@@ -63,18 +54,24 @@ class Echelon:
 
         combo, when given, is carried along so that it stays a valid
         expression of the residue in terms of the tagged input vectors.
+        Neither argument is mutated.
         """
         f = self.field
+        iaxpy = f.vec_iaxpy
         vec = {k: c for k, c in vec.items() if not f.raw_is_zero(c)}
+        track = combo is not None and self.track
+        if track:
+            combo = dict(combo)
+        rows = self.rows
         while vec:
             piv = min(vec)
-            row = self.rows.get(piv)
+            row = rows.get(piv)
             if row is None:
                 break
             c = f.raw_neg(vec[piv])
-            vec = vec_axpy(f, vec, c, row)
-            if combo is not None and self.track:
-                combo = vec_axpy(f, combo, c, self.combos[piv])
+            iaxpy(vec, c, row)
+            if track:
+                iaxpy(combo, c, self.combos[piv])
         return vec, combo
 
     def insert(self, vec, tag=None):
@@ -106,16 +103,18 @@ class Echelon:
         Raises LinAlgError if vec lies outside the span.
         """
         f = self.field
+        iaxpy = f.vec_iaxpy
         vec = {k: c for k, c in vec.items() if not f.raw_is_zero(c)}
+        rows = self.rows
         out = {}
         while vec:
             piv = min(vec)
-            row = self.rows.get(piv)
+            row = rows.get(piv)
             if row is None:
                 raise LinAlgError("vector outside the span")
             c = vec[piv]
             out[piv] = c
-            vec = vec_axpy(f, vec, f.raw_neg(c), row)
+            iaxpy(vec, f.raw_neg(c), row)
         return out
 
 

@@ -340,7 +340,12 @@ def test_transfer_matches_gram_determinant(generic_dets, field):
                 == gram_determinant(cell_module(eng, lab))
 
 
-def test_transfer_normalizes_once(generic_dets, monkeypatch):
+def test_transfer_normalizes_once(generic_dets, b32, monkeypatch):
+    dets = [det for by_label in generic_dets.values()
+            for det in by_label.values()]
+    # (3, 2) adds numerators past the lazy-reduction threshold of 24 terms
+    dets += [gram_determinant(cell_module(b32, lab))
+             for lab in cell_labels(3, 2)]
     calls = []
     reduce_raw = OneVarField.reduce_raw
 
@@ -350,14 +355,13 @@ def test_transfer_normalizes_once(generic_dets, monkeypatch):
 
     monkeypatch.setattr(OneVarField, "reduce_raw", counting_reduce)
     sizes = set()
-    for dets in generic_dets.values():
-        for det in dets.values():
-            sizes.add(len(GEN.to_laurent_fraction(det)[0].terms))
-            calls.clear()
-            transfer_from_generic(det, OneVarField(3, -1))
-            assert len(calls) == 1
+    for det in dets:
+        sizes.add(len(GEN.to_laurent_fraction(det)[0].terms))
+        calls.clear()
+        transfer_from_generic(det, OneVarField(3, -1))
+        assert len(calls) == 1
     # the count does not grow with the determinant's term count
-    assert len(sizes) > 5
+    assert len(sizes) > 5 and max(sizes) > 100
 
 
 def test_exports(b21):

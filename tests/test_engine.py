@@ -316,3 +316,45 @@ def test_prime_field_engine_dim():
     eng = build_engine(2, 2, PrimeField(11, 2, 3))
     assert eng.dim == 24
     assert all(ok for _, ok in verify_relations(eng))
+
+
+# SHA-256 of engine_to_json, recorded from the closure without the prefix
+# memo: the memo must leave basis words and action tables unchanged
+CLOSURE_PINS = {
+    (3, 2, "gfp:13,2,6"):
+        "d084410a4c04dd1c9754a0269eb7830a6ab4d9f23c12491d717f6afa53f218fc",
+    (3, 2, "generic"):
+        "5a29639fb4c681f7b3891d77dda8b5a15290abe7b065434e4e99652c787fd44f",
+    (2, 2, "q-power:1"):
+        "370153fbe873b904a3bebaf2a3298c1ebe4746d181a22a6078944b5e6704b260",
+}
+
+
+@pytest.mark.parametrize("r,s,spec", sorted(CLOSURE_PINS))
+def test_closure_output_pinned(r, s, spec, b32):
+    import hashlib
+    eng = b32 if (r, s, spec) == (3, 2, "generic") else build_engine(r, s, spec)
+    digest = hashlib.sha256(engine_to_json(eng).encode()).hexdigest()
+    assert digest == CLOSURE_PINS[(r, s, spec)]
+
+
+@pytest.mark.parametrize("r,s,calls", [(3, 2, 4824), (2, 2, 722)])
+@pytest.mark.parametrize("spec", ["gfp:13,2,6", "q-power:1"])
+def test_closure_applies_each_prefix_once(r, s, calls, spec, monkeypatch):
+    # one memo per state: without it the closure makes 8,904 and 1,370
+    # applications; the count does not depend on the field
+    count = [0]
+    apply_build = AlgebraEngine._apply_build
+
+    def counting(self, vec, tok):
+        count[0] += 1
+        return apply_build(self, vec, tok)
+
+    monkeypatch.setattr(AlgebraEngine, "_apply_build", counting)
+    build_engine(r, s, spec)
+    assert count[0] == calls
+
+
+def test_max_states_guard():
+    with pytest.raises(EngineError, match="exceeded 200 states"):
+        AlgebraEngine(3, 2, PrimeField(13, 2, 6), max_states=200)

@@ -247,6 +247,54 @@ def test_raw_from_laurent_matches_term_by_term(field, lp):
 
 
 # ---------------------------------------------------------------------------
+# the in-place sparse-vector kernel
+
+def _iaxpy_reference(field, u, c, v):
+    """u + c * v term by term through FieldElement, zeros dropped."""
+    out = {k: FieldElement(field, a) for k, a in u.items()}
+    cc = FieldElement(field, c)
+    for k, a in v.items():
+        out[k] = out.get(k, field.zero()) + cc * FieldElement(field, a)
+    return {k: x for k, x in out.items() if not x.is_zero()}
+
+
+def _raw_vector(data, field):
+    vec = {}
+    for k in data.draw(st.lists(st.integers(0, 6), max_size=5, unique=True)):
+        x = field.raw_from_laurent(data.draw(laurent_polys()))
+        if not field.raw_is_zero(x):
+            vec[k] = x
+    return vec
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_vec_iaxpy_matches_term_by_term(field, data):
+    u = _raw_vector(data, field)
+    kind = data.draw(st.sampled_from(["any", "zero", "cancel"]))
+    c = field.raw_from_laurent(data.draw(laurent_polys()))
+    if kind == "zero":
+        c = field.raw_from_int(0)
+    elif field.raw_is_zero(c):
+        c = field.raw_from_int(1)
+    if kind == "cancel":
+        # v = -u / c: every key of u cancels
+        v = {k: field.raw_div(field.raw_neg(a), c) for k, a in u.items()}
+    else:
+        v = _raw_vector(data, field)
+    expect = _iaxpy_reference(field, u, c, v)
+    v_before = dict(v)
+    out = field.vec_iaxpy(u, c, v)
+    assert out is u
+    assert v == v_before
+    assert not any(field.raw_is_zero(x) for x in out.values())
+    assert {k: FieldElement(field, x) for k, x in out.items()} == expect
+    if kind == "cancel":
+        assert out == {}
+
+
+# ---------------------------------------------------------------------------
 # text round-trips
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)

@@ -12,7 +12,6 @@ from qwalled.linalg import (
     determinant,
     matrix_rank,
     rank,
-    vec_axpy,
 )
 
 GEN = GenericField()
@@ -46,7 +45,7 @@ def test_echelon_express():
     # rebuild from the pivot rows and compare
     acc = {}
     for piv, c in coeffs.items():
-        acc = vec_axpy(f, acc, c, e.rows[piv])
+        f.vec_iaxpy(acc, c, e.rows[piv])
     assert acc == {k: f.normalize(v) for k, v in target.items()} or \
         all(f.raw_eq(acc[k], target[k]) for k in target)
     with pytest.raises(LinAlgError):
@@ -65,7 +64,7 @@ def test_combo_tracking():
     for piv, row in e.rows.items():
         acc = {}
         for tag, c in e.combos[piv].items():
-            acc = vec_axpy(f, acc, c, vecs[tag])
+            f.vec_iaxpy(acc, c, vecs[tag])
         assert set(acc) == set(row)
         for k in row:
             assert f.raw_eq(acc[k], row[k])
