@@ -8,6 +8,7 @@ status a shell reports for a writer killed by a closed pipe).
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -123,11 +124,14 @@ def _cache_path(config, field):
 
 
 def _read_cache(path, config, field):
-    """The cached engine, or None when the file is missing, cannot be
-    decoded, or holds an engine for another key."""
+    """The cached engine, or None when the file is missing, fails its
+    SHA-256, cannot be decoded, or holds an engine for another key."""
     try:
         with open(path) as handle:
-            engine = engine_from_json(handle.read())
+            digest, _, text = handle.read().partition("\n")
+        if hashlib.sha256(text.encode()).hexdigest() != digest:
+            return None
+        engine = engine_from_json(text)
     except (OSError, ValueError, LookupError, TypeError, EngineError,
             FieldError):
         return None
@@ -154,8 +158,11 @@ def load_engine(config, field):
         # a rename is atomic, so no reader ever sees a partial file
         fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
         try:
+            text = engine_to_json(engine)
             with os.fdopen(fd, "w") as handle:
-                handle.write(engine_to_json(engine))
+                # the first line is the SHA-256 of the engine JSON after it
+                handle.write(hashlib.sha256(text.encode()).hexdigest())
+                handle.write("\n" + text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -24,7 +24,6 @@ from collections import deque
 
 from .combinat import coset_reps, s_range_word
 from .groundfield import FieldElement, fields_from_spec
-from .linalg import vec_scale
 
 SCHEMA_VERSION = 1
 
@@ -405,7 +404,7 @@ class AlgebraEngine:
             c = v[m]
             rest = {k: cv for k, cv in v.items() if k != m}
             inv = f.raw_div(f.raw_from_int(-1), c)
-            self._subst[m] = vec_scale(f, rest, inv)
+            self._subst[m] = f.vec_iaxpy({}, inv, rest)
             for tok in self.tokens:
                 old = self._act.pop((m, tok), None)
                 if old is not None:

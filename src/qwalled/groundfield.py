@@ -7,9 +7,23 @@ Four coefficient fields are supported:
 * ``rational``  -- Q with numeric values for q and rho,
 * ``gfp``       -- an odd prime field GF(p) with chosen units for q and rho.
 
-All arithmetic is exact; generic and one-variable values are kept in
-gcd-reduced canonical form so that equality of values implies equality of
-stored representations.
+All arithmetic is exact.  Generic and one-variable values that lie in the
+ring R = Z[q^{+-1}, rho^{+-1}, (q - 1)^{-1}, (q + 1)^{-1}] -- every closure
+pivot and every action-table coefficient does -- are kept natively, with no
+gcd: a raw value (N, i, j) is N / ((q - 1)^i (q + 1)^j), N a dict
+{(a, b): int} of Laurent terms c q^a rho^b (b = 0 over Q(q)).  In canonical
+form i is 0 or N(1, rho) != 0, and j is 0 or N(-1, rho) != 0; a factor
+q -+ 1 is tested by evaluating N at q = +-1 and removed by synthetic
+division, so equal values have equal tuples.  Products multiply numerators
+and add exponents, sums first bring both operands to common exponents, and
+a quotient is native when the divisor, stripped of its factors q -+ 1, is
++-q^a rho^b.  Any other quotient falls back to a sympy fraction (``_Frac``,
+with gcd reduction), the only use of sympy, which is imported on first
+fallback and counted in ``fallbacks``; operations with a fallback operand
+lift the other one, and normalizing a reduced fraction whose denominator is
+a unit of R returns it to the native form.  Text ("num / den", reduced,
+the denominator's leading coefficient positive) is written and read
+natively for values of R.
 
 Laurent data (a ``LaurentPoly``, as read from text or taken from a generic
 value by ``to_laurent_fraction``) become field values in one pass through
@@ -36,16 +50,9 @@ from fractions import Fraction
 
 from math import gcd as _int_gcd
 
-from sympy.polys.domains import ZZ
-from sympy.polys.rings import ring as _sympy_ring
-
 
 class FieldError(Exception):
     """Raised for invalid field constructions or illegal arithmetic."""
-
-
-_GENERIC_RING, _GQ, _GRHO = _sympy_ring("q,rho", ZZ)
-_ONEVAR_RING, _OQ = _sympy_ring("q", ZZ)
 
 
 class LaurentPoly:
@@ -275,6 +282,10 @@ class Field:
     def raw_eq(self, a, b):
         return a == b
 
+    def raw_is_unit(self, a):
+        """Whether dividing by a stays in the field's native values."""
+        return not self.raw_is_zero(a)
+
     def raw_from_int(self, n):
         raise NotImplementedError
 
@@ -294,9 +305,14 @@ class Field:
         """
         if self.raw_is_zero(c):
             return u
-        mul, add, is_zero = self.raw_mul, self.raw_add, self.raw_is_zero
-        for k, a in v.items():
-            ca = mul(c, a)
+        # products with one (fresh states, unit coefficients) are skipped;
+        # == on raw values is exact and never slower than a product
+        one = self.raw_from_int(1)
+        if c != one:
+            mul = self.raw_mul
+            v = {k: c if a == one else mul(c, a) for k, a in v.items()}
+        add, is_zero = self.raw_add, self.raw_is_zero
+        for k, ca in v.items():
             if k in u:
                 x = add(u[k], ca)
                 if is_zero(x):
@@ -359,19 +375,186 @@ class Field:
         return NotImplemented if eq is NotImplemented else not eq
 
 
-def _poly_to_laurent(poly, two_vars):
-    terms = {}
-    for monom, coeff in poly.terms():
-        if two_vars:
-            a, b = monom
+# -- Laurent numerators: dicts {(a, b): c} for sum c q^a rho^b, c != 0 ------
+# A numerator dict is never mutated once it is part of a raw value.
+
+def _terms_mul(x, y):
+    if len(x) > len(y):
+        x, y = y, x
+    if len(x) == 1:
+        for (a1, b1), c1 in x.items():
+            return {(a1 + a2, b1 + b2): c1 * c2 for (a2, b2), c2 in y.items()}
+    out = {}
+    get = out.get
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _terms_add(x, y):
+    out = dict(x)
+    for k, c in y.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
         else:
-            (a,), b = monom, 0
-        terms[(a, b)] = int(coeff)
-    return LaurentPoly(terms)
+            del out[k]
+    return out
+
+
+def _vanishes(x, s):
+    """Whether x is zero at q = s (s = +-1), as a polynomial in rho."""
+    at = {}
+    for (a, b), c in x.items():
+        at[b] = at.get(b, 0) + (-c if s < 0 and a & 1 else c)
+    return not any(at.values())
+
+
+def _times_linear(x, s, k):
+    """x * (q - s)^k."""
+    for _ in range(k):
+        out = {}
+        for (a, b), c in x.items():
+            out[(a + 1, b)] = out.get((a + 1, b), 0) + c
+            out[(a, b)] = out.get((a, b), 0) - s * c
+        x = {key: c for key, c in out.items() if c}
+    return x
+
+
+def _over_linear(x, s):
+    """x / (q - s) by synthetic division, for x divisible by q - s."""
+    rows = {}
+    for (a, b), c in x.items():
+        rows.setdefault(b, {})[a] = c
+    out = {}
+    for b, row in rows.items():
+        d = 0
+        # the coefficient of q^a in (q - s) * out is d_{a-1} - s d_a
+        for a in range(min(row), max(row)):
+            d = s * (d - row.get(a, 0))
+            if d:
+                out[(a, b)] = d
+    return out
+
+
+def _shift(x):
+    """The powers of q and rho that make every exponent of x non-negative."""
+    return (max(0, -min(a for a, _ in x)), max(0, -min(b for _, b in x)))
+
+
+def _den_terms(u, v, i, j):
+    """q^u rho^v (q - 1)^i (q + 1)^j."""
+    return _times_linear(_times_linear({(u, v): 1}, 1, i), -1, j)
+
+
+# -- raw values of R = Z[q^+-1, rho^+-1, (q - 1)^-1, (q + 1)^-1] -------------
+
+_ZERO = ({}, 0, 0)
+
+# divisions whose quotient left R and so took the sympy fallback
+fallbacks = 0
+
+
+def _strip(x, i, j):
+    """The canonical form of x / ((q - 1)^i (q + 1)^j)."""
+    while i and _vanishes(x, 1):
+        x = _over_linear(x, 1)
+        i -= 1
+    while j and _vanishes(x, -1):
+        x = _over_linear(x, -1)
+        j -= 1
+    return (x, i, j)
+
+
+def _add(x, y):
+    n1, i1, j1 = x
+    n2, i2, j2 = y
+    if not n1:
+        return y
+    if not n2:
+        return x
+    i, j = max(i1, i2), max(j1, j2)
+    if i1 != i2 or j1 != j2:
+        n1 = _times_linear(_times_linear(n1, 1, i - i1), -1, j - j1)
+        n2 = _times_linear(_times_linear(n2, 1, i - i2), -1, j - j2)
+    n = _terms_add(n1, n2)
+    if not n:
+        return _ZERO
+    # where one exponent was larger, its numerator keeps the sum off zero
+    if (i and i1 == i2) or (j and j1 == j2):
+        return _strip(n, i, j)
+    return (n, i, j)
+
+
+def _mul(x, y):
+    n1, i1, j1 = x
+    n2, i2, j2 = y
+    if not n1 or not n2:
+        return _ZERO
+    n = _terms_mul(n1, n2)
+    # a factor q -+ 1 can only cancel against an operand whose exponent is 0
+    if (not i1) != (not i2) or (not j1) != (not j2):
+        return _strip(n, i1 + i2, j1 + j2)
+    return (n, i1 + i2, j1 + j2)
+
+
+def _linear_factors(x):
+    """(y, a, b) with x = y (q - 1)^a (q + 1)^b and y(+-1, rho) != 0."""
+    a = b = 0
+    while _vanishes(x, 1):
+        x = _over_linear(x, 1)
+        a += 1
+    while _vanishes(x, -1):
+        x = _over_linear(x, -1)
+        b += 1
+    return x, a, b
+
+
+def _unit_monomial(x):
+    """(u, v, c) when x = c q^u rho^v with c = +-1, else None."""
+    if len(x) == 1:
+        ((u, v), c), = x.items()
+        if c in (1, -1):
+            return u, v, c
+    return None
+
+
+def _div(x, y):
+    """x / y for y != 0, or None when the quotient is not in R."""
+    n2, a, b = _linear_factors(y[0])
+    unit = _unit_monomial(n2)
+    if unit is None:
+        return None
+    u, v, c = unit
+    n1, i1, j1 = x
+    if not n1:
+        return _ZERO
+    n = {(e - u, f - v): c * d for (e, f), d in n1.items()}
+    # x / y = n (q - 1)^di (q + 1)^dj
+    di, dj = y[1] - i1 - a, y[2] - j1 - b
+    n = _times_linear(_times_linear(n, 1, max(di, 0)), -1, max(dj, 0))
+    return _strip(n, max(-di, 0), max(-dj, 0))
+
+
+# -- the sympy fallback for values outside R ---------------------------------
+
+_RING = None
+
+
+def _sympy_ring():
+    """Z[q, rho] as a sympy polynomial ring, imported on first use."""
+    global _RING
+    if _RING is None:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.rings import ring
+        _RING = ring("q,rho", ZZ)[0]
+    return _RING
 
 
 class _Frac:
-    """A quotient of two polynomial-ring elements, not necessarily reduced.
+    """A quotient of two sympy polynomials, not necessarily reduced.
 
     The raw arithmetic layer postpones gcd cancellation; values are reduced
     when they cross into FieldElement or when they grow past a size
@@ -389,94 +572,155 @@ class _Frac:
         return "_Frac(%s, %s)" % (self.num, self.den)
 
 
-class _FracFieldBase(Field):
-    """Common behavior for the polynomial-quotient backed tags."""
+def _lift(x):
+    """A raw value as a _Frac."""
+    if x.__class__ is _Frac:
+        return x
+    ring = _sympy_ring()
+    n, i, j = x
+    if not n:
+        return _Frac(ring.zero, ring.one)
+    u, v = _shift(n)
+    dom = ring.domain
+    return _Frac(
+        ring.from_dict({(a + u, b + v): dom(c) for (a, b), c in n.items()}),
+        ring.from_dict({m: dom(c) for m, c in _den_terms(u, v, i, j).items()}))
 
-    _ring = None
-    _two_vars = True
-    # reduce lazily once numerator or denominator gets this many terms
+
+def _demote(frac):
+    """A reduced _Frac as (N, i, j) when its denominator is a unit of R."""
+    den, i, j = _linear_factors({m: int(c) for m, c in frac.den.terms()})
+    unit = _unit_monomial(den)
+    if unit is None:
+        return frac
+    u, v, c = unit
+    return ({(a - u, b - v): c * int(d) for (a, b), d in frac.num.terms()},
+            i, j)
+
+
+def _poly_to_laurent(poly):
+    return LaurentPoly({m: int(c) for m, c in poly.terms()})
+
+
+class _FunctionField(Field):
+    """Q(q, rho) or Q(q), with the values of R kept natively.
+
+    A raw value of R is a tuple (N, i, j) standing for
+    N / ((q - 1)^i (q + 1)^j), N a numerator dict.  In canonical form i is 0
+    or N(1, rho) != 0, and j is 0 or N(-1, rho) != 0, so equal values have
+    equal tuples.  Any other value is a _Frac; an operation with a _Frac
+    operand lifts the other operand, and normalize turns a reduced _Frac
+    whose denominator is a unit of R back into a tuple.
+    """
+
+    # reduce a _Frac lazily once numerator or denominator gets this many terms
     _reduce_len = 24
 
     def raw_from_int(self, n):
-        return _Frac(self._ring.ground_new(self._ring.domain(n)),
-                     self._ring.one)
+        return ({(0, 0): n}, 0, 0) if n else _ZERO
+
+    def raw_from_laurent(self, lp):
+        terms = self._exponent_terms(lp)
+        return (dict(terms), 0, 0) if terms else _ZERO
 
     def raw_is_zero(self, a):
-        return not a.num
+        return not (a[0] if a.__class__ is tuple else a.num)
+
+    def raw_is_unit(self, a):
+        return (a.__class__ is tuple and bool(a[0])
+                and _unit_monomial(_linear_factors(a[0])[0]) is not None)
 
     def raw_eq(self, a, b):
+        if a.__class__ is tuple and b.__class__ is tuple:
+            return a == b
+        a, b = _lift(a), _lift(b)
         if a.den == b.den:
             return a.num == b.num
         return a.num * b.den == b.num * a.den
 
-    def _maybe_reduce(self, v):
-        if len(v.den) > 1 and (len(v.num) > self._reduce_len
-                               or len(v.den) > self._reduce_len):
-            return self.reduce_raw(v)
-        return v
+    def raw_neg(self, a):
+        if a.__class__ is tuple:
+            n, i, j = a
+            return ({k: -c for k, c in n.items()}, i, j)
+        return _Frac(-a.num, a.den)
 
     def raw_add(self, a, b):
+        if a.__class__ is tuple and b.__class__ is tuple:
+            return _add(a, b)
+        a, b = _lift(a), _lift(b)
         if a.den == b.den:
             return self._maybe_reduce(_Frac(a.num + b.num, a.den))
         return self._maybe_reduce(
             _Frac(a.num * b.den + b.num * a.den, a.den * b.den))
 
     def raw_sub(self, a, b):
-        if a.den == b.den:
-            return self._maybe_reduce(_Frac(a.num - b.num, a.den))
-        return self._maybe_reduce(
-            _Frac(a.num * b.den - b.num * a.den, a.den * b.den))
+        return self.raw_add(a, self.raw_neg(b))
 
     def raw_mul(self, a, b):
+        if a.__class__ is tuple and b.__class__ is tuple:
+            return _mul(a, b)
+        a, b = _lift(a), _lift(b)
         return self._maybe_reduce(_Frac(a.num * b.num, a.den * b.den))
 
-    def raw_neg(self, a):
-        return _Frac(-a.num, a.den)
+    def _div(self, a, b):
+        # no lazy reduction: quotient hands the result to FieldElement
+        global fallbacks
+        if self.raw_is_zero(b):
+            raise FieldError("division by zero")
+        if a.__class__ is tuple and b.__class__ is tuple:
+            v = _div(a, b)
+            if v is not None:
+                return v
+            fallbacks += 1
+        a, b = _lift(a), _lift(b)
+        return _Frac(a.num * b.den, a.den * b.num)
 
     def raw_div(self, a, b):
-        if not b.num:
-            raise FieldError("division by zero")
-        return self._maybe_reduce(_Frac(a.num * b.den, a.den * b.num))
+        v = self._div(a, b)
+        return v if v.__class__ is tuple else self._maybe_reduce(v)
 
     def quotient(self, a, b):
-        # no lazy reduction here: the FieldElement reduces exactly once
-        if not b.num:
-            raise FieldError("division by zero")
-        return FieldElement(self, _Frac(a.num * b.den, a.den * b.num))
+        return FieldElement(self, self._div(a, b))
+
+    def _maybe_reduce(self, v):
+        if len(v.den) > 1 and (len(v.num) > self._reduce_len
+                               or len(v.den) > self._reduce_len):
+            return self.normalize(v)
+        return v
 
     def _strip_common_monomial(self, num, den):
         # divide both polynomials by their common monomial-with-content factor
-        nvars = 2 if self._two_vars else 1
-        mins = [None] * nvars
+        mins = [None, None]
         content = 0
         for poly in (num, den):
             for monom, coeff in poly.terms():
                 content = _int_gcd(content, int(coeff))
-                for i in range(nvars):
+                for i in range(2):
                     e = monom[i]
                     if mins[i] is None or e < mins[i]:
                         mins[i] = e
         if content == 1 and not any(mins):
             return num, den
-        ring = self._ring
+        ring = _sympy_ring()
         dom = ring.domain
 
         def shift(poly):
             return ring.from_dict({
-                tuple(m[i] - mins[i] for i in range(nvars)): dom(int(c) // content)
+                (m[0] - mins[0], m[1] - mins[1]): dom(int(c) // content)
                 for m, c in poly.terms()})
         return shift(num), shift(den)
 
     def reduce_raw(self, v):
-        """Return the canonical reduced form of a raw value."""
+        """Return the canonical reduced form of a _Frac."""
+        ring = _sympy_ring()
         if not v.num:
-            return _Frac(self._ring.zero, self._ring.one)
+            return _Frac(ring.zero, ring.one)
         num, den = v.num, v.den
         if len(den) == 1 or len(num) == 1:
             num, den = self._strip_common_monomial(num, den)
         else:
             g = num.gcd(den)
-            if len(g) > 1 or g != self._ring.one:
+            if len(g) > 1 or g != ring.one:
                 num = num.quo(g)
                 den = den.quo(g)
         if den.LC < 0:
@@ -484,28 +728,23 @@ class _FracFieldBase(Field):
         return _Frac(num, den)
 
     def normalize(self, v):
-        return self.reduce_raw(v)
+        if v.__class__ is tuple:
+            return v
+        return _demote(self.reduce_raw(v))
 
     def to_laurent_fraction(self, elem):
-        """Return (numerator, denominator) as LaurentPoly values."""
-        v = elem.val  # a FieldElement is reduced on construction
-        return (_poly_to_laurent(v.num, self._two_vars),
-                _poly_to_laurent(v.den, self._two_vars))
-
-    def raw_from_laurent(self, lp):
-        # shifting the exponents to be non-negative and moving the shift
-        # into a monomial denominator gives a numerator and denominator
-        # with no common monomial, content 1 and positive leading
-        # coefficient: the form reduce_raw returns, with no gcd
-        terms = self._exponent_terms(lp)
-        ring = self._ring
-        if not terms:
-            return _Frac(ring.zero, ring.one)
-        shift = [max(0, -min(m[i] for m in terms)) for i in range(ring.ngens)]
-        dom = ring.domain
-        num = ring.from_dict({tuple(e + k for e, k in zip(m, shift)): dom(c)
-                              for m, c in terms.items()})
-        return _Frac(num, ring.from_dict({tuple(shift): dom.one}))
+        """Return the reduced (numerator, denominator) as LaurentPoly values:
+        polynomials with no common factor, the denominator's leading
+        coefficient (q before rho, lexicographically) positive."""
+        v = elem.val  # a FieldElement is normalized on construction
+        if v.__class__ is _Frac:
+            return _poly_to_laurent(v.num), _poly_to_laurent(v.den)
+        n, i, j = v
+        if not n:
+            return LaurentPoly(), LaurentPoly.monomial(1)
+        u, w = _shift(n)
+        return (LaurentPoly({(a + u, b + w): c for (a, b), c in n.items()}),
+                LaurentPoly(_den_terms(u, w, i, j)))
 
     def to_text(self, elem):
         num, den = self.to_laurent_fraction(elem)
@@ -523,22 +762,20 @@ class _FracFieldBase(Field):
         den = self.raw_from_laurent(LaurentPoly.from_text(parts[1]))
         return self.quotient(num, den)
 
+    def quantum_characteristic(self):
+        return math.inf
 
-class GenericField(_FracFieldBase):
+
+class GenericField(_FunctionField):
     """The generic rational function field Q(q, rho)."""
 
     tag = "generic"
-    _ring = _GENERIC_RING
-    _q_val = _Frac(_GQ, _GENERIC_RING.one)
-    _rho_val = _Frac(_GRHO, _GENERIC_RING.one)
-    _two_vars = True
+    _q_val = ({(1, 0): 1}, 0, 0)
+    _rho_val = ({(0, 1): 1}, 0, 0)
 
     @staticmethod
     def _exponent_terms(lp):
         return lp.terms
-
-    def quantum_characteristic(self):
-        return math.inf
 
     def __eq__(self, other):
         return isinstance(other, GenericField)
@@ -553,34 +790,27 @@ class GenericField(_FracFieldBase):
         return "GenericField()"
 
 
-class OneVarField(_FracFieldBase):
-    """Q(q) with rho specialized to sign * q^n."""
+class OneVarField(_FunctionField):
+    """Q(q) with rho specialized to sign * q^n; every exponent of rho in a
+    raw value is 0."""
 
     tag = "one-var"
-    _ring = _ONEVAR_RING
-    _q_val = _Frac(_OQ, _ONEVAR_RING.one)
-    _two_vars = False
+    _q_val = ({(1, 0): 1}, 0, 0)
 
     def __init__(self, n, sign=1):
         if sign not in (1, -1):
             raise FieldError("sign must be +-1")
         self.n = int(n)
         self.sign = sign
-        if self.n >= 0:
-            self._rho_val = _Frac(sign * _OQ ** self.n, _ONEVAR_RING.one)
-        else:
-            self._rho_val = _Frac(_ONEVAR_RING(sign), _OQ ** (-self.n))
+        self._rho_val = ({(self.n, 0): sign}, 0, 0)
 
     def _exponent_terms(self, lp):
         # c q^a rho^b = c sign^b q^(a + n b)
         out = {}
         for (a, b), c in lp.terms.items():
-            key = (a + self.n * b,)
+            key = (a + self.n * b, 0)
             out[key] = out.get(key, 0) + (-c if self.sign < 0 and b % 2 else c)
         return {m: c for m, c in out.items() if c}
-
-    def quantum_characteristic(self):
-        return math.inf
 
     def __eq__(self, other):
         return (isinstance(other, OneVarField)

@@ -9,25 +9,16 @@ Accumulation goes through the field's in-place kernel
 ``Echelon`` reduces a private copy of each input, and the pivot rows and
 combinations it stores are never mutated once stored.
 
-``Echelon`` scales each pivot row to leading coefficient 1, and
-``determinant`` is Gaussian elimination that normalizes every entry; neither
-is fraction-free.
+``Echelon`` scales each pivot row to leading coefficient 1 (a scaled row is
+the kernel applied to an empty accumulator), and ``determinant`` is
+Gaussian elimination that normalizes every entry and takes a pivot that is
+a unit (``raw_is_unit``) when its column has one, so that over Q(q, rho)
+the elimination stays in R where it can; neither is fraction-free.
 """
 
 
 class LinAlgError(Exception):
     pass
-
-
-def vec_scale(field, u, c):
-    if field.raw_is_zero(c):
-        return {}
-    out = {}
-    for k, a in u.items():
-        ca = field.raw_mul(a, c)
-        if not field.raw_is_zero(ca):
-            out[k] = ca
-    return out
 
 
 class Echelon:
@@ -88,9 +79,9 @@ class Echelon:
             return False
         piv = min(res)
         inv = f.raw_div(f.raw_from_int(1), res[piv])
-        self.rows[piv] = vec_scale(f, res, inv)
+        self.rows[piv] = f.vec_iaxpy({}, inv, res)
         if self.track:
-            self.combos[piv] = vec_scale(f, combo, inv)
+            self.combos[piv] = f.vec_iaxpy({}, inv, combo)
         return True
 
     def contains(self, vec):
@@ -146,13 +137,11 @@ def determinant(field, matrix):
     m = [list(row) for row in matrix]
     det = f.raw_from_int(1)
     for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if not f.raw_is_zero(m[i][col]):
-                piv = i
-                break
-        if piv is None:
+        rows = [i for i in range(col, n) if not f.raw_is_zero(m[i][col])]
+        if not rows:
             return f.raw_from_int(0)
+        # a unit pivot keeps the elimination in the field's native values
+        piv = next((i for i in rows if f.raw_is_unit(m[i][col])), rows[0])
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = f.raw_neg(det)

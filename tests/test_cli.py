@@ -295,3 +295,53 @@ def test_cache_for_another_key_is_rebuilt(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(cache))
     assert code == EXIT_OK and out == cold
     assert '"r":1,"s":2' in path.read_text()
+
+
+def test_edited_cache_is_rebuilt(tmp_path, capsys):
+    # a coefficient edited in place leaves valid JSON for the right key;
+    # only the SHA-256 on the first line tells the file is not what was
+    # written
+    from qwalled.engine import engine_from_json
+    argv = ["relations", "--r", "2", "--s", "2"]
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and json.loads(cold)["ok"]
+    cache = tmp_path / "cache"
+    run_cli(capsys, *argv, "--cache-dir", str(cache))
+    path = _only_cache_file(cache)
+    written = path.read_text()
+    digest, body = written.split("\n", 1)
+    data = json.loads(body)
+    triplet = data["act"]["e"][0]
+    triplet[2] = "7" if triplet[2] != "7" else "5"
+    edited = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    assert engine_from_json(edited).dim == 24
+    path.write_text(digest + "\n" + edited)
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
+    assert code == EXIT_OK and out == cold and err == ""
+    assert path.read_text() == written
+
+
+def test_sympy_is_imported_only_outside_r():
+    # values of R never need a gcd: importing the CLI, a GF(p) call and a
+    # generic closure leave sympy unloaded
+    import os
+    import subprocess
+    import sys
+
+    import qwalled
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalled.__file__)))
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import qwalled.cli",
+        "assert 'sympy' not in sys.modules, 'import qwalled.cli'",
+        "for argv in (['gram', '--r', '2', '--s', '1', '--field',",
+        "              'gfp:13,2,6', '1', '1/-'],",
+        "             ['dims', '--r', '3', '--s', '2', '--field', 'generic']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert qwalled.cli.main(argv) == 0",
+        "    assert 'sympy' not in sys.modules, argv",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -4,9 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwalled.combinat import coset_reps
 from qwalled.engine import (
+    AlgebraElement,
     AlgebraEngine,
     E_TOK,
     EngineError,
@@ -25,10 +27,13 @@ from qwalled.engine import (
     verify_relations,
 )
 from qwalled.groundfield import (
+    FieldElement,
     GenericField,
+    LaurentPoly,
     OneVarField,
     PrimeField,
     RationalField,
+    transfer_from_generic,
 )
 from qwalled.linalg import Echelon
 
@@ -358,3 +363,63 @@ def test_closure_applies_each_prefix_once(r, s, calls, spec, monkeypatch):
 def test_max_states_guard():
     with pytest.raises(EngineError, match="exceeded 200 states"):
         AlgebraEngine(3, 2, PrimeField(13, 2, 6), max_states=200)
+
+
+def test_closure_never_multiplies_by_one(monkeypatch):
+    # fresh states enter as {state: 1} and many relation coefficients are
+    # +-1: the kernel adds such terms without a product
+    one = GEN.raw_from_int(1)
+    building, unit_products = [False], []
+    raw_mul, build = GenericField.raw_mul, AlgebraEngine._build
+
+    def counting_mul(self, a, b):
+        if building[0] and (a == one or b == one):
+            unit_products.append((a, b))
+        return raw_mul(self, a, b)
+
+    def flagged_build(self):
+        building[0] = True
+        try:
+            build(self)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(GenericField, "raw_mul", counting_mul)
+    monkeypatch.setattr(AlgebraEngine, "_build", flagged_build)
+    assert AlgebraEngine(3, 2, GEN).dim == 120
+    assert unit_products == []
+
+
+@pytest.fixture(scope="module")
+def b22_images():
+    return [build_engine(2, 2, spec) for spec in ("gfp:13,2,6", "q-power:1")]
+
+
+@st.composite
+def small_elements(draw, eng):
+    """An element with up to four terms whose coefficients are Laurent
+    polynomials with small exponents and coefficients."""
+    terms = {}
+    for i in draw(st.lists(st.integers(0, eng.dim - 1), max_size=4,
+                           unique=True)):
+        lp = LaurentPoly(draw(st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            st.integers(-3, 3), min_size=1, max_size=2)))
+        terms[i] = GEN.raw_from_laurent(lp)
+    return AlgebraElement(eng, terms)
+
+
+def _transferred(x, eng):
+    return AlgebraElement(eng, {
+        i: transfer_from_generic(FieldElement(GEN, c), eng.field).val
+        for i, c in x.terms.items()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_transfer_commutes_with_products(b22, b22_images, data):
+    x, y = data.draw(small_elements(b22)), data.draw(small_elements(b22))
+    for eng in b22_images:
+        assert eng.basis_words == b22.basis_words
+        assert _transferred(x * y, eng) \
+            == _transferred(x, eng) * _transferred(y, eng)

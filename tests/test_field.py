@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwalled import groundfield
 from qwalled.groundfield import (
     FieldElement,
     FieldError,
@@ -193,10 +194,11 @@ def test_reduction_canonicity(field):
     q, rho = field.q(), field.rho()
     x = (q + rho) * (q - rho)
     y = q * q - rho * rho
-    assert x.val.num == y.val.num and x.val.den == y.val.den
+    # values of R are (numerator, i, j) tuples, equal exactly when equal
+    assert type(x.val) is tuple and x.val == y.val
     d1 = field.delta()
     d2 = (rho - 1 / rho) / (q - 1 / q)
-    assert d1.val.num == d2.val.num and d1.val.den == d2.val.den
+    assert type(d1.val) is tuple and d1.val == d2.val
 
 
 def test_specialization_homomorphism():
@@ -221,6 +223,121 @@ def test_specialization_homomorphism():
 
 
 # ---------------------------------------------------------------------------
+# values of R against a sympy fraction reference
+
+R_FIELDS = [GEN, OneVarField(2), OneVarField(-1, -1)]
+
+
+def _power(lp, k):
+    out = LaurentPoly.monomial(1)
+    for _ in range(k):
+        out = out * lp
+    return out
+
+
+@st.composite
+def r_values(draw, field):
+    """(raw value, reference numerator and denominator as sympy
+    polynomials) for N (q - 1)^k (q + 1)^l / ((q - 1)^i (q + 1)^j).
+
+    N is a +-1 monomial (so the value is a unit of R) or a small Laurent
+    polynomial; over Q(q) its rho exponents are 0.
+    """
+    rho_exps = (-2, 2) if isinstance(field, GenericField) else (0, 0)
+    exps = st.tuples(st.integers(-3, 3), st.integers(*rho_exps))
+    if draw(st.booleans()):
+        n = LaurentPoly({draw(exps): draw(st.sampled_from([1, -1]))})
+    else:
+        n = LaurentPoly(draw(st.dictionaries(exps, st.integers(-3, 3),
+                                             max_size=4)))
+    k, l, i, j = (draw(st.integers(0, 2)) for _ in range(4))
+    minus = LaurentPoly({(1, 0): 1, (0, 0): -1})
+    plus = LaurentPoly({(1, 0): 1, (0, 0): 1})
+    num = n * _power(minus, k) * _power(plus, l)
+    den = _power(minus, i) * _power(plus, j)
+    raw = field.raw_div(field.raw_from_laurent(num),
+                        field.raw_from_laurent(den))
+    ring = groundfield._sympy_ring()
+    q, rho = ring.gens
+    u = max([0] + [-a for a, _ in num.terms])
+    v = max([0] + [-b for _, b in num.terms])
+    ref_num = ring.zero
+    for (a, b), c in num.terms.items():
+        ref_num += c * q ** (a + u) * rho ** (b + v)
+    return raw, (ref_num, q ** u * rho ** v * (q - 1) ** i * (q + 1) ** j)
+
+
+def _ref_text(num, den):
+    """The canonical text of num / den, reduced by sympy's cancel."""
+    num, den = num.cancel(den)
+    top = LaurentPoly({m: int(c) for m, c in num.terms()}).to_text()
+    if den == 1:
+        return top
+    bottom = LaurentPoly({m: int(c) for m, c in den.terms()}).to_text()
+    return "%s / %s" % (top, bottom)
+
+
+def _ref_in_r(num, den):
+    """Whether the reduced den is a +-monomial times powers of q -+ 1."""
+    if not num:
+        return True
+    q = den.ring.gens[0]
+    den = num.cancel(den)[1]
+    for lin in (q - 1, q + 1):
+        while not den % lin:
+            den = den // lin
+    return len(den) == 1 and abs(den.LC) == 1
+
+
+@pytest.mark.parametrize("field", R_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_r_values_match_sympy_reference(field, data):
+    (x, (xn, xd)), (y, (yn, yd)) = (data.draw(r_values(field))
+                                    for _ in range(2))
+    for raw, ref in [(x, (xn, xd)),
+                     (field.raw_add(x, y), (xn * yd + yn * xd, xd * yd)),
+                     (field.raw_sub(x, y), (xn * yd - yn * xd, xd * yd)),
+                     (field.raw_mul(x, y), (xn * yn, xd * yd))]:
+        # sums, differences and products of values of R stay in R
+        assert type(raw) is tuple
+        text = _ref_text(*ref)
+        assert FieldElement(field, raw).to_text() == text
+        back = field.parse(text)
+        assert type(back.val) is tuple and back.val == raw
+    assert field.raw_eq(x, y) == (_ref_text(xn, xd) == _ref_text(yn, yd))
+    assert field.raw_eq(x, groundfield._lift(x))
+    if field.raw_is_zero(y):
+        return
+    before = groundfield.fallbacks
+    quo = field.quotient(x, y)
+    assert quo.to_text() == _ref_text(xn * yd, xd * yn)
+    assert (type(quo.val) is tuple) == _ref_in_r(xn * yd, xd * yn)
+    # only a divisor that is not a unit of R takes the fallback
+    unit = _ref_in_r(yd, yn)
+    assert field.raw_is_unit(y) == unit
+    assert groundfield.fallbacks == before + (not unit)
+    # a non-unit over itself falls back and comes back as the tuple one
+    one = FieldElement(field, field.raw_div(y, y))
+    assert one.val == field.raw_from_int(1)
+    assert field.raw_eq(field.raw_mul(groundfield._lift(y),
+                                      field.raw_div(x, y)), x)
+
+
+def test_fallback_outside_r():
+    # delta = (rho^2 - 1) q / (rho (q^2 - 1)) is in R; its inverse is not
+    before = groundfield.fallbacks
+    inv = 1 / GEN.delta()
+    assert groundfield.fallbacks == before + 1
+    assert type(inv.val) is not tuple
+    assert inv.to_text() == "-1*rho^1 + 1*q^2*rho^1 / -1*q^1 + 1*q^1*rho^2"
+    q, rho = GEN.q(), GEN.rho()
+    assert inv == (q - 1 / q) / (rho - 1 / rho)
+    assert inv * GEN.delta() == 1
+    assert type((inv * GEN.delta()).val) is tuple
+
+
+# ---------------------------------------------------------------------------
 # evaluation of Laurent data
 
 def _term_by_term(field, lp):
@@ -232,8 +349,6 @@ def _term_by_term(field, lp):
 
 
 def _same_raw(x, y):
-    if hasattr(x, "num"):
-        return x.num == y.num and x.den == y.den
     return type(x) is type(y) and x == y
 
 

@@ -132,6 +132,19 @@ def test_determinant_generic():
     assert f.raw_eq(d, expect)
 
 
+def test_determinant_prefers_unit_pivots():
+    # the Gram matrix of the (2,1)/(1,1) cell module of B_{3,2}: its first
+    # column holds 1 + q^-2, not a unit of R, above the unit q
+    from qwalled import groundfield
+    f = GEN
+    q = f.q()
+    a, b, d = 1 + q ** -2, q, q ** 2 + q ** -2
+    before = groundfield.fallbacks
+    got = determinant(f, [[a.val, b.val], [b.val, d.val]])
+    assert groundfield.fallbacks == before
+    assert f.raw_eq(got, (a * d - b * b).val)
+
+
 def test_determinant_shape_check():
     with pytest.raises(LinAlgError):
         determinant(RAT, [[raw(RAT, 1), raw(RAT, 2)]])
