@@ -210,17 +210,10 @@ class _CellData:
 
 
 def cellular_data(engine):
-    data = getattr(engine, "_cell_data", None)
-    if data is None:
-        data = _CellData(engine)
-        engine._cell_data = data
-    return data
-
-
-def cellular_basis(engine):
-    """All (r+s)! basis elements as (label, left, right, element) tuples,
-    ordered along the fixed linear extension of the label poset."""
-    return list(cellular_data(engine).items)
+    """The engine's cellular coordinate system, built on first use."""
+    if engine._cell_data is None:
+        engine._cell_data = _CellData(engine)
+    return engine._cell_data
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +261,8 @@ class CellModule:
 
     The basis is I(f, lambda); generator actions are extracted from the
     coordinates of C_{(u,a)(t,d)} * token with the anchor row (u,a) fixed to
-    (t^lambda, identity).
+    (t^lambda, identity).  The Gram matrix and its determinant are memoized
+    on the module.
     """
 
     def __init__(self, engine, label, anchor=None):
@@ -297,6 +291,7 @@ class CellModule:
         self._tok_inv = {}
         self._word_mats = {(): _mat_identity(self.field, self.dim)}
         self._gram = None
+        self._det = None
 
     def _extract(self, data, terms):
         """Module coordinates of a vector lying in the cell ideal."""
@@ -381,8 +376,12 @@ class CellModule:
         return a
 
 
-def cell_module(engine, label, anchor=None):
-    return CellModule(engine, label, anchor=anchor)
+def cell_module(engine, label):
+    """The engine's cell module C(f, lambda), built on first use."""
+    mod = engine._modules.get(label)
+    if mod is None:
+        mod = engine._modules[label] = CellModule(engine, label)
+    return mod
 
 
 def gram_matrix(module):
@@ -416,9 +415,11 @@ def gram_matrix(module):
 
 
 def gram_determinant(module):
-    gram = gram_matrix(module)
-    raw = determinant(module.field, [[e.val for e in row] for row in gram])
-    return FieldElement(module.field, raw)
+    if module._det is None:
+        gram = gram_matrix(module)
+        module._det = FieldElement(module.field, determinant(
+            module.field, [[e.val for e in row] for row in gram]))
+    return module._det
 
 
 def radical_rank(module):
@@ -465,7 +466,7 @@ def gram_via_truncation(engine, label):
         x = engine.from_letters(_shifted_letters(engine, word, fl), ecap)
         if not sandwich.insert(x.terms, tag=t):
             raise CellularError("sandwich basis is dependent")
-    murphy = _murphy_data(hq)
+    murphy = _MurphyData(hq)
     bl = basis_labels(engine.r, engine.s, label)
     anchor = anchor_label(label)
     syms = label_symmetrizers(engine, label)
@@ -517,14 +518,6 @@ class _MurphyData:
                         raise CellularError("Murphy basis is dependent")
 
 
-def _murphy_data(hq):
-    data = getattr(hq, "_murphy_data", None)
-    if data is None:
-        data = _MurphyData(hq)
-        hq._murphy_data = data
-    return data
-
-
 def _murphy_coefficient(murphy, shape, terms):
     """Coefficient of n_{t^lambda t^lambda} modulo dominating shapes."""
     f = murphy.engine.field
@@ -572,7 +565,7 @@ def validate_cell_datum(engine, alternate_anchors=None):
         reference = None
         for anchor in anchors:
             try:
-                mod = CellModule(engine, label, anchor=anchor)
+                mod = CellModule(engine, label, anchor)
             except CellularError:
                 report["triangular"] = False
                 report["failures"].append(("triangular", label, anchor))
@@ -622,24 +615,3 @@ def gram_to_csv(module, gram=None):
     gram = gram_matrix(module) if gram is None else gram
     lines = [",".join('"%s"' % e.to_text() for e in row) for row in gram]
     return "\n".join(lines) + "\n"
-
-
-def laurent_unit_split(lp):
-    """Write a one-variable Laurent polynomial as unit * primitive part.
-
-    The unit is c * q^a with c the signed content; the primitive part has
-    lowest exponent 0, positive leading content, and coefficient gcd 1.
-    """
-    if not lp.terms:
-        raise CellularError("zero has no unit factorization")
-    exps = sorted(lp.terms)
-    low = exps[0][0]
-    content = 0
-    for c in lp.terms.values():
-        content = math.gcd(content, abs(c))
-    if lp.terms[exps[-1]] < 0:
-        content = -content
-    unit = {"coeff": content, "q_power": low}
-    prim = {(a - low, b): c // content for (a, b), c in lp.terms.items()}
-    from .groundfield import LaurentPoly
-    return unit, LaurentPoly(prim)

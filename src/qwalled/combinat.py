@@ -318,13 +318,6 @@ class StdTableau:
     def entry(self, i, j):
         return self.rows[i - 1][j - 1]
 
-    def position(self, value):
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if x == value:
-                    return (i + 1, j + 1)
-        raise CombinatError("value %r not in tableau" % value)
-
     def restrict(self, k):
         """Remove all entries strictly bigger than k."""
         rows = [tuple(x for x in row if x <= k) for row in self.rows]

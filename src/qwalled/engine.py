@@ -173,7 +173,13 @@ class AlgebraEngine:
         if expected_dim is None and not self.extra_relations:
             self.expected_dim = math.factorial(r + s)
         self.relations = self._defining_relations() + self.extra_relations
+        # data derived from the engine lives exactly as long as the engine:
+        # sigma images of basis vectors, the cellular coordinate system
+        # (cellular.cellular_data) and the cell modules by label
+        # (cellular.cell_module)
         self._sigma_cache = {}
+        self._cell_data = None
+        self._modules = {}
 
     # -- presentation ------------------------------------------------------
 

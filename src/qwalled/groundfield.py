@@ -337,20 +337,11 @@ class Field:
     def one(self):
         return self(1)
 
-    def from_int(self, n):
-        return self(n)
-
     def q(self):
         return FieldElement(self, self._q_val)
 
     def rho(self):
         return FieldElement(self, self._rho_val)
-
-    def q_power(self, n):
-        return self.q() ** n
-
-    def rho_power(self, n):
-        return self.rho() ** n
 
     def delta(self):
         """The loop parameter (rho - rho^-1) / (q - q^-1)."""

@@ -6,7 +6,6 @@ one-arc vanishing loci, branching filtrations, truncation functors, and
 explicit submodule witnesses.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,6 @@ from .cellular import (
     gram_via_truncation,
     label_symmetrizers,
     module_dimension,
-    radical_rank,
     symmetrizer_factor,
 )
 
@@ -77,38 +75,6 @@ class SemisimplicityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# shared caches
-
-_ENGINES = {}
-
-
-def _engine(r, s, field):
-    key = (r, s, field)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = build_engine(r, s, field)
-        _ENGINES[key] = eng
-    return eng
-
-
-def _module(engine, label):
-    cache = getattr(engine, "_repthy_modules", None)
-    if cache is None:
-        cache = engine._repthy_modules = {}
-    mod = cache.get(label)
-    if mod is None:
-        mod = cell_module(engine, label)
-        cache[label] = mod
-    return mod
-
-
-def label_rank(label):
-    """(r, s) recovered from a cell label."""
-    n1, n2 = label.shape.size
-    return label.f + n1, label.f + n2
-
-
-# ---------------------------------------------------------------------------
 # central characters
 
 def central_scalar(label, field):
@@ -124,28 +90,19 @@ def central_scalar(label, field):
     return out
 
 
-def central_character(label, field, verify=True, engine=None):
-    """The central scalar on C(f, lambda), verified against the action
-    matrix of the central element unless verify is False."""
-    scalar = central_scalar(label, field)
-    if verify:
-        r, s = label_rank(label)
-        eng = engine if engine is not None else _engine(r, s, field)
-        _verify_scalar_action(eng, label, central_element(eng), scalar)
-    return CentralCharacter(label, scalar)
-
-
-def _verify_scalar_action(engine, label, elem, scalar):
-    mod = _module(engine, label)
-    mat = mod.action_matrix(elem)
+def central_character(engine, label):
+    """The central scalar on C(f, lambda) of the engine's algebra, verified
+    against the action matrix of the central element."""
     f = engine.field
+    scalar = central_scalar(label, f)
+    mat = cell_module(engine, label).action_matrix(central_element(engine))
     for i, row in enumerate(mat):
         for j, c in row.items():
             want = scalar.val if i == j else f.raw_from_int(0)
             if not f.raw_eq(c, want):
                 raise RepError("central element is not scalar %s on %r"
                                % (scalar.to_text(), label))
-    return True
+    return CentralCharacter(label, scalar)
 
 
 def central_coincidences(r, s, field):
@@ -201,59 +158,53 @@ def _closed_form_verdict(r, s, field):
     return SemisimplicityVerdict(True, "generic")
 
 
-_GENERIC_DETS = {}
+def _generic_gram_determinant(generic, label):
+    if not isinstance(generic.field, GenericField):
+        raise RepError("needs an engine over the generic field")
+    return gram_determinant(cell_module(generic, label))
 
 
-def _generic_gram_determinants(r, s, engine=None):
-    dets = _GENERIC_DETS.get((r, s))
-    if dets is None:
-        eng = engine if engine is not None else _engine(r, s, GenericField())
-        dets = {lab: gram_determinant(_module(eng, lab))
-                for lab in cell_labels(r, s)}
-        _GENERIC_DETS[(r, s)] = dets
-    return dets
-
-
-def gram_singular_labels(r, s, field, engine=None, generic_engine=None):
+def gram_singular_labels(generic, field):
     """Labels whose Gram matrix is singular over the field.
 
-    Determinants are computed once over the generic field and pushed down;
-    labels whose transfer is blocked fall back to a direct computation.
-    engine and generic_engine, when given, are the (r, s) engines over the
-    field and over the generic field.
+    The determinants are taken once over the generic field, on the engine
+    generic, and pushed down to the field; for labels whose transfer is
+    blocked the field's engine is built once and the determinant computed
+    there.
     """
-    if isinstance(field, GenericField):
-        eng = engine if engine is not None else _engine(r, s, field)
-        return [lab for lab in cell_labels(r, s)
-                if radical_rank(_module(eng, lab))[1] > 0]
+    eng = None
     out = []
-    for lab, det in _generic_gram_determinants(r, s, generic_engine).items():
+    for lab in cell_labels(generic.r, generic.s):
+        det = _generic_gram_determinant(generic, lab)
         try:
-            value = transfer_from_generic(det, field)
+            value = (det if isinstance(field, GenericField)
+                     else transfer_from_generic(det, field))
         except FieldError:
-            eng = engine if engine is not None else _engine(r, s, field)
-            value = gram_determinant(_module(eng, lab))
+            if eng is None:
+                eng = build_engine(generic.r, generic.s, field)
+            value = gram_determinant(cell_module(eng, lab))
         if value.is_zero():
             out.append(lab)
     return out
 
 
-def semisimplicity(r, s, field, mode="closed_form", engine=None,
-                   generic_engine=None):
+def semisimplicity(r, s, field, mode="closed_form", generic=None):
     """The semisimplicity verdict, by closed form, by Gram determinants,
-    or by both with an integrity comparison.  engine and generic_engine,
-    when given, are the (r, s) engines over the field and over the generic
-    field, for the Gram side."""
+    or by both with an integrity comparison.  generic is the (r, s) engine
+    over the generic field; the Gram side needs it."""
     if mode not in ("closed_form", "gram", "both"):
         raise RepError("unknown mode %r" % (mode,))
+    if mode != "closed_form" and (
+            generic is None or (generic.r, generic.s) != (r, s)):
+        raise RepError("mode %r needs the (%d, %d) generic engine"
+                       % (mode, r, s))
     closed = _closed_form_verdict(r, s, field)
     if mode == "closed_form":
         return closed
     if closed.reason == "quantum characteristic too small":
         # no Gram work below the quantum characteristic bound
         return closed
-    witnesses = tuple(gram_singular_labels(r, s, field, engine,
-                                           generic_engine))
+    witnesses = tuple(gram_singular_labels(generic, field))
     gram_verdict = not witnesses
     if mode == "both" and gram_verdict != closed.verdict:
         raise RepError(
@@ -265,13 +216,14 @@ def semisimplicity(r, s, field, mode="closed_form", engine=None,
 # ---------------------------------------------------------------------------
 # one-arc vanishing loci
 
-def onearc_zero_locus(r, kind):
+def onearc_zero_locus(generic, kind):
     """Vanishing set of det G_{1,lambda} for the one-arc hook labels of
     (r, 1), sampled over rho^2 = q^{2a} with |a| <= r+1 in both sign
-    branches."""
+    branches; generic is the (r, 1) engine over the generic field."""
     from .groundfield import OneVarField
-    if r < 2:
-        raise RepError("needs r >= 2")
+    r = generic.r
+    if r < 2 or generic.s != 1:
+        raise RepError("needs r >= 2 and s = 1")
     if kind == "row":
         shape = Bipartition((r - 1,), ())
         expected = sorted((-1, r - 1))
@@ -281,7 +233,7 @@ def onearc_zero_locus(r, kind):
     else:
         raise RepError("kind must be 'row' or 'column'")
     label = cell_label(r, 1, 1, shape)
-    det = _generic_gram_determinants(r, 1)[label]
+    det = _generic_gram_determinant(generic, label)
     vanishing = []
     for a in range(-(r + 1), r + 2):
         hits = []
@@ -321,14 +273,14 @@ def delta_zero_gram_checks():
         size = module_dimension(label, r, s)
         for sign in (1, -1):
             field = OneVarField(0, sign)
-            eng = _engine(r, s, field)
+            eng = build_engine(r, s, field)
             if eng.dim > math.factorial(5):
                 gram = gram_via_truncation(eng, label)
                 raw = determinant(field, [[e.val for e in row]
                                           for row in gram])
                 is_zero = field.raw_is_zero(raw)
             else:
-                is_zero = gram_determinant(_module(eng, label)).is_zero()
+                is_zero = gram_determinant(cell_module(eng, label)).is_zero()
             rows.append({
                 "r": r,
                 "s": s,
@@ -416,7 +368,7 @@ def branching_check(engine, label):
     if r < 2:
         raise RepError("needs r >= 2")
     field = engine.field
-    mod = _module(engine, label)
+    mod = cell_module(engine, label)
     sections = branching_sections(label)
     section_rows = []
     total = 0
@@ -487,7 +439,7 @@ def schur_truncation_check(engine, label, idempotent_choice=None):
     bookkeeping."""
     r, s = engine.r, engine.s
     choice, idem = truncation_idempotent(engine, idempotent_choice)
-    mod = _module(engine, label)
+    mod = cell_module(engine, label)
     rank = mod.action_rank(idem)
     if label.f == 0:
         expected = 0
@@ -520,11 +472,11 @@ def schur_truncation_check(engine, label, idempotent_choice=None):
 # ---------------------------------------------------------------------------
 # submodule witnesses
 
-def submodule_witness(r, s, kind, field=None):
+def submodule_witness(engine, kind):
     """The one-arc vector v whose e_1-image vanishes exactly on the
     extreme rho-power line; row uses the single-row shapes, column the
     single-column shapes."""
-    field = field if field is not None else GenericField()
+    r, s, field = engine.r, engine.s, engine.field
     if field.quantum_characteristic() <= max(r, s):
         raise RepError("needs quantum characteristic above max(r, s)")
     q, rho = field.q(), field.rho()
@@ -547,15 +499,14 @@ def submodule_witness(r, s, kind, field=None):
         scalar_zero_expected = rho * rho == q ** (-2 * n)
     else:
         raise RepError("kind must be 'row' or 'column'")
-    eng = _engine(r, s, field)
     label = cell_label(r, s, 1, mu)
-    mod = _module(eng, label)
-    v = evaluate_factors(eng, [
-        symmetrizer_factor(eng, sym_shapes[0], 0, False, sym_kind),
-        symmetrizer_factor(eng, sym_shapes[1], 0, True, sym_kind)],
-        x=_anchor_element(eng, label))
+    mod = cell_module(engine, label)
+    v = evaluate_factors(engine, [
+        symmetrizer_factor(engine, sym_shapes[0], 0, False, sym_kind),
+        symmetrizer_factor(engine, sym_shapes[1], 0, True, sym_kind)],
+        x=_anchor_element(engine, label))
     vec = mod.element_vector(v)
-    e1v = mod.element_vector(v * eng.e1())
+    e1v = mod.element_vector(v * engine.e1())
     # e_1 v is a multiple of the anchor; the coefficient agrees with the
     # predicted scalar up to a unit, so the two vanish on the same locus
     anchor_multiple = set(e1v) <= {mod.anchor_index}
@@ -587,8 +538,8 @@ def submodule_witness(r, s, kind, field=None):
 def hom_dimension(engine, source, target):
     """Dimension of the space of module maps C(source) -> C(target),
     computed from the generator intertwining equations."""
-    ma = _module(engine, source)
-    mb = _module(engine, target)
+    ma = cell_module(engine, source)
+    mb = cell_module(engine, target)
     f = engine.field
     d0, d1 = ma.dim, mb.dim
     ech = Echelon(f)
@@ -610,11 +561,3 @@ def hom_dimension(engine, source, target):
                 row = {k: c for k, c in row.items() if not f.raw_is_zero(c)}
                 ech.insert(row)
     return d0 * d1 - ech.rank
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def report_to_json(report):
-    """Canonical JSON for a report dictionary."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))

@@ -4,12 +4,14 @@ Each test prints a single "criterion N: PASS/FAIL" line; run with -v (or -s)
 to see them.  All checks are zero tolerance.
 """
 
+import functools
 import math
 from itertools import permutations
 
 from qwalled.cellular import (
     cell_label,
     cell_labels,
+    cell_module,
     module_dimension,
     radical_rank,
     validate_cell_datum,
@@ -19,8 +21,6 @@ from qwalled.engine import build_engine, central_element, verify_relations
 from qwalled.groundfield import GenericField, OneVarField, PrimeField
 from qwalled.repthy import (
     DELTA_ZERO_SEMISIMPLE,
-    _engine,
-    _module,
     branching_check,
     central_character,
     classify_simples,
@@ -32,6 +32,9 @@ from qwalled.repthy import (
 )
 
 GEN = GenericField()
+
+# one engine per (r, s, field) for the whole module
+engine = functools.lru_cache(maxsize=None)(build_engine)
 
 
 def _pairs(max_total):
@@ -49,7 +52,7 @@ def test_criterion_01_dimension_counts():
     add up to it, generically through total 5 and over GF(p) through 6."""
     ok = True
     for r, s in _pairs(5):
-        ok = ok and _engine(r, s, GEN).dim == math.factorial(r + s)
+        ok = ok and engine(r, s, GEN).dim == math.factorial(r + s)
     gfp = PrimeField(13, 2, 6)
     for r, s in _pairs(6):
         ok = ok and build_engine(r, s, gfp).dim == math.factorial(r + s)
@@ -65,7 +68,7 @@ def test_criterion_02_relation_suite():
     seen = set()
     ok = True
     for r, s in _pairs(5):
-        for name, good in verify_relations(_engine(r, s, GEN)):
+        for name, good in verify_relations(engine(r, s, GEN)):
             ok = ok and good
             seen.add(".".join(name.split("[")[0].split(".")[:2]))
     wanted = {"def.%s" % c for c in "abcdefghijklmn"}
@@ -113,7 +116,7 @@ def test_criterion_04_cell_datum():
     checked over every anchor for all shapes with total at most 5."""
     ok = True
     for r, s in _pairs(5):
-        report = validate_cell_datum(_engine(r, s, GEN))
+        report = validate_cell_datum(engine(r, s, GEN))
         ok = (ok and report["ok"] and report["basis"]
               and report["involution"] and report["triangular"]
               and not report["failures"])
@@ -125,14 +128,14 @@ def test_criterion_05_central_element():
     cell module by the content-sum scalar."""
     ok = True
     for r, s in _pairs(5):
-        eng = _engine(r, s, GEN)
+        eng = engine(r, s, GEN)
         c = central_element(eng)
         gens = ([eng.g_el(i) for i in range(1, r)]
                 + [eng.gs_el(j) for j in range(1, s)] + [eng.e1()])
         for g in gens:
             ok = ok and c * g == g * c
         for lab in cell_labels(r, s):
-            central_character(lab, GEN, verify=True, engine=eng)
+            central_character(eng, lab)
     _verdict(5, "central element", ok)
 
 
@@ -142,7 +145,7 @@ def test_criterion_06_onearc_zero_loci():
     ok = True
     for r in (2, 3, 4):
         for kind in ("row", "column"):
-            report = onearc_zero_locus(r, kind)
+            report = onearc_zero_locus(engine(r, 1, GEN), kind)
             ok = ok and report["ok"]
             ok = ok and report["vanishing"] == report["expected"]
     _verdict(6, "one-arc zero loci", ok)
@@ -156,7 +159,8 @@ def test_criterion_07_semisimplicity_grid():
     for r, s in _pairs(5):
         for a in range(-(r + s), r + s + 1):
             for sign in (1, -1):
-                v = semisimplicity(r, s, OneVarField(a, sign), mode="both")
+                v = semisimplicity(r, s, OneVarField(a, sign), mode="both",
+                                   generic=engine(r, s, GEN))
                 if a == 0:
                     expected = (r, s) in DELTA_ZERO_SEMISIMPLE
                 else:
@@ -166,8 +170,8 @@ def test_criterion_07_semisimplicity_grid():
                     ok = ok and len(v.witnesses) > 0
                 if abs(a) == r + s:
                     ok = ok and v.verdict
-    ok = ok and not semisimplicity(2, 2, OneVarField(0, 1),
-                                   mode="both").verdict
+    ok = ok and not semisimplicity(2, 2, OneVarField(0, 1), mode="both",
+                                   generic=engine(2, 2, GEN)).verdict
     _verdict(7, "semisimplicity grid", ok)
 
 
@@ -189,7 +193,7 @@ def test_criterion_09_branching():
     for r, s in _pairs(5):
         if r < 2:
             continue
-        eng = _engine(r, s, GEN)
+        eng = engine(r, s, GEN)
         for lab in cell_labels(r, s):
             report = branching_check(eng, lab)
             ok = (ok and report["ok"] and report["dim_ok"]
@@ -203,7 +207,7 @@ def test_criterion_10_schur_truncation():
     dimension (r+s-1)!."""
     ok = True
     for r, s in _pairs(5):
-        eng = _engine(r, s, GEN)
+        eng = engine(r, s, GEN)
         choices = [c for c, cond in (("e_tilde", s >= 2), ("f21", r >= 2))
                    if cond]
         for lab in cell_labels(r, s):
@@ -222,10 +226,10 @@ def test_criterion_11_simple_classification():
     ok = e3.quantum_characteristic() == 3
     for field in (GEN, OneVarField(0, 1), e3):
         for r, s in _pairs(4):
-            eng = _engine(r, s, field)
+            eng = engine(r, s, field)
             listed = set(classify_simples(r, s, field))
             positive = {lab for lab in cell_labels(r, s)
-                        if radical_rank(_module(eng, lab))[0] > 0}
+                        if radical_rank(cell_module(eng, lab))[0] > 0}
             ok = ok and listed == positive
     _verdict(11, "simple classification", ok)
 
@@ -244,7 +248,7 @@ def test_criterion_12_submodule_witnesses():
         for kind in ("row", "column"):
             locus = n if kind == "row" else -n
             for field, a in fields:
-                report = submodule_witness(r, s, kind, field)
+                report = submodule_witness(engine(r, s, field), kind)
                 ok = ok and report["ok"] and report["nonzero"]
                 expected_zero = a == locus
                 ok = ok and report["e1v_zero"] == expected_zero

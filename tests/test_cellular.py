@@ -11,19 +11,18 @@ from qwalled.combinat import Bipartition, count_std, labels
 from qwalled.engine import E_TOK, build_engine, sigma
 from qwalled.groundfield import (
     GenericField,
-    LaurentPoly,
     OneVarField,
     PrimeField,
     transfer_from_generic,
 )
 from qwalled.cellular import (
+    CellModule,
     CellularError,
     anchor_label,
     basis_labels,
     cell_label,
     cell_labels,
     cell_module,
-    cellular_basis,
     cellular_data,
     cellular_factors,
     evaluate_factors,
@@ -33,7 +32,6 @@ from qwalled.cellular import (
     gram_to_json,
     gram_via_truncation,
     label_symmetrizers,
-    laurent_unit_split,
     module_dimension,
     radical_rank,
     sigma_factors,
@@ -110,13 +108,13 @@ def test_cell_label_validation():
 
 def test_basis_small_cases(b21):
     e11 = build_engine(1, 1, GEN)
-    items = cellular_basis(e11)
+    items = cellular_data(e11).items
     assert len(items) == 2
     by_f = {lab.f: elem for lab, _, _, elem in items}
     assert by_f[1] == e11.e1()
     assert by_f[0] == e11.one()
 
-    items = cellular_basis(b21)
+    items = cellular_data(b21).items
     assert len(items) == 6
     per_label = {}
     for lab, _, _, _ in items:
@@ -125,7 +123,7 @@ def test_basis_small_cases(b21):
 
 
 def test_basis_is_ordered_and_spans(b22):
-    items = cellular_basis(b22)
+    items = cellular_data(b22).items
     assert len(items) == 24
     seen = [lab for lab, _, _, _ in items]
     # ordering follows the label list
@@ -197,7 +195,7 @@ def test_gram_choice_independence(b22):
         mod = cell_module(b22, lab)
         gram = gram_matrix(mod)
         for anchor in basis_labels(2, 2, lab)[:3]:
-            other = cell_module(b22, lab, anchor=anchor)
+            other = CellModule(b22, lab, anchor)
             gram2 = gram_matrix(other)
             for i in range(mod.dim):
                 for j in range(mod.dim):
@@ -368,9 +366,6 @@ def test_exports(b21):
     assert data["dim"] == 2 and len(data["entries"]) == 2
     csv = gram_to_csv(mod)
     assert csv.count("\n") == 2
-    unit, prim = laurent_unit_split(LaurentPoly({(-2, 0): 2, (1, 0): -4}))
-    assert unit == {"coeff": -2, "q_power": -2}
-    assert prim == LaurentPoly({(0, 0): -1, (3, 0): 2})
 
 
 def test_quotient_engine_rejected():
@@ -379,4 +374,4 @@ def test_quotient_engine_rejected():
     quo = AlgebraEngine(2, 1, GEN, extra_relations=[[(one, (E_TOK,))]],
                         expected_dim=2)
     with pytest.raises(CellularError):
-        cellular_basis(quo)
+        cellular_data(quo)

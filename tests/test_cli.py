@@ -217,17 +217,33 @@ def test_gram_side_reuses_cached_engine(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(qwalled.cli, "build_engine", counting_build)
     monkeypatch.setattr(qwalled.repthy, "build_engine", counting_build)
-    monkeypatch.setattr(qwalled.repthy, "_ENGINES", {})
-    monkeypatch.setattr(qwalled.repthy, "_GENERIC_DETS", {})
     for mode in ("gram", "both"):
         code, out, _ = run_cli(capsys, "semisimple", "--r", "2", "--s", "1",
                                "--cache-dir", cache, "--mode", mode)
         assert code == EXIT_OK and json.loads(out)["semisimple"]
+    # over another field the Gram side still needs only the generic engine
+    code, out, _ = run_cli(capsys, "semisimple", "--r", "2", "--s", "1",
+                           "--field", "gfp:13,2,6", "--cache-dir", cache,
+                           "--mode", "gram")
+    assert code == EXIT_OK and json.loads(out)["witnesses"]
     # sweep takes its generic determinants from the cached engine
     code, out, _ = run_cli(capsys, "sweep", "--r", "2", "--s", "1",
                            "--cache-dir", cache, "--amax", "1")
     assert code == EXIT_OK and len(json.loads(out)["points"]) == 6
     assert builds == []
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+def test_sweep_reports_verification_failure(capsys, monkeypatch):
+    # Gram matrices that are never singular contradict the closed form at
+    # the coincidence points
+    import qwalled.repthy
+    monkeypatch.setattr(qwalled.repthy, "gram_singular_labels",
+                        lambda *args: [])
+    code, out, err = run_cli(capsys, "sweep", "--r", "2", "--s", "1",
+                             "--amax", "1")
+    assert code == EXIT_FAILURE and out == ""
+    assert err.startswith("verification failure:")
 
 
 def test_sweep_has_no_field_option():

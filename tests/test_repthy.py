@@ -1,13 +1,20 @@
 """Tests for the representation-theory layer."""
 
-import json
+import functools
 
 import pytest
 
 from qwalled.combinat import Bipartition, nodes_removable
-from qwalled.cellular import cell_label, cell_labels, radical_rank
-from qwalled.engine import central_element, sigma
+from qwalled.cellular import (
+    cell_label,
+    cell_labels,
+    cell_module,
+    gram_determinant,
+    radical_rank,
+)
+from qwalled.engine import build_engine, central_element, sigma
 from qwalled.groundfield import (
+    FieldError,
     GenericField,
     OneVarField,
     PrimeField,
@@ -17,8 +24,6 @@ from qwalled.repthy import (
     CentralCharacter,
     RepError,
     SemisimplicityVerdict,
-    _engine,
-    _module,
     branching_check,
     branching_sections,
     central_character,
@@ -29,15 +34,16 @@ from qwalled.repthy import (
     gram_singular_labels,
     hom_dimension,
     is_quasi_hereditary,
-    label_rank,
     onearc_zero_locus,
-    report_to_json,
     schur_truncation_check,
     semisimplicity,
     submodule_witness,
 )
 
 GEN = GenericField()
+
+# one engine per (r, s, field) for the whole module
+engine = functools.lru_cache(maxsize=None)(build_engine)
 
 
 def lab(r, s, f, first, second):
@@ -56,21 +62,21 @@ def test_central_character_verifies_action():
     for field in fields:
         for r, s in [(1, 1), (2, 1)]:
             for label in cell_labels(r, s):
-                cc = central_character(label, field)
+                cc = central_character(engine(r, s, field), label)
                 assert isinstance(cc, CentralCharacter)
                 assert cc.scalar == central_scalar(label, field)
     # one bigger case over the generic field
     for label in cell_labels(2, 2):
-        central_character(label, GEN)
+        central_character(engine(2, 2, GEN), label)
 
 
 def test_central_element_subrange_is_central():
-    eng = _engine(2, 2, GEN)
+    eng = engine(2, 2, GEN)
     c = central_element(eng, 1, 2)
     assert c * eng.gs_el(1) == eng.gs_el(1) * c
     assert c * eng.e1() == eng.e1() * c
     assert sigma(c) == c
-    eng32 = _engine(3, 2, GEN)
+    eng32 = engine(3, 2, GEN)
     c = central_element(eng32, 2, 2)
     for gen in (eng32.g_el(1), eng32.gs_el(1), eng32.e1()):
         assert c * gen == gen * c
@@ -79,10 +85,6 @@ def test_central_element_subrange_is_central():
 def test_central_scalars_separate_labels():
     for r, s in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]:
         assert central_coincidences(r, s, GEN) == []
-
-
-def test_label_rank():
-    assert label_rank(lab(3, 2, 1, (2,), (1,))) == (3, 2)
 
 
 def test_classify_simples():
@@ -105,10 +107,10 @@ def test_classify_simples_matches_gram_ranks():
               PrimeField(5, 2, 2)]
     for field in fields:
         for r, s in [(1, 1), (2, 1), (2, 2), (3, 1)]:
-            eng = _engine(r, s, field)
+            eng = engine(r, s, field)
             simple = set(classify_simples(r, s, field))
             positive = {label for label in cell_labels(r, s)
-                        if radical_rank(_module(eng, label))[0] > 0}
+                        if radical_rank(cell_module(eng, label))[0] > 0}
             assert simple == positive, (field, r, s)
 
 
@@ -142,7 +144,8 @@ def test_semisimplicity_grid_both_modes():
         for a in range(-(r + s), r + s + 1):
             for sign in (1, -1):
                 field = OneVarField(a, sign)
-                v = semisimplicity(r, s, field, mode="both")
+                v = semisimplicity(r, s, field, mode="both",
+                                   generic=engine(r, s, GEN))
                 assert isinstance(v, SemisimplicityVerdict)
                 if field.delta().is_zero():
                     expected = (r, s) in {(1, 2), (2, 1), (1, 3), (3, 1)}
@@ -157,7 +160,8 @@ def test_semisimplicity_grid_32():
     for a in range(-5, 6):
         for sign in (1, -1):
             field = OneVarField(a, sign)
-            v = semisimplicity(3, 2, field, mode="both")
+            v = semisimplicity(3, 2, field, mode="both",
+                               generic=engine(3, 2, GEN))
             if field.delta().is_zero():
                 assert not v.verdict
             else:
@@ -165,32 +169,69 @@ def test_semisimplicity_grid_32():
 
 
 def test_semisimplicity_witness_example():
-    v = semisimplicity(2, 1, OneVarField(1), mode="gram")
+    v = semisimplicity(2, 1, OneVarField(1), mode="gram",
+                       generic=engine(2, 1, GEN))
     assert v.witnesses == (lab(2, 1, 1, (1,), ()),)
 
 
 def test_gram_singular_labels_fallback():
     # rational points exercise the generic-transfer path with exact values
     field = RationalField(2, 2)  # rho = q, inside the coincidence band
-    bad = gram_singular_labels(2, 1, field)
+    bad = gram_singular_labels(engine(2, 1, GEN), field)
     assert bad == [lab(2, 1, 1, (1,), ())]
-    assert gram_singular_labels(2, 1, GEN) == []
+    assert gram_singular_labels(engine(2, 1, GEN), GEN) == []
+
+
+def test_gram_singular_labels_blocked_transfer(monkeypatch):
+    # a label whose determinant cannot be pushed down is decided on the
+    # field's engine, which is closed once for all such labels
+    import qwalled.repthy
+    generic = engine(2, 1, GEN)
+    field = OneVarField(1)
+    expected = gram_singular_labels(generic, field)
+    blocked = [gram_determinant(cell_module(generic, label))
+               for label in (lab(2, 1, 1, (1,), ()), lab(2, 1, 0, (2,), (1,)))]
+    transfer = qwalled.repthy.transfer_from_generic
+
+    def blocking_transfer(det, target):
+        if any(det is b for b in blocked):
+            raise FieldError("blocked")
+        return transfer(det, target)
+
+    builds = []
+
+    def counting_build(*args):
+        builds.append(args)
+        return build_engine(*args)
+
+    monkeypatch.setattr(qwalled.repthy, "transfer_from_generic",
+                        blocking_transfer)
+    monkeypatch.setattr(qwalled.repthy, "build_engine", counting_build)
+    got = gram_singular_labels(generic, field)
+    assert got == expected == [lab(2, 1, 1, (1,), ())]
+    assert builds == [(2, 1, field)]
 
 
 def test_onearc_zero_locus():
-    assert onearc_zero_locus(2, "row")["vanishing"] == [-1, 1]
-    assert onearc_zero_locus(3, "row")["vanishing"] == [-1, 2]
-    assert onearc_zero_locus(3, "column")["vanishing"] == [-2, 1]
-    rep = onearc_zero_locus(4, "row")
+    def locus(r, kind):
+        return onearc_zero_locus(engine(r, 1, GEN), kind)
+    assert locus(2, "row")["vanishing"] == [-1, 1]
+    assert locus(3, "row")["vanishing"] == [-1, 2]
+    assert locus(3, "column")["vanishing"] == [-2, 1]
+    rep = locus(4, "row")
     assert rep["ok"] and rep["vanishing"] == [-1, 3]
     with pytest.raises(RepError):
-        onearc_zero_locus(1, "row")
+        locus(1, "row")
     with pytest.raises(RepError):
-        onearc_zero_locus(2, "diagonal")
+        locus(2, "diagonal")
+    with pytest.raises(RepError):
+        onearc_zero_locus(engine(2, 2, GEN), "row")
+    with pytest.raises(RepError):
+        onearc_zero_locus(engine(2, 1, OneVarField(1)), "row")
 
 
 def test_branching_dimension_example():
-    eng = _engine(2, 1, GEN)
+    eng = engine(2, 1, GEN)
     rep = branching_check(eng, lab(2, 1, 1, (1,), ()))
     assert rep["ok"]
     assert [sec["dim"] for sec in rep["sections"]] == [1, 1]
@@ -203,20 +244,20 @@ def test_branching_layer_zero_is_hecke():
 
 def test_branching_all_labels():
     for r, s in [(2, 1), (2, 2), (3, 2)]:
-        eng = _engine(r, s, GEN)
+        eng = engine(r, s, GEN)
         for label in cell_labels(r, s):
             rep = branching_check(eng, label)
             assert rep["ok"], (r, s, label, rep)
 
 
 def test_branching_specialized_trace():
-    eng = _engine(2, 2, OneVarField(3))
+    eng = engine(2, 2, OneVarField(3))
     for label in cell_labels(2, 2):
         assert branching_check(eng, label)["ok"]
 
 
 def test_schur_truncation():
-    eng = _engine(2, 2, GEN)
+    eng = engine(2, 2, GEN)
     rep = schur_truncation_check(eng, lab(2, 2, 1, (1,), (1,)))
     assert rep["rank"] == 1 and rep["ok"]
     rep = schur_truncation_check(eng, lab(2, 2, 0, (2,), (2,)))
@@ -227,7 +268,7 @@ def test_schur_truncation():
 
 def test_schur_truncation_choices_agree():
     for r, s in [(2, 1), (2, 2), (3, 2), (4, 1)]:
-        eng = _engine(r, s, GEN)
+        eng = engine(r, s, GEN)
         for label in cell_labels(r, s):
             reports = []
             for choice in ("e_tilde", "f21"):
@@ -240,28 +281,28 @@ def test_schur_truncation_choices_agree():
 
 
 def test_submodule_witness_row():
-    rep = submodule_witness(2, 2, "row")
+    rep = submodule_witness(engine(2, 2, GEN), "row")
     assert rep["nonzero"] and rep["anchor_multiple"] and rep["ok"]
     assert not rep["e1v_zero"]
-    rep = submodule_witness(2, 2, "row", OneVarField(2))
+    rep = submodule_witness(engine(2, 2, OneVarField(2)), "row")
     assert rep["e1v_zero"] and rep["scalar_zero"] and rep["ok"]
-    rep = submodule_witness(2, 2, "row", OneVarField(2, -1))
+    rep = submodule_witness(engine(2, 2, OneVarField(2, -1)), "row")
     assert rep["e1v_zero"] and rep["ok"]
-    rep = submodule_witness(3, 2, "row", OneVarField(3))
+    rep = submodule_witness(engine(3, 2, OneVarField(3)), "row")
     assert rep["e1v_zero"] and rep["ok"]
 
 
 def test_submodule_witness_column():
-    rep = submodule_witness(2, 2, "column")
+    rep = submodule_witness(engine(2, 2, GEN), "column")
     assert rep["nonzero"] and not rep["e1v_zero"] and rep["ok"]
-    rep = submodule_witness(2, 2, "column", OneVarField(-2))
+    rep = submodule_witness(engine(2, 2, OneVarField(-2)), "column")
     assert rep["e1v_zero"] and rep["scalar_zero"] and rep["ok"]
-    rep = submodule_witness(2, 2, "column", OneVarField(2))
+    rep = submodule_witness(engine(2, 2, OneVarField(2)), "column")
     assert not rep["e1v_zero"] and rep["ok"]
     with pytest.raises(RepError):
-        submodule_witness(2, 2, "diag")
+        submodule_witness(engine(2, 2, GEN), "diag")
     with pytest.raises(RepError):
-        submodule_witness(2, 2, "row", PrimeField(5, 2, 2))
+        submodule_witness(engine(2, 2, PrimeField(5, 2, 2)), "row")
 
 
 def test_delta_zero_grams():
@@ -292,7 +333,7 @@ def test_detected_homs_have_residue_condition():
               OneVarField(1, -1), OneVarField(3)]
     for field in points:
         for r, s in [(2, 1), (2, 2)]:
-            eng = _engine(r, s, field)
+            eng = engine(r, s, field)
             zeros = [l for l in cell_labels(r, s) if l.f == 0]
             ones = [l for l in cell_labels(r, s) if l.f == 1]
             for src in zeros:
@@ -303,16 +344,9 @@ def test_detected_homs_have_residue_condition():
 
 
 def test_hom_detection_positive_case():
-    eng = _engine(2, 1, OneVarField(1))
+    eng = engine(2, 1, OneVarField(1))
     assert hom_dimension(eng, lab(2, 1, 0, (2,), (1,)),
                          lab(2, 1, 1, (1,), ())) == 1
-    eng = _engine(2, 1, OneVarField(5))
+    eng = engine(2, 1, OneVarField(5))
     assert hom_dimension(eng, lab(2, 1, 0, (2,), (1,)),
                          lab(2, 1, 1, (1,), ())) == 0
-
-
-def test_report_serialization():
-    rep = onearc_zero_locus(2, "row")
-    js = report_to_json(rep)
-    assert report_to_json(rep) == js
-    assert json.loads(js)["check"] == "onearc-zero-locus"
