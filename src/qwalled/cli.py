@@ -78,6 +78,8 @@ class RunConfig:
     cache_dir: str = None
     max_total: int = DEFAULT_MAX_TOTAL
     args: dict = dc_field(default_factory=dict)
+    # the generic engine, once a command of this run has loaded it
+    generic: object = dc_field(default=None, init=False)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,15 @@ def load_engine(config, field):
             os.unlink(tmp)
             raise
     return engine
+
+
+def generic_engine(config):
+    """The (r, s) engine over the generic field, loaded at most once per
+    run: every field of a spec and every point of a sweep shares it, and
+    its cell modules keep their Gram determinants."""
+    if config.generic is None:
+        config.generic = load_engine(config, GenericField())
+    return config.generic
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +360,10 @@ def cmd_simples(config, field):
 
 def cmd_semisimple(config, field):
     mode = config.args.get("mode", "closed_form")
-    generic = None
-    if mode != "closed_form":
-        # Gram determinants are taken over the generic field, then
-        # evaluated in the field
-        generic = load_engine(config, GenericField())
+    # Gram determinants are taken over the generic field, then evaluated
+    # in the field; the engine is loaded only when the Gram side runs
     verdict = semisimplicity(config.r, config.s, field, mode=mode,
-                             generic=generic)
+                             generic=lambda: generic_engine(config))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "semisimple",
@@ -405,17 +413,14 @@ def cmd_sweep(config):
     elif amax < 0:
         raise UsageError("--amax must be at least 0")
     mode = config.args.get("mode", "both")
-    generic = None
-    if mode != "closed_form":
-        # Gram determinants are taken over the generic field, then
-        # evaluated at each point
-        generic = load_engine(config, GenericField())
     rows = []
     for a in range(-amax, amax + 1):
         for sign in (1, -1):
             point = OneVarField(a, sign)
+            # Gram determinants are taken over the generic field once,
+            # then evaluated at each point
             verdict = semisimplicity(config.r, config.s, point, mode=mode,
-                                     generic=generic)
+                                     generic=lambda: generic_engine(config))
             rows.append({
                 "a": a,
                 "rho": ("q^%d" % a) if sign > 0 else ("-q^%d" % a),

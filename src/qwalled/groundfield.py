@@ -17,13 +17,16 @@ q -+ 1 is tested by evaluating N at q = +-1 and removed by synthetic
 division, so equal values have equal tuples.  Products multiply numerators
 and add exponents, sums first bring both operands to common exponents, and
 a quotient is native when the divisor, stripped of its factors q -+ 1, is
-+-q^a rho^b.  Any other quotient falls back to a sympy fraction (``_Frac``,
-with gcd reduction), the only use of sympy, which is imported on first
-fallback and counted in ``fallbacks``; operations with a fallback operand
-lift the other one, and normalizing a reduced fraction whose denominator is
-a unit of R returns it to the native form.  Text ("num / den", reduced,
-the denominator's leading coefficient positive) is written and read
-natively for values of R.
++-q^a rho^b.  Any other quotient falls back to a polynomial fraction
+(``_Frac``: numerator and denominator dicts over Z[q, rho] with exponents
+>= 0), counted in ``fallbacks``; operations with a fallback operand lift
+the other one, and normalizing a reduced fraction whose denominator is a
+unit of R returns it to the native form.  Fractions are reduced by a
+native heuristic gcd (``heugcd``, the GCDHEU that sympy uses over
+Z[q, rho]), which raises FieldError in the rare case that its evaluation
+points run out.  No module imports sympy; the tests use it as their
+reference.  Text ("num / den", reduced, the denominator's lex-leading
+coefficient positive) is written and read natively.
 
 Laurent data (a ``LaurentPoly``, as read from text or taken from a generic
 value by ``to_laurent_fraction``) become field values in one pass through
@@ -444,7 +447,7 @@ def _den_terms(u, v, i, j):
 
 _ZERO = ({}, 0, 0)
 
-# divisions whose quotient left R and so took the sympy fallback
+# divisions whose quotient left R and so took the _Frac fallback
 fallbacks = 0
 
 
@@ -529,28 +532,151 @@ def _div(x, y):
     return _strip(n, max(-di, 0), max(-dj, 0))
 
 
-# -- the sympy fallback for values outside R ---------------------------------
+# -- polynomials of Z[q, rho] and their heuristic gcd -----------------------
+# A polynomial is a dict {m: c} of nonzero integers over exponent tuples
+# m >= 0, compared lexicographically: (a, b) for c q^a rho^b, and (b,) over
+# Z[rho] once q is evaluated.  heugcd is GCDHEU (Char, Geddes and Gonnet
+# 1989, as analysed by Liao and Fateman 1995), with the evaluation points,
+# interpolation and cofactor checks of sympy's ``heugcd``.
 
-_RING = None
+# evaluation points heugcd tries before it gives up
+HEU_GCD_MAX = 6
+
+def _exact_quo(f, g):
+    """f / g when g divides f, else None.
+
+    Lex long division, stopped at the first leading term that the leading
+    term of g does not divide (from then on the remainder is nonzero).
+    """
+    lm = max(g)
+    lc = g[lm]
+    rest = [(m, c) for m, c in g.items() if m != lm]
+    p = dict(f)
+    quo = {}
+    while p:
+        m = max(p)
+        c = p.pop(m)
+        e = tuple(map(operator.sub, m, lm))
+        if min(e) < 0 or c % lc:
+            return None
+        t = c // lc
+        quo[e] = t
+        for d, cg in rest:
+            k = tuple(map(operator.add, e, d))
+            v = p.get(k, 0) - t * cg
+            if v:
+                p[k] = v
+            else:
+                del p[k]
+    return quo
 
 
-def _sympy_ring():
-    """Z[q, rho] as a sympy polynomial ring, imported on first use."""
-    global _RING
-    if _RING is None:
-        from sympy.polys.domains import ZZ
-        from sympy.polys.rings import ring
-        _RING = ring("q,rho", ZZ)[0]
-    return _RING
+def _evaluate(f, x):
+    """f at its first variable = x, a polynomial in the others."""
+    powers = [1]
+    for _ in range(max(m[0] for m in f)):
+        powers.append(powers[-1] * x)
+    out = {}
+    for m, c in f.items():
+        k = m[1:]
+        out[k] = out.get(k, 0) + c * powers[m[0]]
+    return {k: c for k, c in out.items() if c}
+
+
+def _interpolate(h, x):
+    """The polynomial whose values at first variable = x are h, read off
+    from the symmetric base-x digits of h's coefficients, with its leading
+    coefficient made positive."""
+    out = {}
+    half = x // 2
+    i = 0
+    while h:
+        rest = {}
+        for m, c in h.items():
+            d = c % x
+            if d > half:
+                d -= x
+            if d:
+                out[(i,) + m] = d
+            if c != d:
+                rest[m] = (c - d) // x
+        h = rest
+        i += 1
+    if out[max(out)] < 0:
+        return {m: -c for m, c in out.items()}
+    return out
+
+
+def _scaled(f, c):
+    return f if c == 1 else {m: v * c for m, v in f.items()}
+
+
+def _primitive(f):
+    g = _int_gcd(*f.values())
+    return f if g == 1 else {m: v // g for m, v in f.items()}
+
+
+def heugcd(f, g):
+    """(h, f / h, g / h) with h = gcd(f, g), for nonzero polynomials f and
+    g in the same variables.
+
+    f and g are evaluated at a growing integer x for their first variable;
+    the gcd of the images (an integer gcd after the last variable) is
+    interpolated back to a candidate h, and a candidate whose division of
+    f and g leaves no remainder is the gcd.  Raises FieldError when
+    HEU_GCD_MAX points give no candidate.
+    """
+    content = _int_gcd(_int_gcd(*f.values()), _int_gcd(*g.values()))
+    f = {m: c // content for m, c in f.items()}
+    g = {m: c // content for m, c in g.items()}
+    f_norm = max(map(abs, f.values()))
+    g_norm = max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(min(bound, 99 * math.isqrt(bound)),
+            2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+    last = len(next(iter(f))) == 1
+    for _ in range(HEU_GCD_MAX):
+        ff, gg = _evaluate(f, x), _evaluate(g, x)
+        if ff and gg:
+            if last:
+                a, b = ff[()], gg[()]
+                h = _int_gcd(a, b)
+                h, cff, cfg = {(): h}, {(): a // h}, {(): b // h}
+            else:
+                h, cff, cfg = heugcd(ff, gg)
+            # three candidates: h itself, or f resp. g over its cofactor
+            h = _primitive(_interpolate(h, x))
+            cff_ = _exact_quo(f, h)
+            if cff_ is not None:
+                cfg_ = _exact_quo(g, h)
+                if cfg_ is not None:
+                    return _scaled(h, content), cff_, cfg_
+            cff = _interpolate(cff, x)
+            h = _exact_quo(f, cff)
+            if h is not None:
+                cfg_ = _exact_quo(g, h)
+                if cfg_ is not None:
+                    return _scaled(h, content), cff, cfg_
+            cfg = _interpolate(cfg, x)
+            h = _exact_quo(g, cfg)
+            if h is not None:
+                cff_ = _exact_quo(f, h)
+                if cff_ is not None:
+                    return _scaled(h, content), cff_, cfg
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    raise FieldError("heuristic gcd failed at %d evaluation points"
+                     % HEU_GCD_MAX)
 
 
 class _Frac:
-    """A quotient of two sympy polynomials, not necessarily reduced.
+    """A quotient num / den of two polynomials of Z[q, rho], not
+    necessarily reduced.
 
     The raw arithmetic layer postpones gcd cancellation; values are reduced
     when they cross into FieldElement or when they grow past a size
-    threshold.  num == 0 exactly characterizes the zero value, so zero
-    testing never needs a reduction.
+    threshold.  num == {} exactly characterizes the zero value, so zero
+    testing never needs a reduction.  Neither dict is mutated once it is
+    part of a _Frac.
     """
 
     __slots__ = ("num", "den")
@@ -563,34 +689,29 @@ class _Frac:
         return "_Frac(%s, %s)" % (self.num, self.den)
 
 
+_POLY_ONE = {(0, 0): 1}
+
+
 def _lift(x):
     """A raw value as a _Frac."""
     if x.__class__ is _Frac:
         return x
-    ring = _sympy_ring()
     n, i, j = x
     if not n:
-        return _Frac(ring.zero, ring.one)
+        return _Frac({}, _POLY_ONE)
     u, v = _shift(n)
-    dom = ring.domain
-    return _Frac(
-        ring.from_dict({(a + u, b + v): dom(c) for (a, b), c in n.items()}),
-        ring.from_dict({m: dom(c) for m, c in _den_terms(u, v, i, j).items()}))
+    return _Frac({(a + u, b + v): c for (a, b), c in n.items()},
+                 _den_terms(u, v, i, j))
 
 
 def _demote(frac):
     """A reduced _Frac as (N, i, j) when its denominator is a unit of R."""
-    den, i, j = _linear_factors({m: int(c) for m, c in frac.den.terms()})
+    den, i, j = _linear_factors(frac.den)
     unit = _unit_monomial(den)
     if unit is None:
         return frac
     u, v, c = unit
-    return ({(a - u, b - v): c * int(d) for (a, b), d in frac.num.terms()},
-            i, j)
-
-
-def _poly_to_laurent(poly):
-    return LaurentPoly({m: int(c) for m, c in poly.terms()})
+    return ({(a - u, b - v): c * d for (a, b), d in frac.num.items()}, i, j)
 
 
 class _FunctionField(Field):
@@ -627,22 +748,23 @@ class _FunctionField(Field):
         a, b = _lift(a), _lift(b)
         if a.den == b.den:
             return a.num == b.num
-        return a.num * b.den == b.num * a.den
+        return _terms_mul(a.num, b.den) == _terms_mul(b.num, a.den)
 
     def raw_neg(self, a):
         if a.__class__ is tuple:
             n, i, j = a
             return ({k: -c for k, c in n.items()}, i, j)
-        return _Frac(-a.num, a.den)
+        return _Frac({k: -c for k, c in a.num.items()}, a.den)
 
     def raw_add(self, a, b):
         if a.__class__ is tuple and b.__class__ is tuple:
             return _add(a, b)
         a, b = _lift(a), _lift(b)
         if a.den == b.den:
-            return self._maybe_reduce(_Frac(a.num + b.num, a.den))
-        return self._maybe_reduce(
-            _Frac(a.num * b.den + b.num * a.den, a.den * b.den))
+            return self._maybe_reduce(_Frac(_terms_add(a.num, b.num), a.den))
+        return self._maybe_reduce(_Frac(
+            _terms_add(_terms_mul(a.num, b.den), _terms_mul(b.num, a.den)),
+            _terms_mul(a.den, b.den)))
 
     def raw_sub(self, a, b):
         return self.raw_add(a, self.raw_neg(b))
@@ -651,7 +773,8 @@ class _FunctionField(Field):
         if a.__class__ is tuple and b.__class__ is tuple:
             return _mul(a, b)
         a, b = _lift(a), _lift(b)
-        return self._maybe_reduce(_Frac(a.num * b.num, a.den * b.den))
+        return self._maybe_reduce(
+            _Frac(_terms_mul(a.num, b.num), _terms_mul(a.den, b.den)))
 
     def _div(self, a, b):
         # no lazy reduction: quotient hands the result to FieldElement
@@ -664,7 +787,7 @@ class _FunctionField(Field):
                 return v
             fallbacks += 1
         a, b = _lift(a), _lift(b)
-        return _Frac(a.num * b.den, a.den * b.num)
+        return _Frac(_terms_mul(a.num, b.den), _terms_mul(a.den, b.num))
 
     def raw_div(self, a, b):
         v = self._div(a, b)
@@ -679,43 +802,14 @@ class _FunctionField(Field):
             return self.normalize(v)
         return v
 
-    def _strip_common_monomial(self, num, den):
-        # divide both polynomials by their common monomial-with-content factor
-        mins = [None, None]
-        content = 0
-        for poly in (num, den):
-            for monom, coeff in poly.terms():
-                content = _int_gcd(content, int(coeff))
-                for i in range(2):
-                    e = monom[i]
-                    if mins[i] is None or e < mins[i]:
-                        mins[i] = e
-        if content == 1 and not any(mins):
-            return num, den
-        ring = _sympy_ring()
-        dom = ring.domain
-
-        def shift(poly):
-            return ring.from_dict({
-                (m[0] - mins[0], m[1] - mins[1]): dom(int(c) // content)
-                for m, c in poly.terms()})
-        return shift(num), shift(den)
-
     def reduce_raw(self, v):
         """Return the canonical reduced form of a _Frac."""
-        ring = _sympy_ring()
         if not v.num:
-            return _Frac(ring.zero, ring.one)
-        num, den = v.num, v.den
-        if len(den) == 1 or len(num) == 1:
-            num, den = self._strip_common_monomial(num, den)
-        else:
-            g = num.gcd(den)
-            if len(g) > 1 or g != ring.one:
-                num = num.quo(g)
-                den = den.quo(g)
-        if den.LC < 0:
-            num, den = -num, -den
+            return _Frac({}, _POLY_ONE)
+        _, num, den = heugcd(v.num, v.den)
+        if den[max(den)] < 0:
+            num = {m: -c for m, c in num.items()}
+            den = {m: -c for m, c in den.items()}
         return _Frac(num, den)
 
     def normalize(self, v):
@@ -729,7 +823,7 @@ class _FunctionField(Field):
         coefficient (q before rho, lexicographically) positive."""
         v = elem.val  # a FieldElement is normalized on construction
         if v.__class__ is _Frac:
-            return _poly_to_laurent(v.num), _poly_to_laurent(v.den)
+            return LaurentPoly(v.num), LaurentPoly(v.den)
         n, i, j = v
         if not n:
             return LaurentPoly(), LaurentPoly.monomial(1)

@@ -191,19 +191,20 @@ def gram_singular_labels(generic, field):
 def semisimplicity(r, s, field, mode="closed_form", generic=None):
     """The semisimplicity verdict, by closed form, by Gram determinants,
     or by both with an integrity comparison.  generic is the (r, s) engine
-    over the generic field; the Gram side needs it."""
+    over the generic field, or a function that returns it; the Gram side
+    needs it, and a function is called only when the Gram side runs."""
     if mode not in ("closed_form", "gram", "both"):
         raise RepError("unknown mode %r" % (mode,))
-    if mode != "closed_form" and (
-            generic is None or (generic.r, generic.s) != (r, s)):
-        raise RepError("mode %r needs the (%d, %d) generic engine"
-                       % (mode, r, s))
     closed = _closed_form_verdict(r, s, field)
-    if mode == "closed_form":
-        return closed
-    if closed.reason == "quantum characteristic too small":
+    if mode == "closed_form" or (
+            closed.reason == "quantum characteristic too small"):
         # no Gram work below the quantum characteristic bound
         return closed
+    if callable(generic):
+        generic = generic()
+    if generic is None or (generic.r, generic.s) != (r, s):
+        raise RepError("mode %r needs the (%d, %d) generic engine"
+                       % (mode, r, s))
     witnesses = tuple(gram_singular_labels(generic, field))
     gram_verdict = not witnesses
     if mode == "both" and gram_verdict != closed.verdict:

@@ -341,7 +341,7 @@ def test_transfer_matches_gram_determinant(generic_dets, field):
 
 def test_transfer_normalizes_once(generic_dets, b32):
     # the determinants are values of R, so a transfer into Q(q) strips
-    # factors q -+ 1 natively and never falls back to sympy fractions
+    # factors q -+ 1 natively and never takes the fraction fallback
     dets = [det for by_label in generic_dets.values()
             for det in by_label.values()]
     dets += [gram_determinant(cell_module(b32, lab))
@@ -355,6 +355,25 @@ def test_transfer_normalizes_once(generic_dets, b32):
         assert type(moved.val) is tuple
     # the count does not depend on the determinant's term count
     assert len(sizes) > 5 and max(sizes) > 100
+
+
+# SHA-256 of the generic Gram determinant texts, one per line in
+# cell_labels order, recorded with sympy's gcd reducing the fractions that
+# leave R; the golden CLI replay stops at r + s <= 4
+GENERIC_DET_PINS = {
+    (3, 2): "d12787db77deb62177f4998f7069e671a50ba6f42acd7bb26c7908e1b9c469ab",
+    (2, 3): "a3522857ec8aae19d23de20d93804faa7b44ba64f40e391eb610bfb25b4bbd0e",
+}
+
+
+@pytest.mark.parametrize("r,s", sorted(GENERIC_DET_PINS))
+def test_generic_gram_determinants_pinned(r, s, b32):
+    import hashlib
+    eng = b32 if (r, s) == (3, 2) else build_engine(r, s, GEN)
+    text = "\n".join(gram_determinant(cell_module(eng, lab)).to_text()
+                     for lab in cell_labels(r, s))
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == GENERIC_DET_PINS[(r, s)]
 
 
 def test_exports(b21):

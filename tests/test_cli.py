@@ -337,9 +337,11 @@ def test_edited_cache_is_rebuilt(tmp_path, capsys):
     assert path.read_text() == written
 
 
-def test_sympy_is_imported_only_outside_r():
-    # values of R never need a gcd: importing the CLI, a GF(p) call and a
-    # generic closure leave sympy unloaded
+def test_cli_never_imports_sympy():
+    # values of R need no gcd, and the fractions that leave R are reduced
+    # by the native heuristic gcd: importing the CLI, a GF(p) call, a
+    # generic closure and the generic Gram determinants whose columns hold
+    # no unit of R all leave sympy unloaded
     import os
     import subprocess
     import sys
@@ -352,7 +354,14 @@ def test_sympy_is_imported_only_outside_r():
         "assert 'sympy' not in sys.modules, 'import qwalled.cli'",
         "for argv in (['gram', '--r', '2', '--s', '1', '--field',",
         "              'gfp:13,2,6', '1', '1/-'],",
-        "             ['dims', '--r', '3', '--s', '2', '--field', 'generic']):",
+        "             ['dims', '--r', '3', '--s', '2', '--field', 'generic'],",
+        "             ['gram', '--r', '3', '--s', '2', '--field', 'generic',",
+        "              '1', '2/1'],",
+        "             ['gram', '--r', '3', '--s', '2', '--field', 'generic',",
+        "              '2', '1/-'],",
+        "             ['semisimple', '--r', '3', '--s', '2', '--field',",
+        "              'generic', '--mode', 'gram'],",
+        "             ['sweep', '--r', '2', '--s', '1', '--amax', '1']):",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert qwalled.cli.main(argv) == 0",
         "    assert 'sympy' not in sys.modules, argv",
@@ -361,3 +370,38 @@ def test_sympy_is_imported_only_outside_r():
                           stderr=subprocess.PIPE,
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("spec,mode,fields,closures", [
+    ("rho2:1", "both", 2, 1),
+    ("gfp:5,2,2", "gram", 1, 0),
+])
+def test_semisimple_closes_the_generic_engine_at_most_once(
+        spec, mode, fields, closures, capsys, monkeypatch):
+    # both fields of rho2:1 share one generic engine; GF(5) with q = 2 stops
+    # below the quantum characteristic bound and needs no engine
+    import qwalled.cli
+    built = []
+    build = qwalled.cli.build_engine
+
+    def counting(r, s, field):
+        built.append(field.spec_string())
+        return build(r, s, field)
+    monkeypatch.setattr(qwalled.cli, "build_engine", counting)
+    code, out, _ = run_cli(capsys, "semisimple", "--r", "3", "--s", "2",
+                           "--field", spec, "--mode", mode)
+    assert code == EXIT_OK
+    assert built == ["generic"] * closures
+    assert len(out.splitlines()) == fields
+
+
+def test_gcd_failure_is_a_verification_failure(capsys, monkeypatch):
+    # the f=1 determinant at (3, 2) reduces fractions outside R; a heuristic
+    # gcd with no evaluation points left ends in one line and exit 1
+    from qwalled import groundfield
+    monkeypatch.setattr(groundfield, "HEU_GCD_MAX", 0)
+    code, out, err = run_cli(capsys, "gram", "--r", "3", "--s", "2",
+                             "--field", "generic", "1", "2/1")
+    assert code == EXIT_FAILURE and out == ""
+    assert err.startswith("verification failure: heuristic gcd failed")
+    assert err.count("\n") == 1

@@ -4,6 +4,8 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import ring
 
 from qwalled import groundfield
 from qwalled.groundfield import (
@@ -227,6 +229,14 @@ def test_specialization_homomorphism():
 
 R_FIELDS = [GEN, OneVarField(2), OneVarField(-1, -1)]
 
+# Z[q, rho] as a sympy polynomial ring: the reference for gcds and text
+ZQR = ring("q,rho", ZZ)[0]
+
+
+def _sympy_poly(terms):
+    """A dict {(a, b): c} with a, b >= 0 as a polynomial of ZQR."""
+    return ZQR.from_dict({m: ZZ(c) for m, c in terms.items()})
+
 
 def _power(lp, k):
     out = LaurentPoly.monomial(1)
@@ -257,11 +267,10 @@ def r_values(draw, field):
     den = _power(minus, i) * _power(plus, j)
     raw = field.raw_div(field.raw_from_laurent(num),
                         field.raw_from_laurent(den))
-    ring = groundfield._sympy_ring()
-    q, rho = ring.gens
+    q, rho = ZQR.gens
     u = max([0] + [-a for a, _ in num.terms])
     v = max([0] + [-b for _, b in num.terms])
-    ref_num = ring.zero
+    ref_num = ZQR.zero
     for (a, b), c in num.terms.items():
         ref_num += c * q ** (a + u) * rho ** (b + v)
     return raw, (ref_num, q ** u * rho ** v * (q - 1) ** i * (q + 1) ** j)
@@ -335,6 +344,99 @@ def test_fallback_outside_r():
     assert inv == (q - 1 / q) / (rho - 1 / rho)
     assert inv * GEN.delta() == 1
     assert type((inv * GEN.delta()).val) is tuple
+
+
+# ---------------------------------------------------------------------------
+# values outside R: native fractions and their heuristic gcd against sympy
+
+@st.composite
+def polys(draw, field, min_size=1):
+    """A nonzero {(a, b): c} of Z[q, rho], exponents >= 0 (b = 0 over
+    Q(q))."""
+    rho_max = 2 if isinstance(field, GenericField) else 0
+    exps = st.tuples(st.integers(0, 3), st.integers(0, rho_max))
+    return draw(st.dictionaries(exps, st.integers(-4, 4).filter(bool),
+                                min_size=min_size, max_size=4))
+
+
+@st.composite
+def common_factors(draw, field):
+    """c q^a rho^b P: content c, a monomial, and a polynomial P of two or
+    more terms (a non-unit of R for most draws), each possibly trivial."""
+    rho_max = 2 if isinstance(field, GenericField) else 0
+    monomial = (draw(st.integers(0, 2)), draw(st.integers(0, rho_max)))
+    content = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
+    out = LaurentPoly({monomial: content})
+    if draw(st.booleans()):
+        out = out * LaurentPoly(draw(polys(field, min_size=2)))
+    return out
+
+
+@st.composite
+def fractions_outside_r(draw, field):
+    """(an unreduced _Frac, its sympy numerator and denominator):
+    n h / (d h) with h a common factor of both."""
+    h = draw(common_factors(field))
+    num = (LaurentPoly(draw(polys(field))) * h).terms
+    den = (LaurentPoly(draw(polys(field))) * h).terms
+    return (groundfield._Frac(num, den),
+            (_sympy_poly(num), _sympy_poly(den)))
+
+
+@pytest.mark.parametrize("field", R_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fractions_match_sympy_cancel(field, data):
+    (x, (xn, xd)), (y, (yn, yd)) = (data.draw(fractions_outside_r(field))
+                                    for _ in range(2))
+    for raw, ref in [(x, (xn, xd)),
+                     (field.raw_add(x, y), (xn * yd + yn * xd, xd * yd)),
+                     (field.raw_sub(x, y), (xn * yd - yn * xd, xd * yd)),
+                     (field.raw_mul(x, y), (xn * yn, xd * yd)),
+                     (field.raw_div(x, y), (xn * yd, xd * yn))]:
+        elem = FieldElement(field, raw)
+        assert elem.to_text() == _ref_text(*ref)
+        assert field.raw_eq(elem.val, raw)
+    assert field.quotient(x, y).to_text() == _ref_text(xn * yd, xd * yn)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_heugcd_matches_sympy_gcd(data):
+    field = data.draw(st.sampled_from(R_FIELDS))
+    h = data.draw(common_factors(field))
+    f = (LaurentPoly(data.draw(polys(field))) * h).terms
+    g = (LaurentPoly(data.draw(polys(field))) * h).terms
+    gcd, cff, cfg = groundfield.heugcd(f, g)
+    assert (LaurentPoly(gcd) * LaurentPoly(cff)).terms == f
+    assert (LaurentPoly(gcd) * LaurentPoly(cfg)).terms == g
+    ref = _sympy_poly(f).gcd(_sympy_poly(g))
+    assert _sympy_poly(gcd) in (ref, -ref)
+
+
+def test_exact_quo():
+    quo = groundfield._exact_quo
+    rho_plus_one = {(0, 1): 1, (0, 0): 1}
+    assert quo({(1, 1): 1, (1, 0): 1}, rho_plus_one) == {(1, 0): 1}
+    assert quo({(2, 0): 1, (0, 2): -1}, {(1, 0): 1, (0, 1): -1}) \
+        == {(1, 0): 1, (0, 1): 1}
+    # q is lex-larger than rho but not divisible by it
+    assert quo({(1, 0): 1}, rho_plus_one) is None
+    assert quo({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1}) is None
+    assert quo({(1,): 6, (0,): 3}, {(1,): 2, (0,): 1}) == {(0,): 3}
+
+
+def test_heugcd_out_of_points_raises(monkeypatch):
+    f = {(1, 0): 1, (0, 1): 1}
+    g = {(2, 0): 1, (0, 2): -1}
+    assert groundfield.heugcd(f, g) \
+        == (f, {(0, 0): 1}, {(1, 0): 1, (0, 1): -1})
+    monkeypatch.setattr(groundfield, "HEU_GCD_MAX", 0)
+    with pytest.raises(FieldError):
+        groundfield.heugcd(f, g)
+    x = groundfield._Frac({(1, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): 1})
+    with pytest.raises(FieldError):
+        FieldElement(GEN, x)
 
 
 # ---------------------------------------------------------------------------
