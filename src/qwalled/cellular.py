@@ -6,8 +6,6 @@ respect to this basis give the cell modules, their generator actions, the
 invariant Gram matrices, and the radical ranks.
 """
 
-import json
-import math
 from dataclasses import dataclass
 
 from .combinat import (
@@ -25,7 +23,7 @@ from .combinat import (
     std_tableau_pairs,
     t_row,
 )
-from .engine import AlgebraEngine, E_TOK, g_tok, gs_tok
+from .engine import AlgebraEngine, E_TOK, g_tok, gs_tok, hecke_quotient
 from .groundfield import FieldElement
 from .hecke import HeckeAlgebra
 from .linalg import Echelon, LinAlgError, determinant, matrix_rank
@@ -115,7 +113,7 @@ def symmetrizer_factor(engine, lam, offset, starred, kind="n"):
     alg = HeckeAlgebra(engine.s if starred else engine.r, engine.field)
     sym = alg.n_sym(lam, offset) if kind == "n" else alg.m_sym(lam, offset)
     mk = gs_tok if starred else g_tok
-    return [(c, _perm_letters(w, mk)) for w, c in sym.terms.items()]
+    return [(c, _perm_letters(w, mk)) for w, c in sym.items()]
 
 
 def label_symmetrizers(engine, label):
@@ -456,9 +454,7 @@ def gram_via_truncation(engine, label):
     rr, ss = engine.r - fl, engine.s - fl
     if rr < 1 or ss < 1:
         raise CellularError("truncated Gram needs a Hecke part on both sides")
-    hq = AlgebraEngine(rr, ss, f,
-                       extra_relations=[[(f.raw_from_int(1), (E_TOK,))]],
-                       expected_dim=math.factorial(rr) * math.factorial(ss))
+    hq = hecke_quotient(rr, ss, f)
     small = AlgebraEngine(rr, ss, f)
     ecap = engine.from_letters(_ecap_letters(engine, fl))
     sandwich = Echelon(f, track=True)
@@ -599,19 +595,3 @@ def _label_text(label):
             "first": list(label.shape.first.parts),
             "second": list(label.shape.second.parts)}
 
-
-def gram_to_json(module, gram=None):
-    gram = gram_matrix(module) if gram is None else gram
-    data = {
-        "label": _label_text(module.label),
-        "dim": module.dim,
-        "field": module.field.spec_string(),
-        "entries": [[e.to_text() for e in row] for row in gram],
-    }
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def gram_to_csv(module, gram=None):
-    gram = gram_matrix(module) if gram is None else gram
-    lines = [",".join('"%s"' % e.to_text() for e in row) for row in gram]
-    return "\n".join(lines) + "\n"

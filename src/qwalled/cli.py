@@ -39,8 +39,6 @@ from .cellular import (
     cell_module,
     gram_determinant,
     gram_matrix,
-    gram_to_csv,
-    gram_to_json,
     module_dimension,
     validate_cell_datum,
 )
@@ -184,6 +182,10 @@ def generic_engine(config):
 # ---------------------------------------------------------------------------
 # output
 
+def _csv_line(values):
+    return ",".join('"%s"' % v for v in values)
+
+
 def emit(config, report, csv_rows=None, csv_columns=None, text_lines=None):
     if config.fmt == "json":
         return json.dumps(report, sort_keys=True, separators=(",", ":"))
@@ -192,8 +194,7 @@ def emit(config, report, csv_rows=None, csv_columns=None, text_lines=None):
             raise UsageError("csv output is not available for this command")
         lines = [",".join(csv_columns)]
         for row in csv_rows:
-            lines.append(",".join('"%s"' % row.get(col, "")
-                                  for col in csv_columns))
+            lines.append(_csv_line(row.get(col, "") for col in csv_columns))
         return "\n".join(lines)
     if text_lines is not None:
         return "\n".join(text_lines)
@@ -260,9 +261,11 @@ def cmd_relations(config, field):
 
 
 def cmd_cellular(config, field):
+    anchors = config.args.get("anchors")
+    if anchors is not None and anchors < 1:
+        raise UsageError("--anchors must be at least 1")
     engine = load_engine(config, field)
-    result = validate_cell_datum(
-        engine, alternate_anchors=config.args.get("anchors"))
+    result = validate_cell_datum(engine, alternate_anchors=anchors)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "cellular",
@@ -286,7 +289,7 @@ def cmd_gram(config, field):
     engine = load_engine(config, field)
     label = _config_label(config, engine)
     module = cell_module(engine, label)
-    gram = gram_matrix(module)
+    entries = [[e.to_text() for e in row] for row in gram_matrix(module)]
     det = gram_determinant(module)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -296,15 +299,16 @@ def cmd_gram(config, field):
         "field": field.spec_string(),
         "label": _label_text(label),
         "dim": module.dim,
-        "entries": json.loads(gram_to_json(module))["entries"],
+        "entries": entries,
         "determinant": det.to_text(),
         "determinant_is_zero": det.is_zero(),
     }
     if config.fmt == "csv":
-        return EXIT_OK, gram_to_csv(module).rstrip("\n")
+        # a matrix has no column names, so no header line
+        return EXIT_OK, "\n".join(_csv_line(row) for row in entries)
     text = ["G_{%d,%s}  (%d x %d)" % (label.f, _shape_text(label),
                                       module.dim, module.dim)]
-    text += ["  ".join(e.to_text() for e in row) for row in gram]
+    text += ["  ".join(row) for row in entries]
     text.append("det = %s" % det.to_text())
     return EXIT_OK, emit(config, report, text_lines=text)
 

@@ -537,6 +537,13 @@ def build_engine(r, s, field_tag, **kwargs):
     return AlgebraEngine(r, s, field, **kwargs)
 
 
+def hecke_quotient(r, s, field):
+    """H_r (x) H_s: the quotient of the (r, s) algebra by e_1 = 0."""
+    return AlgebraEngine(
+        r, s, field, extra_relations=[[(1, (E_TOK,))]],
+        expected_dim=math.factorial(r) * math.factorial(s))
+
+
 def multiply(x, y):
     """Product in the engine; y is expanded through its basis words."""
     x._check(y)
@@ -774,12 +781,8 @@ def subalgebra_maps(engine, f):
 
     if rr >= 1 and ss >= 1:
         # the quotient of the level-f subalgebra by its e-ideal is a tensor
-        # product of two Hecke algebras; realized by adding e_1 = 0
-        one_raw = eng.field.raw_from_int(1)
-        quotient = AlgebraEngine(
-            rr, ss, eng.field,
-            extra_relations=[[(one_raw, (E_TOK,))]],
-            expected_dim=math.factorial(rr) * math.factorial(ss))
+        # product of two Hecke algebras
+        quotient = hecke_quotient(rr, ss, eng.field)
         out["hecke_quotient"] = {
             "dim": quotient.dim,
             "kills_e": quotient.e1().is_zero(),

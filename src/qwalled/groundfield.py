@@ -1089,13 +1089,13 @@ def fields_from_spec(spec):
     """
     head, _, rest = spec.partition(":")
     try:
-        if head == "generic":
+        if spec == "generic":
             return [GenericField()]
         if head == "q-power":
-            n, _, tail = rest.partition(":")
+            n, sep, tail = rest.partition(":")
             if tail == "neg":
                 return [OneVarField(int(n), -1)]
-            if tail:
+            if sep:
                 raise FieldError("bad q-power spec %r" % spec)
             return [OneVarField(int(n))]
         if head == "rho2":
@@ -1104,7 +1104,7 @@ def fields_from_spec(spec):
         if head == "delta-zero":
             if rest == "neg":
                 return [OneVarField(0, -1)]
-            if rest == "":
+            if spec == "delta-zero":
                 return [OneVarField(0, 1)]
             raise FieldError("bad delta-zero spec %r" % spec)
         if head == "rational":

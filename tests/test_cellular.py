@@ -1,6 +1,5 @@
 """Tests for the cell structure layer."""
 
-import json
 import math
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwalled import groundfield
 from qwalled.combinat import Bipartition, count_std, labels
-from qwalled.engine import E_TOK, build_engine, sigma
+from qwalled.engine import E_TOK, build_engine, hecke_quotient, sigma
 from qwalled.groundfield import (
     GenericField,
     OneVarField,
@@ -28,8 +27,6 @@ from qwalled.cellular import (
     evaluate_factors,
     gram_determinant,
     gram_matrix,
-    gram_to_csv,
-    gram_to_json,
     gram_via_truncation,
     label_symmetrizers,
     module_dimension,
@@ -376,21 +373,7 @@ def test_generic_gram_determinants_pinned(r, s, b32):
         == GENERIC_DET_PINS[(r, s)]
 
 
-def test_exports(b21):
-    lab = cell_label(2, 1, 1, Bipartition((1,), ()))
-    mod = cell_module(b21, lab)
-    js = gram_to_json(mod)
-    assert gram_to_json(mod) == js
-    data = json.loads(js)
-    assert data["dim"] == 2 and len(data["entries"]) == 2
-    csv = gram_to_csv(mod)
-    assert csv.count("\n") == 2
-
-
 def test_quotient_engine_rejected():
-    from qwalled.engine import AlgebraEngine
-    one = GEN.raw_from_int(1)
-    quo = AlgebraEngine(2, 1, GEN, extra_relations=[[(one, (E_TOK,))]],
-                        expected_dim=2)
+    quo = hecke_quotient(2, 1, GEN)
     with pytest.raises(CellularError):
         cellular_data(quo)

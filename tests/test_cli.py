@@ -62,6 +62,15 @@ def test_cellular(capsys):
     assert data["ok"] and data["basis"] and data["triangular"]
 
 
+@pytest.mark.parametrize("anchors", ["0", "-1"])
+def test_cellular_anchors_below_one_is_a_usage_error(capsys, anchors):
+    # no anchor checks nothing, and -1 would slice off the last anchor
+    code, out, err = run_cli(capsys, "cellular", "--r", "2", "--s", "1",
+                             "--anchors", anchors)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gram(capsys):
     code, out, _ = run_cli(capsys, "gram", "--r", "2", "--s", "1",
                            "1", "1/-")
@@ -146,7 +155,8 @@ def test_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("spec", ["rational:abc", "gfp:7", "q-power:x",
-                                  "gfp:7,1,2"])
+                                  "gfp:7,1,2", "generic:abc", "generic:",
+                                  "delta-zero:", "q-power:3:"])
 def test_bad_field_is_a_usage_error(capsys, spec):
     # gfp:7,1,2 parses, but q^2 = 1 leaves delta undefined
     code, out, err = run_cli(capsys, "dims", "--r", "2", "--s", "1",

@@ -18,6 +18,7 @@ from qwalled.engine import (
     engine_to_json,
     g_tok,
     gs_tok,
+    hecke_quotient,
     multiply,
     sigma,
     special_elements,
@@ -309,9 +310,7 @@ def test_errors(b22):
 
 def test_quotient_closure():
     # adding e_1 = 0 yields the product of two Hecke algebras
-    one = GEN.raw_from_int(1)
-    quo = AlgebraEngine(2, 2, GEN, extra_relations=[[(one, (E_TOK,))]],
-                        expected_dim=4)
+    quo = hecke_quotient(2, 2, GEN)
     assert quo.dim == 4
     assert quo.e1().is_zero()
     assert all(ok for _, ok in verify_relations(quo))

@@ -47,6 +47,20 @@ def golden_argvs():
                 out.append(["gram"] + base + label)
                 out.append(["branch"] + base + label)
         out.append(["sweep", "--r", str(r), "--s", str(s), "--amax", "2"])
+    # csv and text output at (2, 1); cellular and semisimple have no csv
+    # output, so their csv cases record the usage error
+    for fmt in ("csv", "text"):
+        for field in ("generic", "gfp:13,2,6"):
+            base = ["--r", "2", "--s", "1", "--field", field,
+                    "--format", fmt]
+            for cmd in ("dims", "relations", "cellular", "central",
+                        "simples"):
+                out.append([cmd] + base)
+            out.append(["semisimple"] + base + ["--mode", "both"])
+            out.append(["gram"] + base + ["1", "1/-"])
+            out.append(["branch"] + base + ["1", "1/-"])
+        out.append(["sweep", "--r", "2", "--s", "1", "--amax", "2",
+                    "--format", fmt])
     return out
 
 

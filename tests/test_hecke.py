@@ -1,131 +1,137 @@
-"""Tests for the Hecke algebra layer."""
+"""Tests for the Young symmetrizers and for H_n as the engine's e_1 = 0
+quotient, hecke_quotient(n, 1, F)."""
 
 import math
+import random
 from itertools import permutations
 
 import pytest
 
+from qwalled.cellular import (
+    _MurphyData,
+    evaluate_factors,
+    symmetrizer_factor,
+)
 from qwalled.combinat import (
     Partition,
+    d_perm,
     partitions,
     perm_length,
     perm_mul,
+    reduced_word,
     std_tableaux,
+    t_col,
     t_row,
 )
-from qwalled.groundfield import GenericField, PrimeField, RationalField
+from qwalled.engine import g_tok, hecke_quotient, sigma
+from qwalled.groundfield import GenericField, PrimeField
 from qwalled.hecke import HeckeAlgebra, HeckeError
 from qwalled.linalg import Echelon
 
 GEN = GenericField()
+FIELDS = (GEN, PrimeField(5, 2, 3))
 
 
-@pytest.fixture(scope="module")
-def h3():
-    return HeckeAlgebra(3, GEN)
+def _letters(w):
+    return [(g_tok(i), 1) for i in reduced_word(w)]
 
 
-@pytest.fixture(scope="module")
-def h4():
-    return HeckeAlgebra(4, GEN)
+def _g_perm(hq, w):
+    return hq.from_letters(_letters(w))
 
 
-def test_quadratic_relation(h3):
+def _sym(hq, lam, kind):
+    """m_lam or n_lam of H_n evaluated in the quotient engine."""
+    return evaluate_factors(
+        hq, [symmetrizer_factor(hq, lam, 0, False, kind=kind)])
+
+
+def _same(field, a, b):
+    return set(a) == set(b) and all(field.raw_eq(a[w], b[w]) for w in a)
+
+
+def test_quadratic_relation():
+    hq = hecke_quotient(3, 1, GEN)
     q = GEN.q()
+    one = hq.one()
     for i in (1, 2):
-        g = h3.g(i)
-        assert ((g - q.val * h3.one()) * (g + (1 / q).val * h3.one())) \
-            .is_zero()
-        # inverse through times_word
-        gi = h3.times_word(h3.one(), [i], inverse=True)
-        assert g * gi == h3.one()
+        g = hq.g_el(i)
+        assert ((g - one.scale(q)) * (g + one.scale(1 / q))).is_zero()
+        assert g * hq.g_el(i, -1) == one
 
 
-def test_braid_and_commuting(h4):
-    g1, g2, g3 = h4.g(1), h4.g(2), h4.g(3)
+def test_braid_and_commuting():
+    hq = hecke_quotient(4, 1, GEN)
+    g1, g2, g3 = hq.g_el(1), hq.g_el(2), hq.g_el(3)
     assert g1 * g2 * g1 == g2 * g1 * g2
     assert g2 * g3 * g2 == g3 * g2 * g3
     assert g1 * g3 == g3 * g1
 
 
-def test_g_perm_length_additive(h4):
-    # g_u g_v = g_{uv} whenever lengths add
+def test_g_perm_length_additive():
+    # g_u g_v = g_{uv} whenever lengths add: the reduced words of combinat
+    # and the engine's right action agree on the order of letters
+    hq = hecke_quotient(4, 1, GEN)
     for u in permutations(range(1, 5)):
         for v in permutations(range(1, 5)):
             uv = perm_mul(u, v)
             if perm_length(uv) == perm_length(u) + perm_length(v):
-                assert h4.g_perm(u) * h4.g_perm(v) == h4.g_perm(uv)
+                assert _g_perm(hq, u) * _g_perm(hq, v) == _g_perm(hq, uv)
 
 
-def test_group_algebra_specialization():
-    # at q = 1 the product is the group algebra product
-    f = PrimeField(5, 1, 2)
-    h = HeckeAlgebra(3, f)
-    for u in permutations(range(1, 4)):
-        for v in permutations(range(1, 4)):
-            prod = h.g_perm(u) * h.g_perm(v)
-            assert prod == h.element({perm_mul(u, v): 1})
+def test_symmetrizer_eigenvalues():
+    # m_lam g_a = q m_lam and n_lam g_a = -q^{-1} n_lam for a, a+1 in a row
+    for field in FIELDS:
+        q = field.q()
+        for n in (2, 3, 4):
+            hq = hecke_quotient(n, 1, field)
+            for lam in partitions(n):
+                m, nn = _sym(hq, lam, "m"), _sym(hq, lam, "n")
+                for row in t_row(lam).rows:
+                    for a, b in zip(row, row[1:]):
+                        assert b == a + 1
+                        assert hq.apply_token(m, g_tok(a)) == m.scale(q)
+                        assert hq.apply_token(nn, g_tok(a)) \
+                            == nn.scale(-(1 / q))
 
 
-def test_symmetrizer_eigenvalues(h4):
-    q = GEN.q()
-    for lam in partitions(4):
-        m = h4.m_sym(lam)
-        n = h4.n_sym(lam)
-        rows = t_row(lam).rows
-        for row in rows:
-            for a, b in zip(row, row[1:]):
-                assert b == a + 1
-                g = h4.g(a)
-                assert m * g == q.val * m
-                assert n * g == (-(1 / q)).val * n
-
-
-def test_symmetrizer_identity_coefficient(h4):
+def test_symmetrizer_identity_coefficient():
+    h4 = HeckeAlgebra(4, GEN)
     for lam in partitions(4):
         ident = tuple(range(1, 5))
-        assert GEN.raw_eq(h4.m_sym(lam).terms[ident], GEN.raw_from_int(1))
+        assert GEN.raw_eq(h4.m_sym(lam)[ident], GEN.raw_from_int(1))
         size = math.prod(math.factorial(p) for p in lam.parts)
-        assert len(h4.m_sym(lam).terms) == size
+        assert len(h4.m_sym(lam)) == size
 
 
-def test_sigma_antiautomorphism(h3):
-    import random
-    rng = random.Random(2)
-    elems = []
-    for _ in range(4):
-        terms = {}
-        for p in permutations(range(1, 4)):
-            terms[p] = GEN.raw_from_int(rng.randrange(-2, 3))
-        elems.append(h3.element(terms))
-    for x in elems:
-        for y in elems:
-            assert (x * y).sigma() == y.sigma() * x.sigma()
-    for i in (1, 2):
-        assert h3.g(i).sigma() == h3.g(i)
-    assert h3.n_sym(Partition((2, 1))).sigma() == h3.n_sym(Partition((2, 1)))
+def test_sigma_antiautomorphism():
+    # sigma fixes each g_i, so it fixes both symmetrizers
+    for field in FIELDS:
+        for n in (2, 3, 4):
+            hq = hecke_quotient(n, 1, field)
+            for i in range(1, n):
+                assert sigma(hq.g_el(i)) == hq.g_el(i)
+            for lam in partitions(n):
+                for kind in ("m", "n"):
+                    x = _sym(hq, lam, kind)
+                    assert sigma(x) == x
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_murphy_basis_spans(n):
-    h = HeckeAlgebra(n, GEN)
-    ech = Echelon(GEN)
-    count = 0
-    for lam in partitions(n):
-        for _, elem in h.murphy_basis_of_shape(lam):
-            assert ech.insert(elem.terms)
-            count += 1
-    assert count == ech.rank == math.factorial(n)
+    # every basis word of H_n has Murphy coordinates
+    hq = hecke_quotient(n, 1, GEN)
+    murphy = _MurphyData(hq)
+    for t in range(hq.dim):
+        murphy.ech.express({t: GEN.raw_from_int(1)})
+    assert len(murphy.items) == math.factorial(n)
 
 
 def test_murphy_basis_prime_field():
-    f = PrimeField(5, 2, 3)
-    h = HeckeAlgebra(3, f)
-    ech = Echelon(f)
-    for lam in partitions(3):
-        for _, elem in h.murphy_basis_of_shape(lam):
-            assert ech.insert(elem.terms)
-    assert ech.rank == 6
+    f = FIELDS[1]
+    for n in (2, 3, 4):
+        assert _MurphyData(hecke_quotient(n, 1, f)).ech.rank \
+            == math.factorial(n)
 
 
 def test_offset_symmetrizer():
@@ -133,7 +139,7 @@ def test_offset_symmetrizer():
     lam = Partition((2,))
     m = h.m_sym(lam, offset=2)
     # acts on letters 3,4 only
-    assert set(m.terms) == {(1, 2, 3, 4), (1, 2, 4, 3)}
+    assert set(m) == {(1, 2, 3, 4), (1, 2, 4, 3)}
     with pytest.raises(HeckeError):
         h.m_sym(Partition((3,)), offset=2)
 
@@ -148,46 +154,52 @@ def test_dimension_of_cell_chunks():
 def test_small_symmetrizers():
     h = HeckeAlgebra(2, GEN)
     q = GEN.q()
-    assert h.m_sym(Partition((2,))) == h.one() + q.val * h.g(1)
-    assert h.n_sym(Partition((2,))) == h.one() - (1 / q).val * h.g(1)
+    one = GEN.raw_from_int(1)
+    assert _same(GEN, h.m_sym(Partition((2,))),
+                 {(1, 2): one, (2, 1): q.val})
+    assert _same(GEN, h.n_sym(Partition((2,))),
+                 {(1, 2): one, (2, 1): (-(1 / q)).val})
     # trivial Young subgroup: both symmetrizers are the identity
     trivial = Partition((1, 1))
-    assert h.m_sym(trivial) == h.n_sym(trivial) == h.one()
+    assert _same(GEN, h.m_sym(trivial), {(1, 2): one})
+    assert _same(GEN, h.n_sym(trivial), {(1, 2): one})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_full_murphy_basis_invertible(n):
-    h = HeckeAlgebra(n, GEN)
-    ech = Echelon(GEN)
-    items = h.murphy_basis()
-    assert len(items) == math.factorial(n)
-    for label, elem in items:
-        assert label.s.shape == label.t.shape == label.shape
-        assert ech.insert(elem.terms)
-    assert ech.rank == math.factorial(n)
+    for field in FIELDS:
+        murphy = _MurphyData(hecke_quotient(n, 1, field))
+        assert len(murphy.items) == murphy.ech.rank == math.factorial(n)
+        for shape, left, right in murphy.items:
+            assert left[0].shape == right[0].shape == shape.first
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_specht_dimensions(n):
-    h = HeckeAlgebra(n, GEN)
+    # m_lam g_{d(t^lam')} n_lam' g_{d(t)}, t standard of the conjugate
+    # shape, are independent
+    hq = hecke_quotient(n, 1, GEN)
     for lam in partitions(n):
-        basis = h.specht_basis(lam)
-        assert len(basis) == len(std_tableaux(lam.conjugate()))
+        conj = lam.conjugate()
+        head = evaluate_factors(hq, [
+            symmetrizer_factor(hq, lam, 0, False, kind="m"),
+            [(GEN.raw_from_int(1), _letters(d_perm(t_col(lam))))],
+            symmetrizer_factor(hq, conj, 0, False)])
         ech = Echelon(GEN)
-        for elem in basis:
-            assert ech.insert(elem.terms)
-        assert ech.rank == len(basis)
+        tabs = std_tableaux(conj)
+        for t in tabs:
+            assert ech.insert(hq.from_letters(_letters(d_perm(t)), head).terms)
+        assert ech.rank == len(tabs)
 
 
 def test_normal_form_independence():
-    import random
     rng = random.Random(9)
-    h = HeckeAlgebra(4, GEN)
+    hq = hecke_quotient(4, 1, GEN)
     for _ in range(100):
         word = [rng.randrange(1, 4) for _ in range(rng.randrange(0, 7))]
-        direct = h.g_word(word)
+        direct = hq.from_letters([(g_tok(i), 1) for i in word])
         # evaluate in a random association order via explicit products
-        parts = [h.g(i) for i in word] or [h.one()]
+        parts = [hq.g_el(i) for i in word] or [hq.one()]
         while len(parts) > 1:
             k = rng.randrange(len(parts) - 1)
             parts[k:k + 2] = [parts[k] * parts[k + 1]]
