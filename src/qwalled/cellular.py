@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .combinat import (
     Bipartition,
     CosetRep,
-    bip_dominance_cmp,
     coset_count,
     coset_reps,
     count_std,
@@ -23,10 +22,10 @@ from .combinat import (
     std_tableau_pairs,
     t_row,
 )
-from .engine import AlgebraEngine, E_TOK, g_tok, gs_tok, hecke_quotient
+from .engine import E_TOK, g_tok, gs_tok
 from .groundfield import FieldElement
 from .hecke import HeckeAlgebra
-from .linalg import Echelon, LinAlgError, determinant, matrix_rank
+from .linalg import Echelon, determinant, matrix_rank
 
 
 class CellularError(Exception):
@@ -428,113 +427,6 @@ def radical_rank(module):
 
 
 # ---------------------------------------------------------------------------
-# truncated Gram computation (no full coordinate system needed)
-
-def _shifted_letters(engine, word, f):
-    """Letters of a word of the (r-f, s-f) algebra inside the big one."""
-    out = []
-    for tok in word:
-        if tok == E_TOK:
-            out.extend(engine.e_ij_letters(f + 1, f + 1))
-        else:
-            out.append(((tok[0], tok[1] + f), 1))
-    return out
-
-
-def gram_via_truncation(engine, label):
-    """The Gram matrix computed through the e^f sandwich.
-
-    Products C_{(u,a) i} C_{j (u,a)} lie in e^f B e^f = B(f) e^f; the B(f)
-    part is pushed to the Hecke quotient and the form value is read off in
-    Murphy coordinates there.  Much cheaper than full cellular coordinates
-    when only one label is needed.
-    """
-    f = engine.field
-    fl = label.f
-    rr, ss = engine.r - fl, engine.s - fl
-    if rr < 1 or ss < 1:
-        raise CellularError("truncated Gram needs a Hecke part on both sides")
-    hq = hecke_quotient(rr, ss, f)
-    small = AlgebraEngine(rr, ss, f)
-    ecap = engine.from_letters(_ecap_letters(engine, fl))
-    sandwich = Echelon(f, track=True)
-    for t, word in enumerate(small.basis_words):
-        x = engine.from_letters(_shifted_letters(engine, word, fl), ecap)
-        if not sandwich.insert(x.terms, tag=t):
-            raise CellularError("sandwich basis is dependent")
-    murphy = _MurphyData(hq)
-    bl = basis_labels(engine.r, engine.s, label)
-    anchor = anchor_label(label)
-    syms = label_symmetrizers(engine, label)
-    rows = [cellular_element(engine, label, anchor, b, syms) for b in bl]
-    cols = [sigma_factors(cellular_factors(engine, label, anchor, b, syms))
-            for b in bl]
-    m = len(bl)
-    gram = []
-    for i in range(m):
-        gram_row = []
-        for j in range(m):
-            z = evaluate_factors(engine, cols[j], x=rows[i])
-            try:
-                coeffs = sandwich.express(z.terms)
-            except LinAlgError:
-                raise CellularError("product escapes the sandwich span")
-            zb = {}
-            for piv, c in coeffs.items():
-                f.vec_iaxpy(zb, c, sandwich.combos[piv])
-            zq = hq.zero()
-            for t, c in zb.items():
-                x = hq.from_letters([(tok, 1) for tok in small.basis_words[t]])
-                zq = zq + x.scale(c)
-            gram_row.append(FieldElement(
-                f, _murphy_coefficient(murphy, label.shape, zq.terms)))
-        gram.append(gram_row)
-    return gram
-
-
-class _MurphyData:
-    """Murphy coordinates for the Hecke-quotient engine."""
-
-    def __init__(self, hq):
-        self.engine = hq
-        self.items = []
-        self.ech = Echelon(hq.field, track=True)
-        ident = CosetRep((), ())
-        shapes = [lab for lab in cell_labels(hq.r, hq.s) if lab.f == 0]
-        for label in shapes:
-            syms = label_symmetrizers(hq, label)
-            for left in std_tableau_pairs(label.shape):
-                for right in std_tableau_pairs(label.shape):
-                    elem = cellular_element(
-                        hq, label, CellBasisLabel(left, ident),
-                        CellBasisLabel(right, ident), syms)
-                    pos = len(self.items)
-                    self.items.append((label.shape, left, right))
-                    if not self.ech.insert(elem.terms, tag=pos):
-                        raise CellularError("Murphy basis is dependent")
-
-
-def _murphy_coefficient(murphy, shape, terms):
-    """Coefficient of n_{t^lambda t^lambda} modulo dominating shapes."""
-    f = murphy.engine.field
-    out = {}
-    for piv, c in murphy.ech.express(terms).items():
-        f.vec_iaxpy(out, c, murphy.ech.combos[piv])
-    value = f.raw_from_int(0)
-    u1 = t_row(shape.first)
-    u2 = t_row(shape.second)
-    for pos, c in out.items():
-        shape2, left, right = murphy.items[pos]
-        if shape2 == shape:
-            if left != (u1, u2) or right != (u1, u2):
-                raise CellularError("form value off the anchor row")
-            value = f.raw_add(value, c)
-        elif bip_dominance_cmp(shape2, shape) != 1:
-            raise CellularError("form value leaks to a non-higher shape")
-    return value
-
-
-# ---------------------------------------------------------------------------
 # cell datum validation
 
 def validate_cell_datum(engine, alternate_anchors=None):
@@ -543,9 +435,12 @@ def validate_cell_datum(engine, alternate_anchors=None):
     (a) the elements form a basis; (b) the anti-involution swaps the two
     indices; (c) the right action is triangular with structure coefficients
     independent of the left index (checked across all, or the given number
-    of, alternative anchors).
+    of, alternative anchors; a number below 1 would check nothing and
+    raises CellularError).
     """
     from .engine import sigma
+    if alternate_anchors is not None and alternate_anchors < 1:
+        raise CellularError("alternate_anchors must be at least 1")
     data = cellular_data(engine)
     report = {"basis": data.ech.rank == engine.dim, "involution": True,
               "triangular": True, "failures": []}

@@ -22,7 +22,7 @@ import json
 import math
 from collections import deque
 
-from .combinat import coset_reps, s_range_word
+from .combinat import s_range_word
 from .groundfield import FieldElement, fields_from_spec
 
 SCHEMA_VERSION = 1
@@ -578,27 +578,6 @@ def sigma(x):
             cache[t] = v
         iaxpy(out, c, v)
     return AlgebraElement(eng, out)
-
-
-def special_elements(engine):
-    """The distinguished elements used throughout the theory."""
-    out = {}
-    for i in range(1, engine.r + 1):
-        for j in range(1, engine.s + 1):
-            out[("e", i, j)] = engine.e_ij(i, j)
-            out[("ebar", i, j)] = engine.ebar_ij(i, j)
-    for i in range(1, min(engine.r, engine.s) + 1):
-        out[("e", i)] = engine.e_single(i)
-    for f in range(0, min(engine.r, engine.s) + 1):
-        out[("ecap", f)] = engine.e_cap(f)
-    if engine.s >= 2:
-        out[("etilde12",)] = engine.etilde12()
-    if engine.r >= 2:
-        out[("f21",)] = engine.f21()
-    for f in range(0, min(engine.r, engine.s) + 1):
-        for rep in coset_reps(engine.r, engine.s, f):
-            out[("gd", rep)] = engine.g_d(rep)
-    return out
 
 
 def central_element(engine, r=None, s=None):

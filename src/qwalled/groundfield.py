@@ -88,29 +88,6 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out)
-
     def to_text(self):
         if not self.terms:
             return "0"

@@ -29,7 +29,7 @@ from .engine import (
     inv_letters,
 )
 from .groundfield import FieldError, GenericField, transfer_from_generic
-from .linalg import Echelon, determinant
+from .linalg import Echelon
 from .cellular import (
     _label_text,
     anchor_label,
@@ -39,7 +39,6 @@ from .cellular import (
     cellular_element,
     evaluate_factors,
     gram_determinant,
-    gram_via_truncation,
     label_symmetrizers,
     module_dimension,
     symmetrizer_factor,
@@ -275,13 +274,7 @@ def delta_zero_gram_checks():
         for sign in (1, -1):
             field = OneVarField(0, sign)
             eng = build_engine(r, s, field)
-            if eng.dim > math.factorial(5):
-                gram = gram_via_truncation(eng, label)
-                raw = determinant(field, [[e.val for e in row]
-                                          for row in gram])
-                is_zero = field.raw_is_zero(raw)
-            else:
-                is_zero = gram_determinant(cell_module(eng, label)).is_zero()
+            is_zero = gram_determinant(cell_module(eng, label)).is_zero()
             rows.append({
                 "r": r,
                 "s": s,

@@ -27,7 +27,6 @@ from qwalled.cellular import (
     evaluate_factors,
     gram_determinant,
     gram_matrix,
-    gram_via_truncation,
     label_symmetrizers,
     module_dimension,
     radical_rank,
@@ -199,34 +198,6 @@ def test_gram_choice_independence(b22):
                     assert gram[i][j] == gram2[i][j]
 
 
-def test_truncation_path_agrees(b22, b32):
-    for eng in (b22, b32):
-        for lab in cell_labels(eng.r, eng.s):
-            if lab.f >= min(eng.r, eng.s):
-                with pytest.raises(CellularError):
-                    gram_via_truncation(eng, lab)
-                continue
-            gram = gram_matrix(cell_module(eng, lab))
-            gram2 = gram_via_truncation(eng, lab)
-            assert all(gram[i][j] == gram2[i][j]
-                       for i in range(len(gram)) for j in range(len(gram)))
-
-
-def test_truncation_path_specialized():
-    fld = OneVarField(1)
-    eng = build_engine(2, 2, fld)
-    lab = cell_label(2, 2, 1, Bipartition((1,), (1,)))
-    gram = gram_matrix(cell_module(eng, lab))
-    gram2 = gram_via_truncation(eng, lab)
-    n = len(gram)
-    assert all(gram[i][j] == gram2[i][j] for i in range(n) for j in range(n))
-    # one-sided labels have no truncated picture
-    eng = build_engine(2, 1, fld)
-    lab = cell_label(2, 1, 1, Bipartition((1,), ()))
-    with pytest.raises(CellularError):
-        gram_via_truncation(eng, lab)
-
-
 def test_radical_specialized():
     # rho = q makes the one-arc (2,1) module degenerate
     eng = build_engine(2, 1, OneVarField(1))
@@ -252,6 +223,13 @@ def test_validate_cell_datum(b21, b22):
 def test_validate_cell_datum_32(b32):
     report = validate_cell_datum(b32, alternate_anchors=3)
     assert report["ok"], report["failures"]
+
+
+@pytest.mark.parametrize("anchors", [0, -1])
+def test_validate_cell_datum_needs_an_anchor(b21, anchors):
+    # axiom (c) checked on no anchor (or all but the last) is no check
+    with pytest.raises(CellularError):
+        validate_cell_datum(b21, alternate_anchors=anchors)
 
 
 def test_phi_nondegeneracy_transfer():

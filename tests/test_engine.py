@@ -21,7 +21,6 @@ from qwalled.engine import (
     hecke_quotient,
     multiply,
     sigma,
-    special_elements,
     subalgebra_maps,
     token_from_text,
     token_text,
@@ -114,19 +113,19 @@ def test_sigma_properties(b22):
 
 
 def test_special_elements(b22):
-    sp = special_elements(b22)
-    assert sp[("e", 1, 1)] == b22.e1()
-    et, f21 = sp[("etilde12",)], sp[("f21",)]
+    assert b22.e_ij(1, 1) == b22.e1()
+    et, f21 = b22.etilde12(), b22.f21()
     assert et * et == et
     assert f21 * f21 == f21
-    assert sp[("e", 1)] * sp[("e", 2)] == sp[("e", 2)] * sp[("e", 1)]
-    assert sp[("ecap", 0)] == b22.one()
-    assert sp[("ecap", 2)] == sp[("e", 1)] * sp[("e", 2)]
+    e1, e2 = b22.e_single(1), b22.e_single(2)
+    assert e1 * e2 == e2 * e1
+    assert b22.e_cap(0) == b22.one()
+    assert b22.e_cap(2) == e1 * e2
     for f in (0, 1, 2):
         for rep in coset_reps(2, 2, f):
-            assert ("gd", rep) in sp
+            assert not b22.g_d(rep).is_zero()
     identity_rep = coset_reps(2, 2, 0)[0]
-    assert sp[("gd", identity_rep)] == b22.one()
+    assert b22.g_d(identity_rep) == b22.one()
 
 
 def test_central_element(b22, b32):

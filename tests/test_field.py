@@ -59,20 +59,6 @@ def test_laurent_no_zero_terms(p):
     assert all(c != 0 for c in p.terms.values())
 
 
-@given(laurent_polys(), laurent_polys())
-def test_laurent_commutative(p, r):
-    assert p + r == r + p
-    assert p * r == r * p
-
-
-@given(laurent_polys(), laurent_polys(), laurent_polys())
-@settings(max_examples=50)
-def test_laurent_associative_distributive(p, r, s):
-    assert (p + r) + s == p + (r + s)
-    assert (p * r) * s == p * (r * s)
-    assert p * (r + s) == p * r + p * s
-
-
 @given(laurent_polys())
 def test_laurent_text_roundtrip(p):
     assert LaurentPoly.from_text(p.to_text()) == p
@@ -238,10 +224,16 @@ def _sympy_poly(terms):
     return ZQR.from_dict({m: ZZ(c) for m, c in terms.items()})
 
 
-def _power(lp, k):
-    out = LaurentPoly.monomial(1)
-    for _ in range(k):
-        out = out * lp
+def _mul(*factors):
+    """The product of term dicts {(a, b): c}, zero terms dropped."""
+    out = {(0, 0): 1}
+    for g in factors:
+        acc = {}
+        for (a1, b1), c1 in out.items():
+            for (a2, b2), c2 in g.items():
+                key = (a1 + a2, b1 + b2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        out = {m: c for m, c in acc.items() if c}
     return out
 
 
@@ -256,15 +248,14 @@ def r_values(draw, field):
     rho_exps = (-2, 2) if isinstance(field, GenericField) else (0, 0)
     exps = st.tuples(st.integers(-3, 3), st.integers(*rho_exps))
     if draw(st.booleans()):
-        n = LaurentPoly({draw(exps): draw(st.sampled_from([1, -1]))})
+        n = {draw(exps): draw(st.sampled_from([1, -1]))}
     else:
-        n = LaurentPoly(draw(st.dictionaries(exps, st.integers(-3, 3),
-                                             max_size=4)))
+        n = draw(st.dictionaries(exps, st.integers(-3, 3), max_size=4))
     k, l, i, j = (draw(st.integers(0, 2)) for _ in range(4))
-    minus = LaurentPoly({(1, 0): 1, (0, 0): -1})
-    plus = LaurentPoly({(1, 0): 1, (0, 0): 1})
-    num = n * _power(minus, k) * _power(plus, l)
-    den = _power(minus, i) * _power(plus, j)
+    minus = {(1, 0): 1, (0, 0): -1}
+    plus = {(1, 0): 1, (0, 0): 1}
+    num = LaurentPoly(_mul(n, *[minus] * k, *[plus] * l))
+    den = LaurentPoly(_mul(*[minus] * i, *[plus] * j))
     raw = field.raw_div(field.raw_from_laurent(num),
                         field.raw_from_laurent(den))
     q, rho = ZQR.gens
@@ -366,9 +357,9 @@ def common_factors(draw, field):
     rho_max = 2 if isinstance(field, GenericField) else 0
     monomial = (draw(st.integers(0, 2)), draw(st.integers(0, rho_max)))
     content = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
-    out = LaurentPoly({monomial: content})
+    out = {monomial: content}
     if draw(st.booleans()):
-        out = out * LaurentPoly(draw(polys(field, min_size=2)))
+        out = _mul(out, draw(polys(field, min_size=2)))
     return out
 
 
@@ -377,8 +368,8 @@ def fractions_outside_r(draw, field):
     """(an unreduced _Frac, its sympy numerator and denominator):
     n h / (d h) with h a common factor of both."""
     h = draw(common_factors(field))
-    num = (LaurentPoly(draw(polys(field))) * h).terms
-    den = (LaurentPoly(draw(polys(field))) * h).terms
+    num = _mul(draw(polys(field)), h)
+    den = _mul(draw(polys(field)), h)
     return (groundfield._Frac(num, den),
             (_sympy_poly(num), _sympy_poly(den)))
 
@@ -405,11 +396,11 @@ def test_fractions_match_sympy_cancel(field, data):
 def test_heugcd_matches_sympy_gcd(data):
     field = data.draw(st.sampled_from(R_FIELDS))
     h = data.draw(common_factors(field))
-    f = (LaurentPoly(data.draw(polys(field))) * h).terms
-    g = (LaurentPoly(data.draw(polys(field))) * h).terms
+    f = _mul(data.draw(polys(field)), h)
+    g = _mul(data.draw(polys(field)), h)
     gcd, cff, cfg = groundfield.heugcd(f, g)
-    assert (LaurentPoly(gcd) * LaurentPoly(cff)).terms == f
-    assert (LaurentPoly(gcd) * LaurentPoly(cfg)).terms == g
+    assert _mul(gcd, cff) == f
+    assert _mul(gcd, cfg) == g
     ref = _sympy_poly(f).gcd(_sympy_poly(g))
     assert _sympy_poly(gcd) in (ref, -ref)
 

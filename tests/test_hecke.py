@@ -8,8 +8,11 @@ from itertools import permutations
 import pytest
 
 from qwalled.cellular import (
-    _MurphyData,
+    basis_labels,
+    cell_labels,
+    cellular_element,
     evaluate_factors,
+    label_symmetrizers,
     symmetrizer_factor,
 )
 from qwalled.combinat import (
@@ -117,23 +120,6 @@ def test_sigma_antiautomorphism():
                     assert sigma(x) == x
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_murphy_basis_spans(n):
-    # every basis word of H_n has Murphy coordinates
-    hq = hecke_quotient(n, 1, GEN)
-    murphy = _MurphyData(hq)
-    for t in range(hq.dim):
-        murphy.ech.express({t: GEN.raw_from_int(1)})
-    assert len(murphy.items) == math.factorial(n)
-
-
-def test_murphy_basis_prime_field():
-    f = FIELDS[1]
-    for n in (2, 3, 4):
-        assert _MurphyData(hecke_quotient(n, 1, f)).ech.rank \
-            == math.factorial(n)
-
-
 def test_offset_symmetrizer():
     h = HeckeAlgebra(4, GEN)
     lam = Partition((2,))
@@ -165,13 +151,33 @@ def test_small_symmetrizers():
     assert _same(GEN, h.n_sym(trivial), {(1, 2): one})
 
 
+def _murphy_basis(n, field):
+    """The Murphy basis of H_n, the f = 0 cellular elements of
+    hecke_quotient(n, 1, field), inserted into an Echelon; returns the
+    dimension of H_n, the (shape, left, right) index of each element and
+    the Echelon."""
+    hq = hecke_quotient(n, 1, field)
+    items, ech = [], Echelon(field)
+    for label in cell_labels(n, 1):
+        if label.f == 0:
+            syms = label_symmetrizers(hq, label)
+            bl = basis_labels(n, 1, label)
+            for left in bl:
+                for right in bl:
+                    ech.insert(cellular_element(
+                        hq, label, left, right, syms).terms)
+                    items.append((label.shape, left, right))
+    return hq.dim, items, ech
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_full_murphy_basis_invertible(n):
     for field in FIELDS:
-        murphy = _MurphyData(hecke_quotient(n, 1, field))
-        assert len(murphy.items) == murphy.ech.rank == math.factorial(n)
-        for shape, left, right in murphy.items:
-            assert left[0].shape == right[0].shape == shape.first
+        dim, items, ech = _murphy_basis(n, field)
+        # rank n! in dimension n!: the basis spans H_n
+        assert len(items) == ech.rank == dim == math.factorial(n)
+        for shape, left, right in items:
+            assert left.tab[0].shape == right.tab[0].shape == shape.first
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

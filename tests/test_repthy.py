@@ -30,7 +30,6 @@ from qwalled.repthy import (
     central_coincidences,
     central_scalar,
     classify_simples,
-    delta_zero_gram_checks,
     gram_singular_labels,
     hom_dimension,
     is_quasi_hereditary,
@@ -303,14 +302,6 @@ def test_submodule_witness_column():
         submodule_witness(engine(2, 2, GEN), "diag")
     with pytest.raises(RepError):
         submodule_witness(engine(2, 2, PrimeField(5, 2, 2)), "row")
-
-
-def test_delta_zero_grams():
-    rep = delta_zero_gram_checks()
-    assert rep["ok"]
-    assert rep["sizes"] == [6, 8]
-    assert len(rep["cases"]) == 6
-    assert all(case["det_is_zero"] for case in rep["cases"])
 
 
 def _detected_hom_is_explained(r, s, source, target, field):
