@@ -168,13 +168,13 @@ def cellular_element(engine, label, left, right, syms):
 # the full basis and its coordinate system
 
 class _CellData:
-    """All cellular basis elements with a tracked coordinate echelon."""
+    """All cellular basis elements of the engine's layers, f <= layer, with
+    a tracked coordinate echelon."""
 
     def __init__(self, engine):
-        if engine.extra_relations:
-            raise CellularError("cellular basis needs the full algebra")
         self.engine = engine
-        self.labels = cell_labels(engine.r, engine.s)
+        self.labels = [label for label in cell_labels(engine.r, engine.s)
+                       if label.f <= engine.layer]
         self.items = []
         self.index = {}
         self.by_label = {}
@@ -265,8 +265,8 @@ class CellModule:
     def __init__(self, engine, label, anchor=None):
         data = cellular_data(engine)
         if label not in data.by_label:
-            raise CellularError("label %r not valid for (%d, %d)"
-                                % (label, engine.r, engine.s))
+            raise CellularError("label %r not valid for (%d, %d) at layer %d"
+                                % (label, engine.r, engine.s, engine.layer))
         self.engine = engine
         self.label = label
         self.field = engine.field

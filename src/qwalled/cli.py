@@ -61,6 +61,9 @@ EXIT_BROKEN_PIPE = 141
 
 DEFAULT_MAX_TOTAL = 6
 
+# gram closes the layer quotient B/J_{f+1} for labels up to this layer
+GRAM_QUOTIENT_MAX_LAYER = 1
+
 
 class UsageError(Exception):
     pass
@@ -103,11 +106,11 @@ def parse_bipartition(text):
     return Bipartition(component(first), component(second))
 
 
-def _config_label(config, engine):
+def _config_label(config):
     f = config.args["f"]
     shape = parse_bipartition(config.args["shape"])
     try:
-        return cell_label(engine.r, engine.s, f, shape)
+        return cell_label(config.r, config.s, f, shape)
     except CellularError as exc:
         raise UsageError(str(exc))
 
@@ -142,12 +145,17 @@ def _read_cache(path, config, field):
     return engine
 
 
-def load_engine(config, field):
+def load_engine(config, field, layer=None):
+    """The (r, s) engine over the field, through the cache when there is
+    one; with a layer below min(r, s), the layer quotient, closed afresh
+    and never cached."""
     if config.r + config.s > config.max_total:
         raise UsageError(
             "r + s = %d exceeds the size bound %d; raise it with "
             "--max-total if you accept the runtime"
             % (config.r + config.s, config.max_total))
+    if layer is not None:
+        return build_engine(config.r, config.s, field, layer=layer)
     if not config.cache_dir:
         return build_engine(config.r, config.s, field)
     path = _cache_path(config, field)
@@ -286,8 +294,13 @@ def cmd_cellular(config, field):
 
 
 def cmd_gram(config, field):
-    engine = load_engine(config, field)
-    label = _config_label(config, engine)
+    label = _config_label(config)
+    # C(f, lambda) and its form need only B/J_{f+1}; closing that quotient
+    # beats closing (or loading) the full algebra at f <= 1, but not at
+    # f = 2, whose generator expands to 8 words of up to 9 letters
+    quotient = label.f <= GRAM_QUOTIENT_MAX_LAYER \
+        and label.f < min(config.r, config.s)
+    engine = load_engine(config, field, label.f if quotient else None)
     module = cell_module(engine, label)
     entries = [[e.to_text() for e in row] for row in gram_matrix(module)]
     det = gram_determinant(module)
@@ -387,10 +400,10 @@ def cmd_semisimple(config, field):
 
 
 def cmd_branch(config, field):
-    engine = load_engine(config, field)
-    label = _config_label(config, engine)
-    if engine.r < 2:
+    label = _config_label(config)
+    if config.r < 2:
         raise UsageError("branch needs r >= 2")
+    engine = load_engine(config, field)
     result = branching_check(engine, label)
     report = dict(result)
     report["schema_version"] = SCHEMA_VERSION

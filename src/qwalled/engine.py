@@ -9,6 +9,16 @@ words form the normal basis; its size must come out to (r+s)!.
 Token kinds are ("e",), ("g", i) and ("gs", j); inverses are expanded via
 g^{-1} = g - (q - q^{-1}) and never appear as tokens.
 
+An engine at layer f < min(r, s) closes the layer quotient B/J_{f+1}, where
+J_{f+1} = B e^{f+1} B is the span of the cellular basis elements of layer
+> f; the cell modules C(f', lambda) with f' <= f and their Gram forms live
+there.  One extra relation, a generator of J_{f+1}, is imposed: e_1 at
+f = 0 (the quotient H_r (x) H_s), e_1 g_1 g*_1^{-1} e_1 = e_1 e_2 (identity
+tool.d.1) at f = 1, and in general e^{k+1} = e^k g_k g*_k^{-1} e_k with the
+trailing invertible letters dropped.  The closed dimension must be
+layer_dimension(r, s, f) = sum over k <= f of |D^k|^2 (r-k)! (s-k)!, which
+is (r+s)! at f = min(r, s).
+
 At each state taken from the queue, all relations are evaluated through one
 prefix memo {word prefix: vector}, so a prefix shared by several relation
 words is applied once.  A memo entry stays valid when a later imposition
@@ -22,7 +32,7 @@ import json
 import math
 from collections import deque
 
-from .combinat import s_range_word
+from .combinat import coset_count, s_range_word
 from .groundfield import FieldElement, fields_from_spec
 
 SCHEMA_VERSION = 1
@@ -137,26 +147,32 @@ class AlgebraElement:
 
 
 class AlgebraEngine:
-    """Normal-form model of the algebra (or a quotient of it).
+    """Normal-form model of the algebra, or of its layer quotient.
 
-    extra_relations, when given, are additional linear combinations of token
-    words imposed as zero; they turn the engine into the corresponding
-    quotient algebra.  expected_dim, when given, is verified after closure.
+    layer (default min(r, s), the full algebra) is the largest layer f whose
+    cellular basis elements survive: the engine closes B/J_{f+1}.  Its
+    dimension is verified against layer_dimension after closure.
     """
 
-    def __init__(self, r, s, field, extra_relations=None, expected_dim=None,
-                 max_states=None):
-        self._setup(r, s, field, extra_relations, expected_dim)
+    def __init__(self, r, s, field, layer=None, max_states=None):
+        self._setup(r, s, field, layer)
         self._max_states = max_states or max(
-            200, 50 * (self.expected_dim or math.factorial(r + s)))
+            200, 50 * layer_dimension(r, s, self.layer))
         self._build()
 
-    def _setup(self, r, s, field, extra_relations, expected_dim):
+    def _setup(self, r, s, field, layer=None):
         """Everything but the basis and the action table."""
         if r < 1 or s < 1:
             raise EngineError("r and s must be positive")
+        top = min(r, s)
+        if layer is None:
+            layer = top
+        if not 0 <= layer <= top:
+            raise EngineError("layer %r out of range for (%d, %d)"
+                              % (layer, r, s))
         self.r = r
         self.s = s
+        self.layer = layer
         self.field = field
         f = field
         one = f.raw_from_int(1)
@@ -165,14 +181,10 @@ class AlgebraEngine:
         self._qdiff = f.raw_sub(q, f.raw_div(one, q))
         self.tokens = [E_TOK] + [g_tok(i) for i in range(1, r)] \
             + [gs_tok(j) for j in range(1, s)]
-        self.extra_relations = [
-            [(self.as_raw(c), tuple(w)) for c, w in rel]
-            for rel in (extra_relations or [])
-        ]
-        self.expected_dim = expected_dim
-        if expected_dim is None and not self.extra_relations:
-            self.expected_dim = math.factorial(r + s)
-        self.relations = self._defining_relations() + self.extra_relations
+        self.relations = self._defining_relations()
+        if layer < top:
+            self.relations.append(
+                self.expand_letters(self._layer_letters(layer)))
         # data derived from the engine lives exactly as long as the engine:
         # sigma images of basis vectors, the cellular coordinate system
         # (cellular.cellular_data) and the cell modules by label
@@ -181,10 +193,24 @@ class AlgebraEngine:
         self._cell_data = None
         self._modules = {}
 
+    def _layer_letters(self, f):
+        """Letters of a generator of J_{f+1} = B e^{f+1} B: e^1 = e_1 and
+        e^{k+1} = e^k g_k g*_k^{-1} e_k (tool.d.1), with the trailing
+        invertible letters dropped, since a unit factor leaves the ideal
+        unchanged."""
+        letters = [(E_TOK, 1)]
+        for k in range(1, f + 1):
+            letters += [(g_tok(k), 1), (gs_tok(k), -1)] \
+                + self.e_ij_letters(k, k)
+        while letters[-1][0] != E_TOK:
+            letters.pop()
+        return letters
+
     # -- presentation ------------------------------------------------------
 
     def same_presentation(self, other):
-        return (self.r, self.s, self.field) == (other.r, other.s, other.field) \
+        return (self.r, self.s, self.layer, self.field) \
+            == (other.r, other.s, other.layer, other.field) \
             and self.basis_words == other.basis_words
 
     def as_raw(self, c):
@@ -297,9 +323,10 @@ class AlgebraEngine:
         alive = [st for st in range(len(self._defs))
                  if st not in self._subst]
         self.dim = len(alive)
-        if self.expected_dim is not None and self.dim != self.expected_dim:
+        expected = layer_dimension(self.r, self.s, self.layer)
+        if self.dim != expected:
             raise EngineError("closure dimension %d, expected %d"
-                              % (self.dim, self.expected_dim))
+                              % (self.dim, expected))
         index = {st: i for i, st in enumerate(alive)}
         words = {}
 
@@ -497,15 +524,6 @@ class AlgebraEngine:
     def e_single(self, i):
         return self.e_ij(i, i)
 
-    def e_cap(self, f):
-        """e^f = e_1 e_2 ... e_f; e^0 is the identity."""
-        if not 0 <= f <= min(self.r, self.s):
-            raise EngineError("f out of range")
-        out = self.one()
-        for i in range(1, f + 1):
-            out = out * self.e_single(i)
-        return out
-
     def etilde12(self):
         """The idempotent rho^{-1} e_1 g*_1."""
         if self.s < 2:
@@ -525,8 +543,15 @@ class AlgebraEngine:
         return self.from_letters([(tok, 1) for tok in rep.word_pairs()])
 
 
-def build_engine(r, s, field_tag, **kwargs):
-    """Build the full algebra engine over a field or field-spec string."""
+def layer_dimension(r, s, f):
+    """dim B/J_{f+1} = sum over k <= f of |D^k|^2 (r-k)! (s-k)!."""
+    return sum(coset_count(r, s, k) ** 2 * math.factorial(r - k)
+               * math.factorial(s - k) for k in range(f + 1))
+
+
+def build_engine(r, s, field_tag, layer=None, **kwargs):
+    """Build the algebra engine (or its quotient at a layer below
+    min(r, s)) over a field or field-spec string."""
     field = field_tag
     if isinstance(field_tag, str):
         fields = fields_from_spec(field_tag)
@@ -534,14 +559,7 @@ def build_engine(r, s, field_tag, **kwargs):
             raise EngineError("field spec %r is not a single field"
                               % field_tag)
         field = fields[0]
-    return AlgebraEngine(r, s, field, **kwargs)
-
-
-def hecke_quotient(r, s, field):
-    """H_r (x) H_s: the quotient of the (r, s) algebra by e_1 = 0."""
-    return AlgebraEngine(
-        r, s, field, extra_relations=[[(1, (E_TOK,))]],
-        expected_dim=math.factorial(r) * math.factorial(s))
+    return AlgebraEngine(r, s, field, layer=layer, **kwargs)
 
 
 def multiply(x, y):
@@ -761,7 +779,7 @@ def subalgebra_maps(engine, f):
     if rr >= 1 and ss >= 1:
         # the quotient of the level-f subalgebra by its e-ideal is a tensor
         # product of two Hecke algebras
-        quotient = hecke_quotient(rr, ss, eng.field)
+        quotient = AlgebraEngine(rr, ss, eng.field, layer=0)
         out["hecke_quotient"] = {
             "dim": quotient.dim,
             "kills_e": quotient.e1().is_zero(),
@@ -775,7 +793,10 @@ def subalgebra_maps(engine, f):
 # JSON export / import
 
 def engine_to_json(engine):
-    """Serialize a full engine deterministically."""
+    """Serialize a full engine deterministically; a layer quotient has no
+    serialized form, so no cache file holds one."""
+    if engine.layer < min(engine.r, engine.s):
+        raise EngineError("a layer quotient is not serialized")
     field = engine.field
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -808,7 +829,7 @@ def engine_from_json(text):
         raise EngineError("ambiguous field spec in export")
     field = fields[0]
     eng = AlgebraEngine.__new__(AlgebraEngine)
-    eng._setup(data["r"], data["s"], field, None, data["dim"])
+    eng._setup(data["r"], data["s"], field)
     eng.dim = data["dim"]
     eng.basis_words = tuple(
         tuple(token_from_text(t) for t in w) for w in data["basis_words"])

@@ -2,8 +2,9 @@
 
 A symmetrizer is a dict mapping one-line permutations w to the raw field
 coefficient of g_w, where g_i satisfies (g_i - q)(g_i + q^{-1}) = 0.  Its
-products are taken in the walled Brauer engine: H_r (x) H_s is the quotient
-by e_1 = 0, built by ``engine.hecke_quotient``.
+products are taken in the walled Brauer engine: H_r (x) H_s is the layer-0
+quotient B/J_1, whose one extra generator is e_1 and whose dimension is
+r! s!, built by ``engine.build_engine(r, s, field, layer=0)``.
 """
 
 from itertools import permutations, product

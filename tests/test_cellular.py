@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwalled import groundfield
 from qwalled.combinat import Bipartition, count_std, labels
-from qwalled.engine import E_TOK, build_engine, hecke_quotient, sigma
+from qwalled.engine import E_TOK, build_engine, sigma
 from qwalled.groundfield import (
     GenericField,
     OneVarField,
@@ -351,7 +351,33 @@ def test_generic_gram_determinants_pinned(r, s, b32):
         == GENERIC_DET_PINS[(r, s)]
 
 
-def test_quotient_engine_rejected():
-    quo = hecke_quotient(2, 1, GEN)
-    with pytest.raises(CellularError):
-        cellular_data(quo)
+def test_quotient_cellular_labels():
+    # the layer-0 quotient holds exactly the f = 0 labels; a label of a
+    # higher layer is not one of its cell modules
+    quo = build_engine(2, 1, GEN, layer=0)
+    data = cellular_data(quo)
+    assert data.labels == [lab for lab in cell_labels(2, 1) if lab.f == 0]
+    assert {label for label, _, _, _ in data.items} == set(data.labels)
+    with pytest.raises(CellularError, match="layer 0"):
+        cell_module(quo, cell_label(2, 1, 1, ((1,), ())))
+
+
+@pytest.mark.parametrize("r,s,spec", [
+    (r, s, spec)
+    for r, s in [(2, 2), (3, 2), (2, 3), (3, 3)]
+    for spec in ["gfp:13,2,6", "q-power:0:neg", "generic"]
+    if spec != "generic" or r + s <= 5])
+def test_layer_quotient_gram_matches_full_engine(r, s, spec):
+    # C(f, lambda) and its form live in B/J_{f+1}: the quotient at the
+    # label's layer gives the Gram matrix and determinant of the full engine
+    full = build_engine(r, s, spec)
+    for f in range(min(r, s)):
+        quo = build_engine(r, s, spec, layer=f)
+        for label in cell_labels(r, s):
+            if label.f != f:
+                continue
+            a, b = cell_module(quo, label), cell_module(full, label)
+            assert [[e.to_text() for e in row] for row in gram_matrix(a)] \
+                == [[e.to_text() for e in row] for row in gram_matrix(b)]
+            assert gram_determinant(a).to_text() \
+                == gram_determinant(b).to_text()

@@ -89,6 +89,65 @@ def test_gram_bad_shape(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gram", "--r", "4", "--s", "3", "--field", "gfp:13,2,6",
+     "--max-total", "7", "5", "1/-"],
+    ["gram", "--r", "4", "--s", "3", "--max-total", "7", "1", "3/3"],
+    ["branch", "--r", "3", "--s", "2", "1", "2/-/1"],
+    ["branch", "--r", "1", "--s", "2", "0", "1/1,1"],
+])
+def test_label_is_checked_before_any_closure(argv, capsys, monkeypatch):
+    import qwalled.cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("closure before the label was checked")
+    monkeypatch.setattr(qwalled.cli, "build_engine", no_build)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _counting_builds(monkeypatch):
+    """Patch the CLI's build_engine to record (layer, dim) per closure."""
+    import qwalled.cli
+    built = []
+    build = qwalled.cli.build_engine
+
+    def counting(*args, **kwargs):
+        engine = build(*args, **kwargs)
+        built.append((engine.layer, engine.dim))
+        return engine
+    monkeypatch.setattr(qwalled.cli, "build_engine", counting)
+    return built
+
+
+def test_gram_closes_one_layer_quotient(capsys, monkeypatch):
+    # at f = 1 the Gram form needs only B/J_2, of dimension
+    # 3!3! + 9^2 2!2! = 360 at (3, 3); f = 2 closes the full algebra
+    built = _counting_builds(monkeypatch)
+    code, out, _ = run_cli(capsys, "gram", "--r", "3", "--s", "3",
+                           "--field", "gfp:13,2,6", "1", "2/2")
+    assert code == EXIT_OK and json.loads(out)["dim"] == 9
+    assert built == [(1, 360)]
+    built.clear()
+    code, out, _ = run_cli(capsys, "gram", "--r", "3", "--s", "2",
+                           "--field", "gfp:13,2,6", "2", "1/-")
+    assert code == EXIT_OK and built == [(2, 120)]
+
+
+def test_gram_quotient_is_size_guarded_and_not_cached(tmp_path, capsys,
+                                                      monkeypatch):
+    built = _counting_builds(monkeypatch)
+    code, _, err = run_cli(capsys, "gram", "--r", "4", "--s", "3",
+                           "--field", "gfp:13,2,6", "0", "4/3")
+    assert code == EXIT_USAGE and "max-total" in err and built == []
+    cache = tmp_path / "cache"
+    code, out, _ = run_cli(capsys, "gram", "--r", "2", "--s", "2",
+                           "--cache-dir", str(cache), "0", "2/1,1")
+    assert code == EXIT_OK and json.loads(out)["dim"] == 1
+    assert built == [(0, 4)] and not cache.exists()
+
+
 def test_central(capsys):
     code, out, _ = run_cli(capsys, "central", "--r", "2", "--s", "1")
     assert code == EXIT_OK

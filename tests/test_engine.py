@@ -18,7 +18,7 @@ from qwalled.engine import (
     engine_to_json,
     g_tok,
     gs_tok,
-    hecke_quotient,
+    layer_dimension,
     multiply,
     sigma,
     subalgebra_maps,
@@ -99,7 +99,8 @@ def test_sigma_properties(b22):
     g1, gs1, e1 = b22.g_el(1), b22.gs_el(1), b22.e1()
     assert sigma(g1) == g1 and sigma(gs1) == gs1 and sigma(e1) == e1
     assert sigma(g1 * gs1 * e1) == e1 * gs1 * g1
-    assert sigma(b22.e_cap(2)) == b22.e_cap(2)
+    e12 = b22.e_single(1) * b22.e_single(2)
+    assert sigma(e12) == e12
     rng = random.Random(23)
     for _ in range(50):
         terms = {rng.randrange(b22.dim): GEN.raw_from_int(rng.randrange(1, 4))
@@ -119,8 +120,8 @@ def test_special_elements(b22):
     assert f21 * f21 == f21
     e1, e2 = b22.e_single(1), b22.e_single(2)
     assert e1 * e2 == e2 * e1
-    assert b22.e_cap(0) == b22.one()
-    assert b22.e_cap(2) == e1 * e2
+    assert e1 == b22.e1()
+    assert e1 * e2 == e1 * b22.g_el(1) * b22.gs_el(1, -1) * e1
     for f in (0, 1, 2):
         for rep in coset_reps(2, 2, f):
             assert not b22.g_d(rep).is_zero()
@@ -302,17 +303,62 @@ def test_errors(b22):
     with pytest.raises(EngineError):
         multiply(b22.one(), other.one())
     with pytest.raises(EngineError):
-        AlgebraEngine(2, 1, GEN, expected_dim=7)
-    with pytest.raises(EngineError):
         build_engine(0, 1, GEN)
+    for layer in (-1, 3):
+        with pytest.raises(EngineError, match="layer"):
+            build_engine(2, 2, GEN, layer=layer)
+
+
+def test_dimension_mismatch(monkeypatch):
+    import qwalled.engine
+    monkeypatch.setattr(qwalled.engine, "layer_dimension",
+                        lambda r, s, f: 7)
+    with pytest.raises(EngineError, match="closure dimension 6, expected 7"):
+        AlgebraEngine(2, 1, GEN)
 
 
 def test_quotient_closure():
     # adding e_1 = 0 yields the product of two Hecke algebras
-    quo = hecke_quotient(2, 2, GEN)
+    quo = build_engine(2, 2, GEN, layer=0)
     assert quo.dim == 4
     assert quo.e1().is_zero()
     assert all(ok for _, ok in verify_relations(quo))
+
+
+@pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3),
+                                 (3, 3), (4, 2)])
+def test_layer_quotient_dimensions(r, s):
+    # sum over k <= f of |D^k|^2 (r-k)! (s-k)!, and (r+s)! at f = min(r, s)
+    top = min(r, s)
+    assert layer_dimension(r, s, top) == math.factorial(r + s)
+    field = PrimeField(13, 2, 6)
+    for f in range(top):
+        if r + s <= 5 or f <= 1:
+            quo = build_engine(r, s, field, layer=f)
+            assert quo.layer == f
+            assert quo.dim == layer_dimension(r, s, f)
+
+
+def test_layer_generator_is_e_power():
+    # the generator of J_{f+1} is e^{f+1} up to a unit on the right:
+    # e_1, e_1 e_2, and e_1 e_2 e_3 (g_1 g*_1^{-1})^{-1}
+    eng = build_engine(3, 3, "gfp:13,2,6")
+    e = [eng.e_single(i) for i in (1, 2, 3)]
+    gens = [eng.from_letters(eng._layer_letters(f)) for f in (0, 1, 2)]
+    assert gens[0] == e[0]
+    assert gens[1] == e[0] * e[1]
+    assert gens[2] * eng.g_el(1) * eng.gs_el(1, -1) == e[0] * e[1] * e[2]
+
+
+def test_layer_quotient_is_not_serialized(b22):
+    quo = build_engine(2, 2, GEN, layer=1)
+    with pytest.raises(EngineError, match="quotient"):
+        engine_to_json(quo)
+    # the quotient and the full engine are different presentations
+    assert not quo.same_presentation(b22)
+    assert not b22.same_presentation(quo)
+    with pytest.raises(EngineError):
+        multiply(quo.one(), b22.one())
 
 
 def test_prime_field_engine_dim():
@@ -361,6 +407,8 @@ def test_closure_applies_each_prefix_once(r, s, calls, spec, monkeypatch):
 def test_max_states_guard():
     with pytest.raises(EngineError, match="exceeded 200 states"):
         AlgebraEngine(3, 2, PrimeField(13, 2, 6), max_states=200)
+    with pytest.raises(EngineError, match="exceeded 100 states"):
+        build_engine(3, 3, PrimeField(13, 2, 6), layer=1, max_states=100)
 
 
 def test_closure_never_multiplies_by_one(monkeypatch):

@@ -1,5 +1,5 @@
-"""Tests for the Young symmetrizers and for H_n as the engine's e_1 = 0
-quotient, hecke_quotient(n, 1, F)."""
+"""Tests for the Young symmetrizers and for H_n as the engine's layer-0
+quotient (e_1 = 0), build_engine(n, 1, F, layer=0)."""
 
 import math
 import random
@@ -8,11 +8,8 @@ from itertools import permutations
 import pytest
 
 from qwalled.cellular import (
-    basis_labels,
-    cell_labels,
-    cellular_element,
+    cellular_data,
     evaluate_factors,
-    label_symmetrizers,
     symmetrizer_factor,
 )
 from qwalled.combinat import (
@@ -26,7 +23,7 @@ from qwalled.combinat import (
     t_col,
     t_row,
 )
-from qwalled.engine import g_tok, hecke_quotient, sigma
+from qwalled.engine import build_engine, g_tok, sigma
 from qwalled.groundfield import GenericField, PrimeField
 from qwalled.hecke import HeckeAlgebra, HeckeError
 from qwalled.linalg import Echelon
@@ -54,7 +51,7 @@ def _same(field, a, b):
 
 
 def test_quadratic_relation():
-    hq = hecke_quotient(3, 1, GEN)
+    hq = build_engine(3, 1, GEN, layer=0)
     q = GEN.q()
     one = hq.one()
     for i in (1, 2):
@@ -64,7 +61,7 @@ def test_quadratic_relation():
 
 
 def test_braid_and_commuting():
-    hq = hecke_quotient(4, 1, GEN)
+    hq = build_engine(4, 1, GEN, layer=0)
     g1, g2, g3 = hq.g_el(1), hq.g_el(2), hq.g_el(3)
     assert g1 * g2 * g1 == g2 * g1 * g2
     assert g2 * g3 * g2 == g3 * g2 * g3
@@ -74,7 +71,7 @@ def test_braid_and_commuting():
 def test_g_perm_length_additive():
     # g_u g_v = g_{uv} whenever lengths add: the reduced words of combinat
     # and the engine's right action agree on the order of letters
-    hq = hecke_quotient(4, 1, GEN)
+    hq = build_engine(4, 1, GEN, layer=0)
     for u in permutations(range(1, 5)):
         for v in permutations(range(1, 5)):
             uv = perm_mul(u, v)
@@ -87,7 +84,7 @@ def test_symmetrizer_eigenvalues():
     for field in FIELDS:
         q = field.q()
         for n in (2, 3, 4):
-            hq = hecke_quotient(n, 1, field)
+            hq = build_engine(n, 1, field, layer=0)
             for lam in partitions(n):
                 m, nn = _sym(hq, lam, "m"), _sym(hq, lam, "n")
                 for row in t_row(lam).rows:
@@ -111,7 +108,7 @@ def test_sigma_antiautomorphism():
     # sigma fixes each g_i, so it fixes both symmetrizers
     for field in FIELDS:
         for n in (2, 3, 4):
-            hq = hecke_quotient(n, 1, field)
+            hq = build_engine(n, 1, field, layer=0)
             for i in range(1, n):
                 assert sigma(hq.g_el(i)) == hq.g_el(i)
             for lam in partitions(n):
@@ -151,40 +148,25 @@ def test_small_symmetrizers():
     assert _same(GEN, h.n_sym(trivial), {(1, 2): one})
 
 
-def _murphy_basis(n, field):
-    """The Murphy basis of H_n, the f = 0 cellular elements of
-    hecke_quotient(n, 1, field), inserted into an Echelon; returns the
-    dimension of H_n, the (shape, left, right) index of each element and
-    the Echelon."""
-    hq = hecke_quotient(n, 1, field)
-    items, ech = [], Echelon(field)
-    for label in cell_labels(n, 1):
-        if label.f == 0:
-            syms = label_symmetrizers(hq, label)
-            bl = basis_labels(n, 1, label)
-            for left in bl:
-                for right in bl:
-                    ech.insert(cellular_element(
-                        hq, label, left, right, syms).terms)
-                    items.append((label.shape, left, right))
-    return hq.dim, items, ech
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_full_murphy_basis_invertible(n):
+    # the cellular data of the layer-0 quotient are the f = 0 elements, the
+    # Murphy basis of H_n; building them checks that they are independent
+    # and as many as the dimension n!
     for field in FIELDS:
-        dim, items, ech = _murphy_basis(n, field)
-        # rank n! in dimension n!: the basis spans H_n
-        assert len(items) == ech.rank == dim == math.factorial(n)
-        for shape, left, right in items:
-            assert left.tab[0].shape == right.tab[0].shape == shape.first
+        data = cellular_data(build_engine(n, 1, field, layer=0))
+        assert len(data.items) == data.ech.rank == math.factorial(n)
+        for label, left, right, _ in data.items:
+            assert label.f == 0
+            assert left.tab[0].shape == right.tab[0].shape \
+                == label.shape.first
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_specht_dimensions(n):
     # m_lam g_{d(t^lam')} n_lam' g_{d(t)}, t standard of the conjugate
     # shape, are independent
-    hq = hecke_quotient(n, 1, GEN)
+    hq = build_engine(n, 1, GEN, layer=0)
     for lam in partitions(n):
         conj = lam.conjugate()
         head = evaluate_factors(hq, [
@@ -200,7 +182,7 @@ def test_specht_dimensions(n):
 
 def test_normal_form_independence():
     rng = random.Random(9)
-    hq = hecke_quotient(4, 1, GEN)
+    hq = build_engine(4, 1, GEN, layer=0)
     for _ in range(100):
         word = [rng.randrange(1, 4) for _ in range(rng.randrange(0, 7))]
         direct = hq.from_letters([(g_tok(i), 1) for i in word])
