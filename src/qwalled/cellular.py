@@ -122,19 +122,32 @@ def label_symmetrizers(engine, label):
             symmetrizer_factor(engine, label.shape.second, label.f, True)]
 
 
-def cellular_factors(engine, label, left, right, syms):
-    """C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d as a list of factors, with
-    n_{st} = sigma(g_{d(s1)} g*_{d(s2)}) n_lam g_{d(t1)} g*_{d(t2)} and
-    syms = label_symmetrizers(engine, label) the two factors of n_lam."""
-    f = label.f
+def left_factors(engine, label, left, syms):
+    """The factors of C_{(s,e)(t,d)} that depend on the left index only:
+    the head word sigma(g_e) e^f sigma(g_{d(s1)} g*_{d(s2)}) and syms =
+    label_symmetrizers(engine, label), the two factors of n_lam."""
     head = [(tok, 1) for tok in reversed(left.rep.word_pairs())]
-    head += _ecap_letters(engine, f)
+    head += _ecap_letters(engine, label.f)
     head += _perm_letters(perm_inverse(d_perm(left.tab[0])), g_tok)
     head += _perm_letters(perm_inverse(d_perm(left.tab[1])), gs_tok)
+    return [[(engine._one_raw, head)], *syms]
+
+
+def right_letters(right):
+    """The tail g_{d(t1)} g*_{d(t2)} g_d of C_{(s,e)(t,d)}, which depends on
+    the right index only, as letters."""
     tail = _perm_letters(d_perm(right.tab[0]), g_tok)
     tail += _perm_letters(d_perm(right.tab[1]), gs_tok)
     tail += [(tok, 1) for tok in right.rep.word_pairs()]
-    return [[(engine._one_raw, head)], *syms, [(engine._one_raw, tail)]]
+    return tail
+
+
+def cellular_factors(engine, label, left, right, syms):
+    """C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d as a list of factors, with
+    n_{st} = sigma(g_{d(s1)} g*_{d(s2)}) n_lam g_{d(t1)} g*_{d(t2)}: the left
+    factors followed by the tail word."""
+    return [*left_factors(engine, label, left, syms),
+            [(engine._one_raw, right_letters(right))]]
 
 
 def sigma_factors(factors):
@@ -169,7 +182,15 @@ def cellular_element(engine, label, left, right, syms):
 
 class _CellData:
     """All cellular basis elements of the engine's layers, f <= layer, with
-    a tracked coordinate echelon."""
+    a tracked coordinate echelon.
+
+    C_{(s,e)(t,d)} is the head element of the left index (s, e), evaluated
+    once per left index from left_factors, times the tail letters of the
+    right index (t, d).  The tails go through a prefix memo {letters:
+    element} that lives for one left index, so rights that share tableaux
+    share the products of their common prefixes.  The product is associated
+    left to right as in cellular_element, so the elements are the same.
+    """
 
     def __init__(self, engine):
         self.engine = engine
@@ -183,9 +204,12 @@ class _CellData:
             bl = basis_labels(engine.r, engine.s, label)
             self.by_label[label] = bl
             syms = label_symmetrizers(engine, label)
+            tails = [tuple(right_letters(right)) for right in bl]
             for left in bl:
-                for right in bl:
-                    elem = cellular_element(engine, label, left, right, syms)
+                memo = {(): evaluate_factors(
+                    engine, left_factors(engine, label, left, syms))}
+                for right, tail in zip(bl, tails):
+                    elem = _tail_product(engine, memo, tail)
                     pos = len(self.items)
                     self.items.append((label, left, right, elem))
                     self.index[(label, left, right)] = pos
@@ -204,6 +228,16 @@ class _CellData:
         for piv, c in self.ech.express(terms).items():
             iaxpy(out, c, combos[piv])
         return out
+
+
+def _tail_product(engine, memo, letters):
+    """memo[()] times the letters, through the memo of their prefixes."""
+    elem = memo.get(letters)
+    if elem is None:
+        tok, p = letters[-1]
+        elem = memo[letters] = engine.apply_token(
+            _tail_product(engine, memo, letters[:-1]), tok, p)
+    return elem
 
 
 def cellular_data(engine):

@@ -162,20 +162,28 @@ def load_engine(config, field, layer=None):
     engine = _read_cache(path, config, field)
     if engine is None:
         engine = build_engine(config.r, config.s, field)
-        os.makedirs(config.cache_dir, exist_ok=True)
-        # a rename is atomic, so no reader ever sees a partial file
-        fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
         try:
-            text = engine_to_json(engine)
-            with os.fdopen(fd, "w") as handle:
-                # the first line is the SHA-256 of the engine JSON after it
-                handle.write(hashlib.sha256(text.encode()).hexdigest())
-                handle.write("\n" + text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            _write_cache(path, config.cache_dir, engine)
+        except OSError as exc:
+            raise UsageError("cannot write the engine cache %s: %s"
+                             % (path, exc.strerror or exc))
     return engine
+
+
+def _write_cache(path, cache_dir, engine):
+    os.makedirs(cache_dir, exist_ok=True)
+    # a rename is atomic, so no reader ever sees a partial file
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        text = engine_to_json(engine)
+        with os.fdopen(fd, "w") as handle:
+            # the first line is the SHA-256 of the engine JSON after it
+            handle.write(hashlib.sha256(text.encode()).hexdigest())
+            handle.write("\n" + text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def generic_engine(config):

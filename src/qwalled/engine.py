@@ -4,7 +4,8 @@ The algebra on generators e_1, g_1..g_{r-1}, g*_1..g*_{s-1} is realized by
 closure: starting from the identity, right multiplication by generator
 tokens is explored breadth first, defining relations are imposed as exact
 linear dependencies, and dependent words are eliminated.  The surviving
-words form the normal basis; its size must come out to (r+s)!.
+words form the normal basis; its size must come out to
+layer_dimension(r, s, layer), which is (r+s)! for the full algebra.
 
 Token kinds are ("e",), ("g", i) and ("gs", j); inverses are expanded via
 g^{-1} = g - (q - q^{-1}) and never appear as tokens.

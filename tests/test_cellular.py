@@ -381,3 +381,56 @@ def test_layer_quotient_gram_matches_full_engine(r, s, spec):
                 == [[e.to_text() for e in row] for row in gram_matrix(b)]
             assert gram_determinant(a).to_text() \
                 == gram_determinant(b).to_text()
+
+
+# SHA-256 of every cellular basis element, one line per item of
+# cellular_data(engine).items: label, left, right and the canonical text of
+# each term in basis order; recorded when each element was still evaluated
+# as one product per (left, right) pair
+CELLULAR_PINS = {
+    (3, 2, "generic", None):
+        "071f49f6c369a2b4cf94f510c20151e8f1c01d9672b86faff45a05e3d19dc436",
+    (2, 2, "q-power:1", None):
+        "357452c65161c5272db3fe299fd347ba0ccf7385b416b87c45208be365e05d5e",
+    (4, 3, "gfp:13,2,6", 1):
+        "c3d879a5f4792e50d0cfd698bedba6f84c760875015f2b3fe2e77edc26b043a7",
+}
+
+
+def _cellular_digest(engine):
+    import hashlib
+    from qwalled.groundfield import FieldElement
+    lines = []
+    for label, left, right, elem in cellular_data(engine).items:
+        terms = ";".join("%d:%s" % (i, FieldElement(engine.field,
+                                                    elem.terms[i]).to_text())
+                         for i in sorted(elem.terms))
+        lines.append("%r|%r|%r|%s" % (label, left, right, terms))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("r,s,spec,layer", list(CELLULAR_PINS))
+def test_cellular_elements_pinned(r, s, spec, layer, b32):
+    if (r, s, spec) == (3, 2, "generic"):
+        eng = b32
+    else:
+        eng = build_engine(r, s, spec, layer=layer)
+    assert _cellular_digest(eng) == CELLULAR_PINS[(r, s, spec, layer)]
+
+
+def test_cellular_data_evaluates_each_head_once(monkeypatch):
+    # the left factors are evaluated once per left index, not once per
+    # (left, right) pair; the tails go through a prefix memo
+    from qwalled import cellular
+    eng = build_engine(3, 2, "gfp:13,2,6")
+    count = [0]
+    evaluate = cellular.evaluate_factors
+
+    def counting(engine, factors, x=None):
+        count[0] += 1
+        return evaluate(engine, factors, x)
+
+    monkeypatch.setattr(cellular, "evaluate_factors", counting)
+    cellular_data(eng)
+    assert count[0] == sum(module_dimension(label, 3, 2)
+                           for label in cell_labels(3, 2))

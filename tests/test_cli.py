@@ -474,3 +474,28 @@ def test_gcd_failure_is_a_verification_failure(capsys, monkeypatch):
     assert code == EXIT_FAILURE and out == ""
     assert err.startswith("verification failure: heuristic gcd failed")
     assert err.count("\n") == 1
+
+
+def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory")
+    code, out, err = run_cli(capsys, "dims", "--r", "2", "--s", "1",
+                             "--field", "generic", "--cache-dir", str(cache))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cache) in err
+    assert cache.read_text() == "not a directory"
+
+
+def test_cache_file_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    target = cache / "engine-r2-s1-generic-v1.json"
+    target.mkdir(parents=True)
+    code, out, err = run_cli(capsys, "dims", "--r", "2", "--s", "1",
+                             "--field", "generic", "--cache-dir", str(cache))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    # the temp file is removed and the directory is left alone
+    assert [p.name for p in cache.iterdir()] == [target.name]
+    assert target.is_dir() and not any(target.iterdir())
