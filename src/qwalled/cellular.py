@@ -292,7 +292,8 @@ class CellModule:
 
     The basis is I(f, lambda); generator actions are extracted from the
     coordinates of C_{(u,a)(t,d)} * token with the anchor row (u,a) fixed to
-    (t^lambda, identity).  The Gram matrix and its determinant are memoized
+    (t^lambda, identity).  The Gram matrix, its determinant and, over a
+    function field, the determinant's reduced Laurent fraction are memoized
     on the module.
     """
 
@@ -323,6 +324,7 @@ class CellModule:
         self._word_mats = {(): _mat_identity(self.field, self.dim)}
         self._gram = None
         self._det = None
+        self._det_fraction = None
 
     def _extract(self, data, terms):
         """Module coordinates of a vector lying in the cell ideal."""
@@ -451,6 +453,15 @@ def gram_determinant(module):
         module._det = FieldElement(module.field, determinant(
             module.field, [[e.val for e in row] for row in gram]))
     return module._det
+
+
+def gram_determinant_fraction(module):
+    """The reduced Laurent (numerator, denominator) of the Gram determinant
+    of a module over Q(q, rho) or Q(q)."""
+    if module._det_fraction is None:
+        module._det_fraction = module.field.to_laurent_fraction(
+            gram_determinant(module))
+    return module._det_fraction
 
 
 def radical_rank(module):

@@ -161,17 +161,26 @@ def load_engine(config, field, layer=None):
     path = _cache_path(config, field)
     engine = _read_cache(path, config, field)
     if engine is None:
+        # a cache that cannot be written fails before the closure
+        try:
+            os.makedirs(config.cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise _cache_error(path, exc.strerror or exc)
+        if os.path.isdir(path):
+            raise _cache_error(path, "Is a directory")
         engine = build_engine(config.r, config.s, field)
         try:
             _write_cache(path, config.cache_dir, engine)
         except OSError as exc:
-            raise UsageError("cannot write the engine cache %s: %s"
-                             % (path, exc.strerror or exc))
+            raise _cache_error(path, exc.strerror or exc)
     return engine
 
 
+def _cache_error(path, reason):
+    return UsageError("cannot write the engine cache %s: %s" % (path, reason))
+
+
 def _write_cache(path, cache_dir, engine):
-    os.makedirs(cache_dir, exist_ok=True)
     # a rename is atomic, so no reader ever sees a partial file
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:

@@ -266,6 +266,11 @@ class Field:
         """Whether dividing by a stays in the field's native values."""
         return not self.raw_is_zero(a)
 
+    def raw_size(self, a):
+        """The number of polynomial terms a raw value holds: the cost of
+        arithmetic with it.  Constant over fields of numbers."""
+        return 1
+
     def raw_from_int(self, n):
         raise NotImplementedError
 
@@ -719,6 +724,11 @@ class _FunctionField(Field):
         return (a.__class__ is tuple and bool(a[0])
                 and _unit_monomial(_linear_factors(a[0])[0]) is not None)
 
+    def raw_size(self, a):
+        if a.__class__ is tuple:
+            return len(a[0])
+        return len(a.num) + len(a.den)
+
     def raw_eq(self, a, b):
         if a.__class__ is tuple and b.__class__ is tuple:
             return a == b
@@ -1049,11 +1059,28 @@ def transfer_from_generic(elem, field):
     src = elem.field
     if not isinstance(src, GenericField):
         raise FieldError("transfer source must be the generic field")
-    num, den = src.to_laurent_fraction(elem)
+    return field.quotient(*_specialize(src.to_laurent_fraction(elem), field))
+
+
+def vanishes_under(fraction, field):
+    """Whether the generic value with reduced Laurent (numerator,
+    denominator) fraction is zero in a field.
+
+    Read from the numerator at the field's q and rho, with no quotient
+    formed; raises FieldError where transfer_from_generic does, when the
+    denominator vanishes.
+    """
+    return field.raw_is_zero(_specialize(fraction, field)[0])
+
+
+def _specialize(fraction, field):
+    """The raw values of a reduced Laurent (numerator, denominator) at the
+    field's q and rho; the denominator's is nonzero."""
+    num, den = fraction
     den_raw = field.raw_from_laurent(den)
     if field.raw_is_zero(den_raw):
         raise FieldError("denominator vanishes under the specialization")
-    return field.quotient(field.raw_from_laurent(num), den_raw)
+    return field.raw_from_laurent(num), den_raw
 
 
 def fields_from_spec(spec):

@@ -140,8 +140,10 @@ def determinant(field, matrix):
         rows = [i for i in range(col, n) if not f.raw_is_zero(m[i][col])]
         if not rows:
             return f.raw_from_int(0)
-        # a unit pivot keeps the elimination in the field's native values
-        piv = next((i for i in rows if f.raw_is_unit(m[i][col])), rows[0])
+        # a unit pivot keeps the elimination in the field's native values;
+        # failing one, the smallest value makes the cheapest quotients
+        piv = min(rows, key=lambda i: (not f.raw_is_unit(m[i][col]),
+                                       f.raw_size(m[i][col])))
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = f.raw_neg(det)

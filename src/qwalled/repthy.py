@@ -28,7 +28,7 @@ from .engine import (
     gs_tok,
     inv_letters,
 )
-from .groundfield import FieldError, GenericField, transfer_from_generic
+from .groundfield import FieldError, GenericField, vanishes_under
 from .linalg import Echelon
 from .cellular import (
     _label_text,
@@ -39,6 +39,7 @@ from .cellular import (
     cellular_element,
     evaluate_factors,
     gram_determinant,
+    gram_determinant_fraction,
     label_symmetrizers,
     module_dimension,
     symmetrizer_factor,
@@ -157,32 +158,31 @@ def _closed_form_verdict(r, s, field):
     return SemisimplicityVerdict(True, "generic")
 
 
-def _generic_gram_determinant(generic, label):
+def _generic_cell_module(generic, label):
     if not isinstance(generic.field, GenericField):
         raise RepError("needs an engine over the generic field")
-    return gram_determinant(cell_module(generic, label))
+    return cell_module(generic, label)
 
 
 def gram_singular_labels(generic, field):
     """Labels whose Gram matrix is singular over the field.
 
     The determinants are taken once over the generic field, on the engine
-    generic, and pushed down to the field; for labels whose transfer is
-    blocked the field's engine is built once and the determinant computed
-    there.
+    generic; at the field's point a determinant vanishes exactly when its
+    reduced numerator does.  For labels whose denominator vanishes there
+    the field's engine is built once and the determinant computed on it.
     """
     eng = None
     out = []
     for lab in cell_labels(generic.r, generic.s):
-        det = _generic_gram_determinant(generic, lab)
+        fraction = gram_determinant_fraction(_generic_cell_module(generic, lab))
         try:
-            value = (det if isinstance(field, GenericField)
-                     else transfer_from_generic(det, field))
+            singular = vanishes_under(fraction, field)
         except FieldError:
             if eng is None:
                 eng = build_engine(generic.r, generic.s, field)
-            value = gram_determinant(cell_module(eng, lab))
-        if value.is_zero():
+            singular = gram_determinant(cell_module(eng, lab)).is_zero()
+        if singular:
             out.append(lab)
     return out
 
@@ -233,13 +233,11 @@ def onearc_zero_locus(generic, kind):
     else:
         raise RepError("kind must be 'row' or 'column'")
     label = cell_label(r, 1, 1, shape)
-    det = _generic_gram_determinant(generic, label)
+    fraction = gram_determinant_fraction(_generic_cell_module(generic, label))
     vanishing = []
     for a in range(-(r + 1), r + 2):
-        hits = []
-        for sign in (1, -1):
-            value = transfer_from_generic(det, OneVarField(a, sign))
-            hits.append(value.is_zero())
+        hits = [vanishes_under(fraction, OneVarField(a, sign))
+                for sign in (1, -1)]
         if hits[0] != hits[1]:
             raise RepError("vanishing at a=%d depends on the sign of rho" % a)
         if hits[0]:

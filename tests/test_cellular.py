@@ -334,10 +334,13 @@ def test_transfer_normalizes_once(generic_dets, b32):
 
 # SHA-256 of the generic Gram determinant texts, one per line in
 # cell_labels order, recorded with sympy's gcd reducing the fractions that
-# leave R; the golden CLI replay stops at r + s <= 4
+# leave R (the (3, 3) texts while determinant still took the first unit or
+# else the first nonzero entry as pivot); the golden CLI replay stops at
+# r + s <= 4
 GENERIC_DET_PINS = {
     (3, 2): "d12787db77deb62177f4998f7069e671a50ba6f42acd7bb26c7908e1b9c469ab",
     (2, 3): "a3522857ec8aae19d23de20d93804faa7b44ba64f40e391eb610bfb25b4bbd0e",
+    (3, 3): "af4fa91991478076544e81111149000921e55988fbc635aad2c3fe4f6b4f57b0",
 }
 
 
@@ -349,6 +352,30 @@ def test_generic_gram_determinants_pinned(r, s, b32):
                      for lab in cell_labels(r, s))
     assert hashlib.sha256(text.encode()).hexdigest() \
         == GENERIC_DET_PINS[(r, s)]
+
+
+def test_generic_determinants_pivot_on_small_values(b32, monkeypatch):
+    # a pivot with the fewest terms among the non-units: the nine (3, 2)
+    # determinants reduce 87 fractions, against 139 when the first nonzero
+    # entry of a column without units was the pivot
+    from qwalled.linalg import determinant
+    mats = [[[e.val for e in row] for row in gram_matrix(cell_module(b32, lab))]
+            for lab in cell_labels(3, 2)]
+    depth, calls = [0], [0]
+    heugcd = groundfield.heugcd
+
+    def counting(f, g):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return heugcd(f, g)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(groundfield, "heugcd", counting)
+    for mat in mats:
+        determinant(GEN, mat)
+    assert calls[0] == 87
 
 
 def test_quotient_cellular_labels():

@@ -499,3 +499,25 @@ def test_cache_file_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
     # the temp file is removed and the directory is left alone
     assert [p.name for p in cache.iterdir()] == [target.name]
     assert target.is_dir() and not any(target.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["file-is-a-directory", "dir-is-a-file"])
+def test_unwritable_cache_fails_before_closure(tmp_path, capsys, monkeypatch,
+                                               kind):
+    import qwalled.cli
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure before the cache check")
+
+    monkeypatch.setattr(qwalled.cli, "build_engine", no_closure)
+    cache = tmp_path / "cache"
+    target = cache / "engine-r3-s3-gfp_13_2_6-v1.json"
+    if kind == "file-is-a-directory":
+        target.mkdir(parents=True)
+    else:
+        cache.write_text("not a directory")
+    code, out, err = run_cli(capsys, "dims", "--r", "3", "--s", "3",
+                             "--field", "gfp:13,2,6", "--cache-dir", str(cache))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: cannot write the engine cache ")
+    assert err.count("\n") == 1 and str(target) in err

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from qwalled.groundfield import GenericField, RationalField
+from qwalled.groundfield import (
+    FieldElement,
+    GenericField,
+    PrimeField,
+    RationalField,
+    transfer_from_generic,
+)
 from qwalled.linalg import (
     Echelon,
     LinAlgError,
@@ -143,6 +149,64 @@ def test_determinant_prefers_unit_pivots():
     got = determinant(f, [[a.val, b.val], [b.val, d.val]])
     assert groundfield.fallbacks == before
     assert f.raw_eq(got, (a * d - b * b).val)
+
+
+def _divisions(field, matrix):
+    """The determinant and the (entry, pivot) pairs of its divisions."""
+    pairs = []
+    div = field.raw_div
+    field.raw_div = lambda a, b: pairs.append((a, b)) or div(a, b)
+    try:
+        return determinant(field, matrix), pairs
+    finally:
+        del field.raw_div
+
+
+def test_determinant_prefers_small_pivots():
+    # no unit in the first column: the later 1 + q^2 is the pivot, not the
+    # five-term value above it, and the determinant is unchanged
+    import sympy
+    f = GenericField()
+    q, rho = f.q(), f.rho()
+    big, small = 1 + q + q ** 2 + q ** 3 + rho, 1 + q ** 2
+    mat = [[big, f(1), q], [small, rho, f(2)], [f(0), q, 1 + rho]]
+    det, pairs = _divisions(f, [[e.val for e in row] for row in mat])
+    assert f.raw_eq(pairs[0][1], small.val)
+    x, y = sympy.symbols("q rho")
+    ref = sympy.Matrix([[1 + x + x ** 2 + x ** 3 + y, 1, x],
+                        [1 + x ** 2, y, 2], [0, x, 1 + y]]).det()
+    for qv, rv in [(2, 3), (Fraction(3, 2), -5)]:
+        at = RationalField(qv, rv)
+        want = Fraction(str(ref.subs({x: qv, y: rv})))
+        assert transfer_from_generic(FieldElement(f, det), at).val == want
+        assert determinant(at, [[transfer_from_generic(e, at).val
+                                 for e in row] for row in mat]) == want
+
+
+def test_determinant_over_gfp_pivots_on_first_nonzero_row():
+    # every nonzero value of GF(p) is a unit of one size: the elimination
+    # is the one that takes the first nonzero row of each column
+    rng = random.Random(5)
+    p = 13
+    for _ in range(20):
+        n = rng.randrange(2, 6)
+        rows = [[rng.choice([0, 0] + list(range(1, p))) for _ in range(n)]
+                for _ in range(n)]
+        want, work = [], [list(row) for row in rows]
+        for col in range(n):
+            piv = next((i for i in range(col, n) if work[i][col]), None)
+            if piv is None:
+                break
+            work[col], work[piv] = work[piv], work[col]
+            lead = work[col][col]
+            for i in range(col + 1, n):
+                if work[i][col]:
+                    want.append((work[i][col], lead))
+                    c = work[i][col] * pow(lead, -1, p)
+                    work[i] = [(a - c * b) % p
+                               for a, b in zip(work[i], work[col])]
+        _, got = _divisions(PrimeField(p, 2, 6), rows)
+        assert got == want
 
 
 def test_determinant_shape_check():

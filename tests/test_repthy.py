@@ -3,6 +3,7 @@
 import functools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qwalled.combinat import Bipartition, nodes_removable
 from qwalled.cellular import (
@@ -10,6 +11,7 @@ from qwalled.cellular import (
     cell_labels,
     cell_module,
     gram_determinant,
+    gram_determinant_fraction,
     radical_rank,
 )
 from qwalled.engine import build_engine, central_element, sigma
@@ -19,6 +21,8 @@ from qwalled.groundfield import (
     OneVarField,
     PrimeField,
     RationalField,
+    transfer_from_generic,
+    vanishes_under,
 )
 from qwalled.repthy import (
     CentralCharacter,
@@ -182,20 +186,21 @@ def test_gram_singular_labels_fallback():
 
 
 def test_gram_singular_labels_blocked_transfer(monkeypatch):
-    # a label whose determinant cannot be pushed down is decided on the
-    # field's engine, which is closed once for all such labels
+    # a label whose determinant's denominator vanishes at the point is
+    # decided on the field's engine, which is closed once for all such
+    # labels
     import qwalled.repthy
     generic = engine(2, 1, GEN)
     field = OneVarField(1)
     expected = gram_singular_labels(generic, field)
-    blocked = [gram_determinant(cell_module(generic, label))
+    blocked = [gram_determinant_fraction(cell_module(generic, label))
                for label in (lab(2, 1, 1, (1,), ()), lab(2, 1, 0, (2,), (1,)))]
-    transfer = qwalled.repthy.transfer_from_generic
+    vanishes = qwalled.repthy.vanishes_under
 
-    def blocking_transfer(det, target):
-        if any(det is b for b in blocked):
+    def blocking_vanishes(fraction, target):
+        if any(fraction is b for b in blocked):
             raise FieldError("blocked")
-        return transfer(det, target)
+        return vanishes(fraction, target)
 
     builds = []
 
@@ -203,12 +208,60 @@ def test_gram_singular_labels_blocked_transfer(monkeypatch):
         builds.append(args)
         return build_engine(*args)
 
-    monkeypatch.setattr(qwalled.repthy, "transfer_from_generic",
-                        blocking_transfer)
+    monkeypatch.setattr(qwalled.repthy, "vanishes_under", blocking_vanishes)
     monkeypatch.setattr(qwalled.repthy, "build_engine", counting_build)
     got = gram_singular_labels(generic, field)
     assert got == expected == [lab(2, 1, 1, (1,), ())]
     assert builds == [(2, 1, field)]
+
+
+@st.composite
+def points(draw):
+    """A q-power, gfp or rational point; a gfp point may have q = +-1,
+    where the denominators of the generic determinants vanish."""
+    kind = draw(st.sampled_from(["q-power", "gfp", "rational"]))
+    if kind == "q-power":
+        return OneVarField(draw(st.integers(-5, 5)),
+                           draw(st.sampled_from([1, -1])))
+    if kind == "gfp":
+        p = draw(st.sampled_from([3, 5, 7, 13]))
+        return PrimeField(p, draw(st.integers(1, p - 1)),
+                          draw(st.integers(1, p - 1)))
+    nonzero = st.fractions(min_value=-4, max_value=4,
+                           max_denominator=5).filter(bool)
+    return RationalField(draw(nonzero.filter(lambda q: q * q != 1)),
+                         draw(nonzero))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=points())
+@example(field=PrimeField(13, 1, 6))
+@example(field=PrimeField(13, 12, 6))
+def test_vanishing_test_matches_transfer(field):
+    for r, s in [(2, 2), (3, 1)]:
+        generic = engine(r, s, GEN)
+        for label in cell_labels(r, s):
+            mod = cell_module(generic, label)
+            fraction = gram_determinant_fraction(mod)
+            try:
+                want = transfer_from_generic(gram_determinant(mod),
+                                             field).is_zero()
+            except FieldError:
+                with pytest.raises(FieldError, match="denominator"):
+                    vanishes_under(fraction, field)
+                continue
+            assert vanishes_under(fraction, field) == want
+
+
+def test_vanishing_test_raises_where_denominator_vanishes():
+    # the (2, 2) f = 1 determinant has denominator rho^4 (q^2 - 1)^4
+    det = gram_determinant(cell_module(engine(2, 2, GEN),
+                                       lab(2, 2, 1, (1,), (1,))))
+    field = PrimeField(13, 1, 6)
+    with pytest.raises(FieldError, match="denominator"):
+        transfer_from_generic(det, field)
+    with pytest.raises(FieldError, match="denominator"):
+        vanishes_under(GEN.to_laurent_fraction(det), field)
 
 
 def test_onearc_zero_locus():
