@@ -101,11 +101,6 @@ def _perm_letters(w, mk):
     return [(mk(i), 1) for i in reduced_word(w)]
 
 
-def _ecap_letters(engine, f):
-    """Letters of e^f = e_{1,1} ... e_{f,f}."""
-    return [x for i in range(1, f + 1) for x in engine.e_ij_letters(i, i)]
-
-
 def symmetrizer_factor(engine, lam, offset, starred, kind="n"):
     """n_lam (kind "n") or m_lam (kind "m") of the row stabilizer of lam
     placed at the offset, on the g strands or (starred) the g* strands."""
@@ -127,7 +122,7 @@ def left_factors(engine, label, left, syms):
     the head word sigma(g_e) e^f sigma(g_{d(s1)} g*_{d(s2)}) and syms =
     label_symmetrizers(engine, label), the two factors of n_lam."""
     head = [(tok, 1) for tok in reversed(left.rep.word_pairs())]
-    head += _ecap_letters(engine, label.f)
+    head += engine.ecap_letters(label.f)
     head += _perm_letters(perm_inverse(d_perm(left.tab[0])), g_tok)
     head += _perm_letters(perm_inverse(d_perm(left.tab[1])), gs_tok)
     return [[(engine._one_raw, head)], *syms]
@@ -181,8 +176,10 @@ def cellular_element(engine, label, left, right, syms):
 # the full basis and its coordinate system
 
 class _CellData:
-    """All cellular basis elements of the engine's layers, f <= layer, with
-    a tracked coordinate echelon.
+    """The cellular basis elements of the engine, with a tracked coordinate
+    echelon: every element for the full algebra, and for the block of
+    layer f < min(r, s) those of layer f whose left index has the identity
+    coset rep, the elements of e^f B (at f = 0 that is every index).
 
     C_{(s,e)(t,d)} is the head element of the left index (s, e), evaluated
     once per left index from left_factors, times the tail letters of the
@@ -195,7 +192,7 @@ class _CellData:
     def __init__(self, engine):
         self.engine = engine
         self.labels = [label for label in cell_labels(engine.r, engine.s)
-                       if label.f <= engine.layer]
+                       if not engine.is_block or label.f == engine.layer]
         self.items = []
         self.index = {}
         self.by_label = {}
@@ -205,7 +202,10 @@ class _CellData:
             self.by_label[label] = bl
             syms = label_symmetrizers(engine, label)
             tails = [tuple(right_letters(right)) for right in bl]
+            ident = anchor_label(label).rep
             for left in bl:
+                if engine.is_block and left.rep != ident:
+                    continue
                 memo = {(): evaluate_factors(
                     engine, left_factors(engine, label, left, syms))}
                 for right, tail in zip(bl, tails):
@@ -308,8 +308,9 @@ class CellModule:
         self.basis = data.by_label[label]
         self.dim = len(self.basis)
         self.anchor = anchor if anchor is not None else anchor_label(label)
-        if self.anchor not in self.basis:
-            raise CellularError("anchor is not an index of the module")
+        if (label, self.anchor, self.anchor) not in data.index:
+            raise CellularError("anchor is not a left index of the engine's "
+                                "cellular basis")
         self.pos = {b: i for i, b in enumerate(self.basis)}
         self.anchor_index = self.pos[self.anchor]
         self._tok = {}
@@ -484,6 +485,9 @@ def validate_cell_datum(engine, alternate_anchors=None):
     raises CellularError).
     """
     from .engine import sigma
+    if engine.is_block:
+        raise CellularError("the layer-%d block is not a cellular algebra"
+                            % engine.layer)
     if alternate_anchors is not None and alternate_anchors < 1:
         raise CellularError("alternate_anchors must be at least 1")
     data = cellular_data(engine)

@@ -61,7 +61,7 @@ EXIT_BROKEN_PIPE = 141
 
 DEFAULT_MAX_TOTAL = 6
 
-# gram closes the layer quotient B/J_{f+1} for labels up to this layer
+# gram closes the layer block e^f B/J_{f+1} for labels up to this layer
 GRAM_QUOTIENT_MAX_LAYER = 1
 
 
@@ -147,8 +147,8 @@ def _read_cache(path, config, field):
 
 def load_engine(config, field, layer=None):
     """The (r, s) engine over the field, through the cache when there is
-    one; with a layer below min(r, s), the layer quotient, closed afresh
-    and never cached."""
+    one; with a layer below min(r, s), the layer block, closed afresh and
+    never cached."""
     if config.r + config.s > config.max_total:
         raise UsageError(
             "r + s = %d exceeds the size bound %d; raise it with "
@@ -312,12 +312,12 @@ def cmd_cellular(config, field):
 
 def cmd_gram(config, field):
     label = _config_label(config)
-    # C(f, lambda) and its form need only B/J_{f+1}; closing that quotient
-    # beats closing (or loading) the full algebra at f <= 1, but not at
-    # f = 2, whose generator expands to 8 words of up to 9 letters
-    quotient = label.f <= GRAM_QUOTIENT_MAX_LAYER \
+    # C(f, lambda) and its form need only the block e^f B/J_{f+1}; closing
+    # it beats closing (or loading) the full algebra at f <= 1, but the
+    # closure grows with f: the f = 3 block at (4, 4) creates 171,650 states
+    block = label.f <= GRAM_QUOTIENT_MAX_LAYER \
         and label.f < min(config.r, config.s)
-    engine = load_engine(config, field, label.f if quotient else None)
+    engine = load_engine(config, field, label.f if block else None)
     module = cell_module(engine, label)
     entries = [[e.to_text() for e in row] for row in gram_matrix(module)]
     det = gram_determinant(module)

@@ -5,20 +5,24 @@ closure: starting from the identity, right multiplication by generator
 tokens is explored breadth first, defining relations are imposed as exact
 linear dependencies, and dependent words are eliminated.  The surviving
 words form the normal basis; its size must come out to
-layer_dimension(r, s, layer), which is (r+s)! for the full algebra.
+layer_dimension(r, s, layer): (r+s)! for the full algebra, and
+|D^f| (r-f)! (s-f)! for a block.
 
 Token kinds are ("e",), ("g", i) and ("gs", j); inverses are expanded via
 g^{-1} = g - (q - q^{-1}) and never appear as tokens.
 
-An engine at layer f < min(r, s) closes the layer quotient B/J_{f+1}, where
-J_{f+1} = B e^{f+1} B is the span of the cellular basis elements of layer
-> f; the cell modules C(f', lambda) with f' <= f and their Gram forms live
-there.  One extra relation, a generator of J_{f+1}, is imposed: e_1 at
-f = 0 (the quotient H_r (x) H_s), e_1 g_1 g*_1^{-1} e_1 = e_1 e_2 (identity
-tool.d.1) at f = 1, and in general e^{k+1} = e^k g_k g*_k^{-1} e_k with the
-trailing invertible letters dropped.  The closed dimension must be
-layer_dimension(r, s, f) = sum over k <= f of |D^k|^2 (r-k)! (s-k)!, which
-is (r+s)! at f = min(r, s).
+An engine at layer f < min(r, s) closes the layer block e^f B/J_{f+1},
+a right module holding the cell modules C(f, lambda) and their Gram forms;
+J_{f+1} = B e^{f+1} B is spanned by the cellular basis elements of layer
+> f.  It is B/((x_f - rho^f) B + J_{f+1}), x_f = e^f g_1 ... g_f: as
+x_f e^f = rho^f e^f, x_f/rho^f is an idempotent fixing e^f.  The layer
+relation, a generator of J_{f+1}, holds at every state: e_1 at f = 0,
+e_1 g_1 g*_1^{-1} e_1 = e_1 e_2 (tool.d.1) at f = 1, and e^{k+1} =
+e^k g_k g*_k^{-1} e_k up to a unit in general.  The root relation
+root (x_f - rho^f) = 0 holds at the identity state only, where it is
+evaluated first; at f = 0 it is trivial and the block is the algebra
+H_r (x) H_s.  A block of layer f >= 1 is not an algebra: multiply, sigma
+and central_element refuse it.
 
 At each state taken from the queue, all relations are evaluated through one
 prefix memo {word prefix: vector}, so a prefix shared by several relation
@@ -148,11 +152,12 @@ class AlgebraElement:
 
 
 class AlgebraEngine:
-    """Normal-form model of the algebra, or of its layer quotient.
+    """Normal-form model of the algebra, or of one of its layer blocks.
 
-    layer (default min(r, s), the full algebra) is the largest layer f whose
-    cellular basis elements survive: the engine closes B/J_{f+1}.  Its
-    dimension is verified against layer_dimension after closure.
+    layer (default min(r, s), the full algebra) is the layer f whose
+    cellular basis elements survive: below min(r, s) the engine closes the
+    block e^f B/J_{f+1}.  Its dimension is verified against layer_dimension
+    after closure.
     """
 
     def __init__(self, r, s, field, layer=None, max_states=None):
@@ -182,10 +187,18 @@ class AlgebraEngine:
         self._qdiff = f.raw_sub(q, f.raw_div(one, q))
         self.tokens = [E_TOK] + [g_tok(i) for i in range(1, r)] \
             + [gs_tok(j) for j in range(1, s)]
+        self.is_block = layer < top
         self.relations = self._defining_relations()
-        if layer < top:
+        self._root_relations = []
+        if self.is_block:
             self.relations.append(
                 self.expand_letters(self._layer_letters(layer)))
+        if self.is_block and layer > 0:
+            # root * (x_f - rho^f) = 0, x_f = e^f g_1 ... g_f
+            x_f = self.ecap_letters(layer) \
+                + [(g_tok(k), 1) for k in range(1, layer + 1)]
+            self._root_relations.append(self.expand_letters(x_f)
+                                        + [((-f.rho() ** layer).val, ())])
         # data derived from the engine lives exactly as long as the engine:
         # sigma images of basis vectors, the cellular coordinate system
         # (cellular.cellular_data) and the cell modules by label
@@ -193,6 +206,12 @@ class AlgebraEngine:
         self._sigma_cache = {}
         self._cell_data = None
         self._modules = {}
+
+    def _require_algebra(self, what):
+        """A block of layer f >= 1 is a right module, not an algebra."""
+        if self.is_block and self.layer > 0:
+            raise EngineError("%s needs an algebra; the layer-%d block is a "
+                              "right module" % (what, self.layer))
 
     def _layer_letters(self, f):
         """Letters of a generator of J_{f+1} = B e^{f+1} B: e^1 = e_1 and
@@ -310,7 +329,9 @@ class AlgebraEngine:
             if st in self._subst:
                 continue
             memo = {(): {st: one}}
-            for rel in self.relations:
+            rels = self.relations if st else \
+                self._root_relations + self.relations
+            for rel in rels:
                 self._impose(self._eval_relation(memo, rel))
                 if st in self._subst:
                     break
@@ -511,6 +532,10 @@ class AlgebraEngine:
             + [(E_TOK, 1)] + self._g_range(1, i) \
             + inv_letters(self._gs_range(j, 1))
 
+    def ecap_letters(self, f):
+        """Letters of e^f = e_{1,1} ... e_{f,f}."""
+        return [x for i in range(1, f + 1) for x in self.e_ij_letters(i, i)]
+
     def e_ij(self, i, j):
         return self.from_letters(self.e_ij_letters(i, j))
 
@@ -545,14 +570,15 @@ class AlgebraEngine:
 
 
 def layer_dimension(r, s, f):
-    """dim B/J_{f+1} = sum over k <= f of |D^k|^2 (r-k)! (s-k)!."""
-    return sum(coset_count(r, s, k) ** 2 * math.factorial(r - k)
-               * math.factorial(s - k) for k in range(f + 1))
+    """(r+s)! at f = min(r, s), else dim e^f B/J_{f+1}: |D^f| (r-f)! (s-f)!"""
+    if f == min(r, s):
+        return math.factorial(r + s)
+    return coset_count(r, s, f) * math.factorial(r - f) * math.factorial(s - f)
 
 
 def build_engine(r, s, field_tag, layer=None, **kwargs):
-    """Build the algebra engine (or its quotient at a layer below
-    min(r, s)) over a field or field-spec string."""
+    """Build the algebra engine (or its block at a layer below min(r, s))
+    over a field or field-spec string."""
     field = field_tag
     if isinstance(field_tag, str):
         fields = fields_from_spec(field_tag)
@@ -567,6 +593,7 @@ def multiply(x, y):
     """Product in the engine; y is expanded through its basis words."""
     x._check(y)
     eng = x.engine
+    eng._require_algebra("multiply")
     iaxpy = eng.field.vec_iaxpy
     act = eng.act_table
     out = {}
@@ -584,6 +611,7 @@ def multiply(x, y):
 def sigma(x):
     """The anti-involution fixing all generators."""
     eng = x.engine
+    eng._require_algebra("sigma")
     iaxpy = eng.field.vec_iaxpy
     cache = eng._sigma_cache
     out = {}
@@ -607,6 +635,7 @@ def central_element(engine, r=None, s=None):
     of that subalgebra, viewed inside the ambient one.
     """
     eng = engine
+    eng._require_algebra("central_element")
     r = eng.r if r is None else r
     s = eng.s if s is None else s
     if not (1 <= r <= eng.r and 1 <= s <= eng.s):
@@ -794,9 +823,9 @@ def subalgebra_maps(engine, f):
 # JSON export / import
 
 def engine_to_json(engine):
-    """Serialize a full engine deterministically; a layer quotient has no
+    """Serialize a full engine deterministically; a layer block has no
     serialized form, so no cache file holds one."""
-    if engine.layer < min(engine.r, engine.s):
+    if engine.is_block:
         raise EngineError("a layer quotient is not serialized")
     field = engine.field
     data = {

@@ -232,6 +232,26 @@ def test_validate_cell_datum_needs_an_anchor(b21, anchors):
         validate_cell_datum(b21, alternate_anchors=anchors)
 
 
+def test_block_cellular_data():
+    # the block of layer 1 holds the layer-1 elements whose left index has
+    # the identity coset rep; it is no cellular algebra, and a left index
+    # outside it is no anchor
+    blk = build_engine(3, 2, "gfp:13,2,6", layer=1)
+    data = cellular_data(blk)
+    assert data.labels == [lab for lab in cell_labels(3, 2) if lab.f == 1]
+    assert len(data.items) == blk.dim == 12
+    assert {left.rep for _, left, _, _ in data.items} \
+        == {anchor_label(data.labels[0]).rep}
+    label = data.labels[0]
+    other = next(b for b in data.by_label[label]
+                 if b.rep != anchor_label(label).rep)
+    with pytest.raises(CellularError, match="anchor"):
+        CellModule(blk, label, other)
+    for eng in (blk, build_engine(2, 2, GEN, layer=0)):
+        with pytest.raises(CellularError, match="block"):
+            validate_cell_datum(eng)
+
+
 def test_phi_nondegeneracy_transfer():
     # rank(G_{f,lambda}) > 0 iff the layer-zero form of the small algebra
     # is nonzero, for labels with r != s or f < r
@@ -413,14 +433,16 @@ def test_layer_quotient_gram_matches_full_engine(r, s, spec):
 # SHA-256 of every cellular basis element, one line per item of
 # cellular_data(engine).items: label, left, right and the canonical text of
 # each term in basis order; recorded when each element was still evaluated
-# as one product per (left, right) pair
+# as one product per (left, right) pair.  The entry at layer 1 holds the
+# elements of the block e_1 B/J_2 and was recorded when the block replaced
+# the quotient algebra B/J_2
 CELLULAR_PINS = {
     (3, 2, "generic", None):
         "071f49f6c369a2b4cf94f510c20151e8f1c01d9672b86faff45a05e3d19dc436",
     (2, 2, "q-power:1", None):
         "357452c65161c5272db3fe299fd347ba0ccf7385b416b87c45208be365e05d5e",
     (4, 3, "gfp:13,2,6", 1):
-        "c3d879a5f4792e50d0cfd698bedba6f84c760875015f2b3fe2e77edc26b043a7",
+        "6c426d1ad28b7a9c25748ea0d65e7fa9dcd73bd66d29b3d7040cd52c61bb140a",
 }
 
 

@@ -122,13 +122,13 @@ def _counting_builds(monkeypatch):
 
 
 def test_gram_closes_one_layer_quotient(capsys, monkeypatch):
-    # at f = 1 the Gram form needs only B/J_2, of dimension
-    # 3!3! + 9^2 2!2! = 360 at (3, 3); f = 2 closes the full algebra
+    # at f = 1 the Gram form needs only the block e_1 B/J_2, of dimension
+    # |D^1| 2! 2! = 9 * 4 = 36 at (3, 3); f = 2 closes the full algebra
     built = _counting_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "gram", "--r", "3", "--s", "3",
                            "--field", "gfp:13,2,6", "1", "2/2")
     assert code == EXIT_OK and json.loads(out)["dim"] == 9
-    assert built == [(1, 360)]
+    assert built == [(1, 36)]
     built.clear()
     code, out, _ = run_cli(capsys, "gram", "--r", "3", "--s", "2",
                            "--field", "gfp:13,2,6", "2", "1/-")

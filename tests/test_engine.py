@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwalled.combinat import coset_reps
+from qwalled.combinat import coset_count, coset_reps
 from qwalled.engine import (
     AlgebraElement,
     AlgebraEngine,
@@ -328,7 +328,8 @@ def test_quotient_closure():
 @pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3),
                                  (3, 3), (4, 2)])
 def test_layer_quotient_dimensions(r, s):
-    # sum over k <= f of |D^k|^2 (r-k)! (s-k)!, and (r+s)! at f = min(r, s)
+    # below the top the engine is the block e^f B/J_{f+1}, of dimension
+    # |D^f| (r-f)! (s-f)!; (r+s)! at f = min(r, s)
     top = min(r, s)
     assert layer_dimension(r, s, top) == math.factorial(r + s)
     field = PrimeField(13, 2, 6)
@@ -336,7 +337,9 @@ def test_layer_quotient_dimensions(r, s):
         if r + s <= 5 or f <= 1:
             quo = build_engine(r, s, field, layer=f)
             assert quo.layer == f
-            assert quo.dim == layer_dimension(r, s, f)
+            assert quo.dim == layer_dimension(r, s, f) \
+                == coset_count(r, s, f) * math.factorial(r - f) \
+                * math.factorial(s - f)
 
 
 def test_layer_generator_is_e_power():
@@ -348,6 +351,42 @@ def test_layer_generator_is_e_power():
     assert gens[0] == e[0]
     assert gens[1] == e[0] * e[1]
     assert gens[2] * eng.g_el(1) * eng.gs_el(1, -1) == e[0] * e[1] * e[2]
+
+
+@pytest.mark.parametrize("spec", ["generic", "delta-zero"])
+def test_root_relation_identity(spec):
+    # the root relation of the block rests on e^f g_1 ... g_f e^f =
+    # rho^f e^f, which holds with delta = 0, where e^f e^f = 0
+    eng = build_engine(3, 3, spec)
+    for f in (1, 2):
+        ef = eng.from_letters(eng.ecap_letters(f))
+        x_f = eng.from_letters([(g_tok(k), 1) for k in range(1, f + 1)], ef)
+        assert x_f * ef == ef.scale(eng.field.rho() ** f)
+        assert (ef * ef).is_zero() == (spec == "delta-zero")
+
+
+@pytest.fixture(scope="module")
+def block22():
+    return build_engine(2, 2, GEN, layer=1)
+
+
+def test_block_refuses_multiply(block22):
+    with pytest.raises(EngineError, match="right module"):
+        multiply(block22.one(), block22.e1())
+    # the layer-0 block is the algebra H_2 (x) H_2
+    quo = build_engine(2, 2, GEN, layer=0)
+    assert multiply(quo.g_el(1), quo.g_el(1)) \
+        == quo.g_el(1).scale(quo.field.q() - 1 / quo.field.q()) + quo.one()
+
+
+def test_block_refuses_sigma(block22):
+    with pytest.raises(EngineError, match="right module"):
+        sigma(block22.e1())
+
+
+def test_block_refuses_central_element(block22):
+    with pytest.raises(EngineError, match="right module"):
+        central_element(block22)
 
 
 def test_layer_quotient_is_not_serialized(b22):
@@ -409,6 +448,12 @@ def test_max_states_guard():
         AlgebraEngine(3, 2, PrimeField(13, 2, 6), max_states=200)
     with pytest.raises(EngineError, match="exceeded 100 states"):
         build_engine(3, 3, PrimeField(13, 2, 6), layer=1, max_states=100)
+
+
+def test_block_closure_size_guard():
+    # the (4, 3) block of layer 1 creates 1,298 states to keep 144
+    with pytest.raises(EngineError, match="exceeded 1000 states"):
+        build_engine(4, 3, "gfp:13,2,6", layer=1, max_states=1000)
 
 
 def test_closure_never_multiplies_by_one(monkeypatch):

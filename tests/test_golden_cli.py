@@ -86,6 +86,21 @@ def test_golden_output(case):
     assert out == case["stdout"]
 
 
+BENCH_EXPECTED = DATA.parents[2] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("shape", ["3/2", "3/1,1", "2,1/2", "2,1/1,1",
+                                   "1,1,1/2", "1,1,1/1,1"])
+def test_large_gram_matches_benchmark(shape):
+    # the layer-1 Gram forms at (4, 3) over GF(13), closed on the 144-dim
+    # block, print what the benchmark stores for them
+    argv = ["gram", "--r", "4", "--s", "3", "--field", "gfp:13,2,6",
+            "--max-total", "7", "1", shape]
+    with open(BENCH_EXPECTED) as handle:
+        expected = json.load(handle)[" ".join(argv)]
+    assert run_argv(argv) == (0, expected)
+
+
 def test_golden_set_is_complete():
     assert [c["argv"] for c in _cases()] == golden_argvs()
 
