@@ -6,7 +6,7 @@ respect to this basis give the cell modules, their generator actions, the
 invariant Gram matrices, and the radical ranks.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinat import (
     Bipartition,
@@ -35,22 +35,18 @@ class CellularError(Exception):
 # ---------------------------------------------------------------------------
 # labels
 
-@dataclass(frozen=True)
-class CellLabel:
-    """A layer f together with a bipartition of (r-f, s-f)."""
-    f: int
-    shape: Bipartition
+class CellLabel(namedtuple("CellLabel", "f shape")):
+    """A layer f together with a bipartition of (r-f, s-f).
 
-    @property
-    def pair(self):
-        return (self.f, self.shape)
+    A tuple, so it equals the bare pair (f, shape); every dict keyed by
+    labels holds CellLabel keys only.
+    """
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CellBasisLabel:
+class CellBasisLabel(namedtuple("CellBasisLabel", "tab rep")):
     """A pair of standard tableaux plus a coset representative."""
-    tab: tuple
-    rep: CosetRep
+    __slots__ = ()
 
 
 def cell_label(r, s, f, shape):
@@ -337,7 +333,7 @@ class CellModule:
                     raise CellularError(
                         "action leaks to left index %r" % (left2,))
                 row[self.pos[right2]] = c
-            elif label_cmp(lab2.pair, self.label.pair) != 1:
+            elif label_cmp(lab2, self.label) != 1:
                 raise CellularError(
                     "action leaks to non-higher label %r" % (lab2,))
         return row

@@ -8,13 +8,11 @@ status a shell reports for a writer killed by a closed pipe).
 """
 
 import argparse
-import hashlib
 import json
+import math
 import os
 import re
 import sys
-import tempfile
-from dataclasses import dataclass, field as dc_field
 
 from .combinat import Bipartition, CombinatError, Partition
 from .engine import (
@@ -26,6 +24,7 @@ from .engine import (
     verify_relations,
 )
 from .groundfield import (
+    EXPONENT_MAX,
     FieldError,
     GenericField,
     OneVarField,
@@ -52,8 +51,6 @@ from .repthy import (
     semisimplicity,
 )
 
-import math
-
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
@@ -69,18 +66,21 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
-    r: int
-    s: int
-    field_spec: str
-    command: str
-    fmt: str = "json"
-    cache_dir: str = None
-    max_total: int = DEFAULT_MAX_TOTAL
-    args: dict = dc_field(default_factory=dict)
-    # the generic engine, once a command of this run has loaded it
-    generic: object = dc_field(default=None, init=False)
+    """The arguments of one call."""
+
+    def __init__(self, r, s, field_spec, command, fmt="json", cache_dir=None,
+                 max_total=DEFAULT_MAX_TOTAL, args=None):
+        self.r = r
+        self.s = s
+        self.field_spec = field_spec
+        self.command = command
+        self.fmt = fmt
+        self.cache_dir = cache_dir
+        self.max_total = max_total
+        self.args = {} if args is None else args
+        # the generic engine, once a command of this run has loaded it
+        self.generic = None
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,8 @@ def _cache_path(config, field):
 def _read_cache(path, config, field):
     """The cached engine, or None when the file is missing, fails its
     SHA-256, cannot be decoded, or holds an engine for another key."""
+    # only cache calls pay for hashlib
+    import hashlib
     try:
         with open(path) as handle:
             digest, _, text = handle.read().partition("\n")
@@ -181,6 +183,8 @@ def _cache_error(path, reason):
 
 
 def _write_cache(path, cache_dir, engine):
+    import hashlib
+    import tempfile
     # a rename is atomic, so no reader ever sees a partial file
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
@@ -444,8 +448,8 @@ def cmd_sweep(config):
     amax = config.args.get("amax")
     if amax is None:
         amax = config.r + config.s
-    elif amax < 0:
-        raise UsageError("--amax must be at least 0")
+    elif not 0 <= amax <= EXPONENT_MAX:
+        raise UsageError("--amax must be between 0 and %d" % EXPONENT_MAX)
     mode = config.args.get("mode", "both")
     rows = []
     for a in range(-amax, amax + 1):

@@ -4,10 +4,8 @@ distinguished coset representatives indexing the arc placements.
 Tableaux for the layer-f piece of the algebra carry entries f+1, ..., f+n
 so that no re-indexing is needed when they meet the generators g_{f+1}, ...
 """
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -230,11 +228,8 @@ def labels(r, s):
 # ---------------------------------------------------------------------------
 # nodes
 
-@dataclass(frozen=True)
-class Node:
-    row: int
-    col: int
-    side: int = 1
+class Node(namedtuple("Node", "row col side", defaults=(1,))):
+    __slots__ = ()
 
     @property
     def residue(self):

@@ -45,11 +45,8 @@ stored (an action-table row, a substitution, a pivot row or combination)
 is never passed as u.  ``PrimeField`` overrides the kernel with one integer
 ``%`` per term.
 """
-from __future__ import annotations
-
 import math
 import operator
-from fractions import Fraction
 
 from math import gcd as _int_gcd
 
@@ -862,6 +859,10 @@ class GenericField(_FunctionField):
         return "GenericField()"
 
 
+# the largest |n| of a field rho = +-q^n
+EXPONENT_MAX = 100
+
+
 class OneVarField(_FunctionField):
     """Q(q) with rho specialized to sign * q^n; every exponent of rho in a
     raw value is 0."""
@@ -873,6 +874,10 @@ class OneVarField(_FunctionField):
         if sign not in (1, -1):
             raise FieldError("sign must be +-1")
         self.n = int(n)
+        if abs(self.n) > EXPONENT_MAX:
+            # delta = (rho - rho^-1) / (q - q^-1) has |n| terms
+            raise FieldError("|n| in rho = +-q^n must be at most %d"
+                             % EXPONENT_MAX)
         self.sign = sign
         self._rho_val = ({(self.n, 0): sign}, 0, 0)
 
@@ -900,11 +905,14 @@ class OneVarField(_FunctionField):
 
 
 class RationalField(Field):
-    """Q with numeric q and rho."""
+    """Q with numeric q and rho, given as anything Fraction accepts."""
 
     tag = "rational"
 
     def __init__(self, q, rho):
+        # only rational fields pay for importing fractions (and decimal)
+        from fractions import Fraction
+        self._fraction = Fraction
         q = Fraction(q)
         rho = Fraction(rho)
         if q == 0 or rho == 0:
@@ -915,12 +923,12 @@ class RationalField(Field):
         self._rho_val = rho
 
     def raw_from_int(self, n):
-        return Fraction(n)
+        return self._fraction(n)
 
     def raw_from_laurent(self, lp):
         q, rho = self._q_val, self._rho_val
         return sum((c * q ** a * rho ** b for (a, b), c in lp.terms.items()),
-                   Fraction(0))
+                   self._fraction(0))
 
     def quantum_characteristic(self):
         return math.inf
@@ -932,7 +940,7 @@ class RationalField(Field):
         return "%d / %d" % (v.numerator, v.denominator)
 
     def parse(self, text):
-        return FieldElement(self, Fraction(text.replace(" ", "")))
+        return FieldElement(self, self._fraction(text.replace(" ", "")))
 
     def __eq__(self, other):
         return (isinstance(other, RationalField)
@@ -948,15 +956,28 @@ class RationalField(Field):
         return "RationalField(q=%s, rho=%s)" % (self._q_val, self._rho_val)
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
+# GF(p) takes p below this bound, so that the trial divisions testing p and
+# factoring p - 1 take at most about 10^6 steps each
+PRIME_BOUND = 10 ** 12
+
+
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _is_prime(p):
+    return p > 1 and _prime_factors(p) == [p]
 
 
 class PrimeField(Field):
@@ -969,6 +990,8 @@ class PrimeField(Field):
     tag = "gfp"
 
     def __init__(self, p, q, rho):
+        if p >= PRIME_BOUND:
+            raise FieldError("p must be below %d" % PRIME_BOUND)
         if p % 2 == 0 or not _is_prime(p):
             raise FieldError("p must be an odd prime")
         q, rho = q % p, rho % p
@@ -1021,11 +1044,13 @@ class PrimeField(Field):
         qq = (self._q_val * self._q_val) % self.p
         if qq == 1:
             return self.p
-        # least e with (q^{2e}-1)/(q^2-1) = 0, i.e. the order of q^2
-        acc, e = qq, 1
-        while acc != 1:
-            acc = (acc * qq) % self.p
-            e += 1
+        # least e with (q^{2e}-1)/(q^2-1) = 0, i.e. the order of q^2: it
+        # divides p - 1, so strip from p - 1 each prime factor l for which
+        # q^(2e/l) is still 1
+        e = self.p - 1
+        for ell in _prime_factors(e):
+            while e % ell == 0 and pow(qq, e // ell, self.p) == 1:
+                e //= ell
         return e
 
     def to_text(self, elem):
@@ -1113,7 +1138,7 @@ def fields_from_spec(spec):
             raise FieldError("bad delta-zero spec %r" % spec)
         if head == "rational":
             qs, rs = rest.split(",")
-            return [RationalField(Fraction(qs), Fraction(rs))]
+            return [RationalField(qs, rs)]
         if head == "gfp":
             ps, qs, rs = rest.split(",")
             return [PrimeField(int(ps), int(qs), int(rs))]

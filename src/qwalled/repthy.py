@@ -7,7 +7,7 @@ explicit submodule witnesses.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinat import (
     Bipartition,
@@ -52,16 +52,15 @@ class RepError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CentralCharacter:
+class CentralCharacter(namedtuple("CentralCharacter", "label scalar")):
     """The scalar by which the central element acts on one cell module."""
 
-    label: object
-    scalar: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SemisimplicityVerdict:
+class SemisimplicityVerdict(namedtuple("SemisimplicityVerdict",
+                                       "verdict reason witnesses",
+                                       defaults=((),))):
     """Outcome of the semisimplicity criterion.
 
     reason is one of "quantum characteristic too small",
@@ -69,9 +68,7 @@ class SemisimplicityVerdict:
     witnesses lists the labels found with singular Gram matrices.
     """
 
-    verdict: bool
-    reason: str
-    witnesses: tuple = ()
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

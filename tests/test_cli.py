@@ -215,9 +215,13 @@ def test_usage_errors(capsys):
 
 @pytest.mark.parametrize("spec", ["rational:abc", "gfp:7", "q-power:x",
                                   "gfp:7,1,2", "generic:abc", "generic:",
-                                  "delta-zero:", "q-power:3:"])
+                                  "delta-zero:", "q-power:3:",
+                                  "q-power:100000000000", "rho2:99999999999",
+                                  "gfp:1000000000000000000000000000057,2,3"])
 def test_bad_field_is_a_usage_error(capsys, spec):
-    # gfp:7,1,2 parses, but q^2 = 1 leaves delta undefined
+    # gfp:7,1,2 parses, but q^2 = 1 leaves delta undefined; the huge
+    # exponents would make delta a polynomial with 10^11 terms, and the
+    # huge prime would take 10^15 trial divisions
     code, out, err = run_cli(capsys, "dims", "--r", "2", "--s", "1",
                              "--field", spec)
     assert code == EXIT_USAGE and out == ""
@@ -406,11 +410,14 @@ def test_edited_cache_is_rebuilt(tmp_path, capsys):
     assert path.read_text() == written
 
 
-def test_cli_never_imports_sympy():
+def test_cli_never_imports_sympy(tmp_path):
     # values of R need no gcd, and the fractions that leave R are reduced
     # by the native heuristic gcd: importing the CLI, a GF(p) call, a
     # generic closure and the generic Gram determinants whose columns hold
-    # no unit of R all leave sympy unloaded
+    # no unit of R all leave sympy unloaded.  Start-up loads no standard
+    # module that only some calls use: fractions waits for a rational
+    # field and hashlib and tempfile for the engine cache.  The child runs
+    # with -S, so that no site hook preloads any of them.
     import os
     import subprocess
     import sys
@@ -420,7 +427,15 @@ def test_cli_never_imports_sympy():
     script = "\n".join([
         "import contextlib, io, sys",
         "import qwalled.cli",
-        "assert 'sympy' not in sys.modules, 'import qwalled.cli'",
+        "LAZY = ('dataclasses', 'inspect', 'fractions', 'decimal',",
+        "        'hashlib', 'tempfile', 'sympy')",
+        "def call(argv):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert qwalled.cli.main(argv) == 0, argv",
+        "    return [m for m in LAZY if m in sys.modules]",
+        "assert [m for m in LAZY if m in sys.modules] == [], 'import'",
+        # every layer stays eager, so that a tracer sees all of them
+        "assert 'qwalled.repthy' in sys.modules",
         "for argv in (['gram', '--r', '2', '--s', '1', '--field',",
         "              'gfp:13,2,6', '1', '1/-'],",
         "             ['dims', '--r', '3', '--s', '2', '--field', 'generic'],",
@@ -431,14 +446,20 @@ def test_cli_never_imports_sympy():
         "             ['semisimple', '--r', '3', '--s', '2', '--field',",
         "              'generic', '--mode', 'gram'],",
         "             ['sweep', '--r', '2', '--s', '1', '--amax', '1']):",
-        "    with contextlib.redirect_stdout(io.StringIO()):",
-        "        assert qwalled.cli.main(argv) == 0",
-        "    assert 'sympy' not in sys.modules, argv",
+        "    assert call(argv) == [], argv",
+        "assert 'fractions' in call(['gram', '--r', '2', '--s', '1',",
+        "                            '--field', 'rational:2,3', '1', '1/-'])",
+        "assert 'hashlib' not in sys.modules",
+        "assert {'hashlib', 'tempfile'} <= set(call(",
+        "    ['dims', '--r', '2', '--s', '1', '--field', 'gfp:13,2,6',",
+        "     '--cache-dir', sys.argv[1]]))",
     ])
-    proc = subprocess.run([sys.executable, "-c", script],
+    proc = subprocess.run([sys.executable, "-S", "-c", script,
+                           str(tmp_path / "cache")],
                           stderr=subprocess.PIPE,
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
+    assert len(os.listdir(tmp_path / "cache")) == 1
 
 
 @pytest.mark.parametrize("spec,mode,fields,closures", [

@@ -158,6 +158,50 @@ def test_quantum_characteristic_matches_defining_sum():
         assert acc.is_zero()
 
 
+def _order_by_stepping(p, qv):
+    # the order of q^2 by walking its powers: O(p) steps
+    qq = qv * qv % p
+    if qq == 1:
+        return p
+    acc, e = qq, 1
+    while acc != 1:
+        acc = acc * qq % p
+        e += 1
+    return e
+
+
+def test_quantum_characteristic_matches_stepping():
+    for p in range(3, 200, 2):
+        if not groundfield._is_prime(p):
+            continue
+        for qv in range(1, p):
+            assert (PrimeField(p, qv, 1).quantum_characteristic()
+                    == _order_by_stepping(p, qv)), (p, qv)
+
+
+@pytest.mark.parametrize("p,qv", [(1_000_000_007, 2), (999_999_999_989, 3)])
+def test_quantum_characteristic_of_large_primes(p, qv):
+    # 4 is a square mod 10^9 + 7, whose p - 1 is 2 * 500000003; the second
+    # is the largest prime below the bound, where p - 1 = 2^2 11 124847 182041
+    e = PrimeField(p, qv, 1).quantum_characteristic()
+    qq = qv * qv % p
+    assert pow(qq, e, p) == 1
+    assert all(pow(qq, e // ell, p) != 1
+               for ell in groundfield._prime_factors(e))
+    if p == 1_000_000_007:
+        assert e == 500_000_003
+
+
+def test_prime_factors():
+    def prime(d):
+        return d > 1 and all(d % k for k in range(2, d))
+    for n in range(500):
+        assert groundfield._is_prime(n) == prime(n)
+        if n:
+            assert groundfield._prime_factors(n) == [
+                d for d in range(2, n + 1) if n % d == 0 and prime(d)]
+
+
 # ---------------------------------------------------------------------------
 # ring axioms and canonicity
 
@@ -538,6 +582,17 @@ def test_prime_field_validation():
         PrimeField(2, 1, 1)
     with pytest.raises(FieldError):
         PrimeField(11, 0, 1)
+    with pytest.raises(FieldError, match="below"):
+        PrimeField(groundfield.PRIME_BOUND + 39, 2, 3)  # a prime
+
+
+def test_exponent_bound():
+    n = groundfield.EXPONENT_MAX
+    assert OneVarField(-n, -1).n == -n
+    for spec in ("q-power:%d" % (n + 1), "q-power:-%d:neg" % (n + 1),
+                 "rho2:%d" % (n + 1)):
+        with pytest.raises(FieldError, match="at most"):
+            fields_from_spec(spec)
 
 
 def test_immutability():
