@@ -97,13 +97,13 @@ def _perm_letters(w, mk):
     return [(mk(i), 1) for i in reduced_word(w)]
 
 
-def symmetrizer_factor(engine, lam, offset, starred, kind="n"):
-    """n_lam (kind "n") or m_lam (kind "m") of the row stabilizer of lam
-    placed at the offset, on the g strands or (starred) the g* strands."""
+def symmetrizer_factor(engine, lam, offset, starred):
+    """n_lam of the row stabilizer of lam placed at the offset, on the g
+    strands or (starred) the g* strands."""
     alg = HeckeAlgebra(engine.s if starred else engine.r, engine.field)
-    sym = alg.n_sym(lam, offset) if kind == "n" else alg.m_sym(lam, offset)
     mk = gs_tok if starred else g_tok
-    return [(c, _perm_letters(w, mk)) for w, c in sym.items()]
+    return [(c, _perm_letters(w, mk))
+            for w, c in alg.n_sym(lam, offset).items()]
 
 
 def label_symmetrizers(engine, label):
@@ -147,9 +147,9 @@ def sigma_factors(factors):
             for factor in reversed(factors)]
 
 
-def evaluate_factors(engine, factors, x=None):
-    """Right-multiply x (default the identity) by the product of factors."""
-    x = engine.one() if x is None else x
+def evaluate_factors(engine, factors):
+    """The product of factors."""
+    x = engine.one()
     for factor in factors:
         if len(factor) == 1:
             x = engine.from_letters(factor[0][1], x)
@@ -383,12 +383,6 @@ class CellModule:
     def action_trace(self, elem):
         return FieldElement(self.field,
                             _mat_trace(self.field, self.action_matrix(elem)))
-
-    def action_rank(self, elem):
-        mat = self.action_matrix(elem)
-        return matrix_rank(self.field, [
-            [row.get(j, self.field.raw_from_int(0))
-             for j in range(self.dim)] for row in mat])
 
     def factors_matrix(self, factors):
         """Action matrix of a product of factors."""

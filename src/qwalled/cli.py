@@ -147,15 +147,20 @@ def _read_cache(path, config, field):
     return engine
 
 
-def load_engine(config, field, layer=None):
-    """The (r, s) engine over the field, through the cache when there is
-    one; with a layer below min(r, s), the layer block, closed afresh and
-    never cached."""
+def _check_size(config):
+    """Refuse r + s above --max-total before any work that grows with it."""
     if config.r + config.s > config.max_total:
         raise UsageError(
             "r + s = %d exceeds the size bound %d; raise it with "
             "--max-total if you accept the runtime"
             % (config.r + config.s, config.max_total))
+
+
+def load_engine(config, field, layer=None):
+    """The (r, s) engine over the field, through the cache when there is
+    one; with a layer below min(r, s), the layer block, closed afresh and
+    never cached."""
+    _check_size(config)
     if layer is not None:
         return build_engine(config.r, config.s, field, layer=layer)
     if not config.cache_dir:
@@ -379,6 +384,8 @@ def cmd_central(config, field):
 
 
 def cmd_simples(config, field):
+    # the label list grows with the number of bipartitions of r and s
+    _check_size(config)
     labels = classify_simples(config.r, config.s, field)
     rows = [{"f": label.f, "shape": _shape_text(label)} for label in labels]
     report = {

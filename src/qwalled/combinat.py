@@ -54,12 +54,6 @@ class Partition:
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
 
-    def conjugate(self):
-        if not self.parts:
-            return Partition()
-        return Partition(tuple(
-            sum(1 for p in self.parts if p > j) for j in range(self.parts[0])))
-
     def partial_sums(self, length=None):
         if length is None:
             length = len(self.parts)
@@ -96,9 +90,6 @@ class Partition:
             return False
         prev = self[i - 2] if i >= 2 else None
         return node.col == self[i - 1] + 1 and (i == 1 or prev >= self[i - 1] + 1)
-
-    def contains_box(self, i, j):
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
 
     def boxes(self):
         return [(i + 1, j + 1)
@@ -161,9 +152,6 @@ class Bipartition:
     @property
     def size(self):
         return (self.first.size, self.second.size)
-
-    def conjugate(self):
-        return Bipartition(self.first.conjugate(), self.second.conjugate())
 
     def __eq__(self, other):
         return (isinstance(other, Bipartition)
@@ -310,14 +298,6 @@ class StdTableau:
     def size(self):
         return sum(len(row) for row in self.rows)
 
-    def entry(self, i, j):
-        return self.rows[i - 1][j - 1]
-
-    def restrict(self, k):
-        """Remove all entries strictly bigger than k."""
-        rows = [tuple(x for x in row if x <= k) for row in self.rows]
-        return StdTableau([r for r in rows if r], self.offset)
-
     def __eq__(self, other):
         return (isinstance(other, StdTableau)
                 and (self.rows, self.offset) == (other.rows, other.offset))
@@ -335,21 +315,6 @@ def t_row(lam, offset=0):
     for p in lam.parts:
         rows.append(tuple(range(k + 1, k + p + 1)))
         k += p
-    return StdTableau(rows, offset)
-
-
-def t_col(lam, offset=0):
-    """The column-reading tableau t_lambda."""
-    cells = {}
-    k = offset
-    if lam.parts:
-        for j in range(1, lam.parts[0] + 1):
-            for i in range(1, len(lam.parts) + 1):
-                if lam.contains_box(i, j):
-                    k += 1
-                    cells[(i, j)] = k
-    rows = [tuple(cells[(i + 1, j + 1)] for j in range(p))
-            for i, p in enumerate(lam.parts)]
     return StdTableau(rows, offset)
 
 
@@ -403,11 +368,6 @@ def perm_identity(n):
     return tuple(range(1, n + 1))
 
 
-def perm_mul(u, v):
-    """(uv)(i) = v(u(i)): apply u first, then v."""
-    return tuple(v[u[i] - 1] for i in range(len(u)))
-
-
 def perm_inverse(u):
     out = [0] * len(u)
     for i, x in enumerate(u):
@@ -436,19 +396,6 @@ def reduced_word(u):
     return word
 
 
-def perm_from_word(word, n):
-    """Product of adjacent transpositions under perm_mul, in word order.
-
-    Right-multiplying u by s_i swaps the values i and i+1 in the one-line
-    form of u.
-    """
-    u = list(perm_identity(n))
-    for i in word:
-        a, b = u.index(i), u.index(i + 1)
-        u[a], u[b] = u[b], u[a]
-    return tuple(u)
-
-
 def d_perm(t):
     """The unique permutation w with t^lambda . w = t, as a one-line
     permutation of {1, ..., offset+n} fixing 1..offset.
@@ -462,11 +409,6 @@ def d_perm(t):
         for j, x in enumerate(row):
             out[x - 1] = t.rows[i][j]
     return tuple(out)
-
-
-def apply_perm_to_tableau(t, w):
-    rows = [tuple(w[x - 1] for x in row) for row in t.rows]
-    return StdTableau(rows, t.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +458,6 @@ class CosetRep:
             out.extend(("gs", j) for j in s_range_word(k, self.j_list[k - 1]))
         return out
 
-    def perm_pair(self, r, s):
-        """The element of S_r x S_s this rep stands for."""
-        u, v = perm_identity(r), perm_identity(s)
-        for k in range(self.f, 0, -1):
-            for i in s_range_word(k, self.i_list[k - 1]):
-                u = perm_mul(u, perm_from_word([i], r))
-            for j in s_range_word(k, self.j_list[k - 1]):
-                v = perm_mul(v, perm_from_word([j], s))
-        return (u, v)
-
     def __eq__(self, other):
         return (isinstance(other, CosetRep)
                 and (self.i_list, self.j_list) == (other.i_list, other.j_list))
@@ -554,7 +486,7 @@ def coset_count(r, s, f):
 
 
 # ---------------------------------------------------------------------------
-# e-restriction and the semistandard truncation oracle
+# e-restriction
 
 def e_restricted(bip, e):
     """True iff both components have all successive gaps < e (including the
@@ -566,62 +498,3 @@ def e_restricted(bip, e):
             if lam[i] - lam[i + 1] >= e:
                 return False
     return True
-
-
-def content_of_tableau(s, mu):
-    """Replace each entry i of s by the row of i in t^mu."""
-    tmu = t_row(mu, s.offset)
-    rowof = {}
-    for i, row in enumerate(tmu.rows):
-        for x in row:
-            rowof[x] = i + 1
-    return tuple(tuple(rowof[x] for x in row) for row in s.rows)
-
-
-def is_semistandard(rows):
-    rows = tuple(tuple(r) for r in rows)
-    for row in rows:
-        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-            return False
-    for i in range(len(rows) - 1):
-        for j in range(len(rows[i + 1])):
-            if rows[i][j] >= rows[i + 1][j]:
-                return False
-    return True
-
-
-def semistandard_and_truncation_check(lam, mu, ss_rows, s):
-    """Oracle for the truncation property of semistandard fillings.
-
-    Requires mu to end with a part equal to 1, ss_rows to be a semistandard
-    lambda-filling of content mu, and s a standard lambda-tableau whose
-    content rewrite equals ss_rows.  Returns (verdict, strict) where verdict
-    says shape(s restricted below its top entry) dominates nu = mu minus its
-    last box, and strict marks proper dominance; equality holds exactly when
-    lambda is nu plus one addable node."""
-    n = lam.size
-    if mu.size != n:
-        raise CombinatError("sizes differ")
-    if not mu.parts or mu.parts[-1] != 1:
-        raise CombinatError("mu must end with a part equal to 1")
-    ss_rows = tuple(tuple(r) for r in ss_rows)
-    if not is_semistandard(ss_rows):
-        raise CombinatError("filling is not semistandard")
-    counts = {}
-    for row in ss_rows:
-        for x in row:
-            counts[x] = counts.get(x, 0) + 1
-    if counts != {i + 1: mu.parts[i] for i in range(len(mu.parts))}:
-        raise CombinatError("filling content differs from mu")
-    if content_of_tableau(s, mu) != ss_rows:
-        raise CombinatError("s does not rewrite to the given filling")
-    nu = Partition(mu.parts[:-1])
-    trunc_shape = s.restrict(s.offset + n - 1).shape
-    cmp_val = dominance_cmp(trunc_shape, nu)
-    verdict = cmp_val in (0, 1)
-    strict = cmp_val == 1
-    if verdict and not strict:
-        grown = any(nu.add_node(p) == lam for p in nodes_addable(nu))
-        if not grown:
-            raise CombinatError("equality without single-node growth")
-    return verdict, strict

@@ -550,24 +550,6 @@ class AlgebraEngine:
     def e_single(self, i):
         return self.e_ij(i, i)
 
-    def etilde12(self):
-        """The idempotent rho^{-1} e_1 g*_1."""
-        if self.s < 2:
-            raise EngineError("needs s >= 2")
-        rho_inv = 1 / self.field.rho()
-        return self.from_letters([(E_TOK, 1), (gs_tok(1), 1)]).scale(rho_inv)
-
-    def f21(self):
-        """The idempotent rho^{-1} e_1 g_1."""
-        if self.r < 2:
-            raise EngineError("needs r >= 2")
-        rho_inv = 1 / self.field.rho()
-        return self.from_letters([(E_TOK, 1), (g_tok(1), 1)]).scale(rho_inv)
-
-    def g_d(self, rep):
-        """The element g_d for a coset representative."""
-        return self.from_letters([(tok, 1) for tok in rep.word_pairs()])
-
 
 def layer_dimension(r, s, f):
     """(r+s)! at f = min(r, s), else dim e^f B/J_{f+1}: |D^f| (r-f)! (s-f)!"""
@@ -750,73 +732,6 @@ def verify_relations(engine):
         for j in range(1, m + 1):
             check("tool.g[%d,%d]" % (i, j), e[i] * e[j], e[j] * e[i])
     return report
-
-
-def subalgebra_maps(engine, f):
-    """Token-level images for the three structural maps at level f.
-
-    Returns a dict with the shifted copy ("shift"), the conjugated copy
-    ("conjugate", needs r >= 2, only at f = 1), and the Hecke-quotient data
-    ("hecke_quotient").  Each entry carries the generator images and a
-    verification flag obtained by transporting the defining relations of the
-    smaller algebra.
-    """
-    eng = engine
-    r, s = eng.r, eng.s
-    if not 0 <= f <= min(r, s):
-        raise EngineError("f out of range")
-    out = {}
-
-    def images_ok(rels, image):
-        fld = eng.field
-        for rel in rels:
-            total = eng.zero()
-            for coeff, word in rel:
-                prod = eng.one()
-                for tok in word:
-                    prod = prod * image[tok]
-                total = total + prod.scale(coeff)
-            if not total.is_zero():
-                return False
-        return True
-
-    rr, ss = r - f, s - f
-    if rr >= 1 and ss >= 1:
-        small = AlgebraEngine(rr, ss, eng.field)
-        image = {E_TOK: eng.e_single(f + 1)}
-        for i in range(1, rr):
-            image[g_tok(i)] = eng.g_el(f + i)
-        for j in range(1, ss):
-            image[gs_tok(j)] = eng.gs_el(f + j)
-        out["shift"] = {"images": image,
-                        "verified": images_ok(small.relations, image),
-                        "target": (rr, ss)}
-    else:
-        out["shift"] = {"images": {}, "verified": r == s == f,
-                        "target": (rr, ss)}
-
-    if f == 1 and r >= 2:
-        small = AlgebraEngine(r - 1, s, eng.field)
-        image = {E_TOK: eng.g_el(1, -1) * eng.e1() * eng.g_el(1)}
-        for i in range(1, r - 1):
-            image[g_tok(i)] = eng.g_el(i + 1)
-        for j in range(1, s):
-            image[gs_tok(j)] = eng.gs_el(j)
-        out["conjugate"] = {"images": image,
-                            "verified": images_ok(small.relations, image),
-                            "target": (r - 1, s)}
-
-    if rr >= 1 and ss >= 1:
-        # the quotient of the level-f subalgebra by its e-ideal is a tensor
-        # product of two Hecke algebras
-        quotient = AlgebraEngine(rr, ss, eng.field, layer=0)
-        out["hecke_quotient"] = {
-            "dim": quotient.dim,
-            "kills_e": quotient.e1().is_zero(),
-            "verified": quotient.dim == math.factorial(rr)
-            * math.factorial(ss) and quotient.e1().is_zero(),
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------

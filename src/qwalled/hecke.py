@@ -42,17 +42,8 @@ class HeckeAlgebra:
             out.append(tuple(w))
         return out
 
-    def _symmetrizer(self, lam, offset, coeff):
-        return {w: coeff(perm_length(w))
-                for w in self.young_subgroup(lam, offset)}
-
-    def m_sym(self, lam, offset=0):
-        """m_lam: sum of q^{l(w)} g_w over the row stabilizer."""
-        q = self.field.q()
-        return self._symmetrizer(lam, offset, lambda l: (q ** l).val)
-
     def n_sym(self, lam, offset=0):
         """n_lam: sum of (-q)^{-l(w)} g_w over the row stabilizer."""
         q = self.field.q()
-        return self._symmetrizer(lam, offset,
-                                 lambda l: ((-q) ** (-l)).val)
+        return {w: ((-q) ** (-perm_length(w))).val
+                for w in self.young_subgroup(lam, offset)}

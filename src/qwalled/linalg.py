@@ -34,7 +34,6 @@ class Echelon:
         self.rows = {}  # pivot key -> normalized row
         self.track = track
         self.combos = {} if track else None  # pivot key -> combo over tags
-        self._count = 0
 
     @property
     def rank(self):
@@ -66,14 +65,14 @@ class Echelon:
         return vec, combo
 
     def insert(self, vec, tag=None):
-        """Insert a vector; returns True if it enlarged the span."""
+        """Insert a vector; returns True if it enlarged the span.  A
+        tracking echelon needs the tag that its combos name vec by."""
         f = self.field
         combo = None
         if self.track:
             if tag is None:
-                tag = ("_row", self._count)
+                raise LinAlgError("a tracking echelon needs a tag")
             combo = {tag: f.raw_from_int(1)}
-        self._count += 1
         res, combo = self.reduce(vec, combo)
         if not res:
             return False
@@ -83,10 +82,6 @@ class Echelon:
         if self.track:
             self.combos[piv] = f.vec_iaxpy({}, inv, combo)
         return True
-
-    def contains(self, vec):
-        res, _ = self.reduce(vec)
-        return not res
 
     def express(self, vec):
         """Write vec as {pivot key: raw coefficient} over the stored rows.
@@ -109,18 +104,12 @@ class Echelon:
         return out
 
 
-def rank(field, vectors):
-    ech = Echelon(field)
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
-
-
 def matrix_rank(field, matrix):
-    return rank(field, [
-        {j: c for j, c in enumerate(row) if not field.raw_is_zero(c)}
-        for row in matrix
-    ])
+    ech = Echelon(field)
+    for row in matrix:
+        # insert drops the zero entries
+        ech.insert(dict(enumerate(row)))
+    return ech.rank
 
 
 def determinant(field, matrix):

@@ -2,19 +2,14 @@
 
 Central characters of cell modules, the classification of simple modules,
 quasi-heredity, the semisimplicity criterion with its Gram cross-check,
-one-arc vanishing loci, branching filtrations, truncation functors, and
-explicit submodule witnesses.
+and branching filtrations.
 """
 
-import math
 from collections import namedtuple
 
 from .combinat import (
     Bipartition,
     Node,
-    Partition,
-    coset_count,
-    count_std,
     e_restricted,
     content_scalar,
     nodes_addable,
@@ -29,7 +24,6 @@ from .engine import (
     inv_letters,
 )
 from .groundfield import FieldError, GenericField, vanishes_under
-from .linalg import Echelon
 from .cellular import (
     _label_text,
     anchor_label,
@@ -37,12 +31,10 @@ from .cellular import (
     cell_labels,
     cell_module,
     cellular_element,
-    evaluate_factors,
     gram_determinant,
     gram_determinant_fraction,
     label_symmetrizers,
     module_dimension,
-    symmetrizer_factor,
 )
 
 DELTA_ZERO_SEMISIMPLE = frozenset({(1, 2), (2, 1), (1, 3), (3, 1)})
@@ -102,17 +94,6 @@ def central_character(engine, label):
     return CentralCharacter(label, scalar)
 
 
-def central_coincidences(r, s, field):
-    """Pairs of distinct labels whose central scalars agree."""
-    scalars = [(lab, central_scalar(lab, field)) for lab in cell_labels(r, s)]
-    out = []
-    for i, (la, ca) in enumerate(scalars):
-        for lb, cb in scalars[i + 1:]:
-            if ca == cb:
-                out.append((la, lb))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # simple modules and quasi-heredity
 
@@ -155,12 +136,6 @@ def _closed_form_verdict(r, s, field):
     return SemisimplicityVerdict(True, "generic")
 
 
-def _generic_cell_module(generic, label):
-    if not isinstance(generic.field, GenericField):
-        raise RepError("needs an engine over the generic field")
-    return cell_module(generic, label)
-
-
 def gram_singular_labels(generic, field):
     """Labels whose Gram matrix is singular over the field.
 
@@ -169,10 +144,12 @@ def gram_singular_labels(generic, field):
     reduced numerator does.  For labels whose denominator vanishes there
     the field's engine is built once and the determinant computed on it.
     """
+    if not isinstance(generic.field, GenericField):
+        raise RepError("needs an engine over the generic field")
     eng = None
     out = []
     for lab in cell_labels(generic.r, generic.s):
-        fraction = gram_determinant_fraction(_generic_cell_module(generic, lab))
+        fraction = gram_determinant_fraction(cell_module(generic, lab))
         try:
             singular = vanishes_under(fraction, field)
         except FieldError:
@@ -208,82 +185,6 @@ def semisimplicity(r, s, field, mode="closed_form", generic=None):
             "closed form says %s but Gram matrices say %s; witnesses %r"
             % (closed.verdict, gram_verdict, witnesses))
     return SemisimplicityVerdict(gram_verdict, closed.reason, witnesses)
-
-
-# ---------------------------------------------------------------------------
-# one-arc vanishing loci
-
-def onearc_zero_locus(generic, kind):
-    """Vanishing set of det G_{1,lambda} for the one-arc hook labels of
-    (r, 1), sampled over rho^2 = q^{2a} with |a| <= r+1 in both sign
-    branches; generic is the (r, 1) engine over the generic field."""
-    from .groundfield import OneVarField
-    r = generic.r
-    if r < 2 or generic.s != 1:
-        raise RepError("needs r >= 2 and s = 1")
-    if kind == "row":
-        shape = Bipartition((r - 1,), ())
-        expected = sorted((-1, r - 1))
-    elif kind == "column":
-        shape = Bipartition((1,) * (r - 1), ())
-        expected = sorted((1, 1 - r))
-    else:
-        raise RepError("kind must be 'row' or 'column'")
-    label = cell_label(r, 1, 1, shape)
-    fraction = gram_determinant_fraction(_generic_cell_module(generic, label))
-    vanishing = []
-    for a in range(-(r + 1), r + 2):
-        hits = [vanishes_under(fraction, OneVarField(a, sign))
-                for sign in (1, -1)]
-        if hits[0] != hits[1]:
-            raise RepError("vanishing at a=%d depends on the sign of rho" % a)
-        if hits[0]:
-            vanishing.append(a)
-    return {
-        "check": "onearc-zero-locus",
-        "r": r,
-        "kind": kind,
-        "label": _label_text(label),
-        "vanishing": vanishing,
-        "expected": expected,
-        "ok": vanishing == expected,
-    }
-
-
-# ---------------------------------------------------------------------------
-# the delta = 0 determinant recomputation
-
-def delta_zero_gram_checks():
-    """det G_{1,lambda} = 0 at both delta = 0 points, for the three labels
-    whose matrices have size 6 or 8."""
-    from .groundfield import OneVarField
-    cases = [
-        (3, 2, Bipartition((2,), (1,))),
-        (4, 1, Bipartition((2, 1), ())),
-        (4, 2, Bipartition((1, 1, 1), (1,))),
-    ]
-    rows = []
-    for r, s, shape in cases:
-        label = cell_label(r, s, 1, shape)
-        size = module_dimension(label, r, s)
-        for sign in (1, -1):
-            field = OneVarField(0, sign)
-            eng = build_engine(r, s, field)
-            is_zero = gram_determinant(cell_module(eng, label)).is_zero()
-            rows.append({
-                "r": r,
-                "s": s,
-                "label": _label_text(label),
-                "rho": "%d" % sign,
-                "size": size,
-                "det_is_zero": is_zero,
-            })
-    return {
-        "check": "delta-zero-grams",
-        "cases": rows,
-        "sizes": sorted({row["size"] for row in rows}),
-        "ok": all(row["det_is_zero"] for row in rows),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -397,156 +298,3 @@ def branching_check(engine, label):
         "generators_nonzero": generators_ok,
         "ok": dim_ok and trace_ok and generators_ok,
     }
-
-
-# ---------------------------------------------------------------------------
-# truncation functors
-
-def _truncated_dimension(r, s, f, shape):
-    """dim C(f, shape) over the (r, s) algebra by the counting formula,
-    tolerating r = 0 or s = 0 (pure Hecke side)."""
-    if f == 0:
-        return count_std(shape)
-    return count_std(shape) * coset_count(r, s, f)
-
-
-def truncation_idempotent(engine, choice=None):
-    """The chosen corner idempotent; defaults to the starred one when it
-    exists."""
-    if choice is None:
-        choice = "e_tilde" if engine.s >= 2 else "f21"
-    if choice == "e_tilde":
-        return choice, engine.etilde12()
-    if choice == "f21":
-        return choice, engine.f21()
-    raise RepError("idempotent choice must be 'e_tilde' or 'f21'")
-
-
-def schur_truncation_check(engine, label, idempotent_choice=None):
-    """Rank of the corner idempotent on C(f, lambda) against the
-    dimension of the truncated module, with the induction-side dimension
-    bookkeeping."""
-    r, s = engine.r, engine.s
-    choice, idem = truncation_idempotent(engine, idempotent_choice)
-    mod = cell_module(engine, label)
-    rank = mod.action_rank(idem)
-    if label.f == 0:
-        expected = 0
-    else:
-        expected = _truncated_dimension(r - 1, s - 1, label.f - 1,
-                                        label.shape)
-    ech = Echelon(engine.field)
-    for t in range(engine.dim):
-        ech.insert((engine.element({t: 1}) * idem).terms)
-    module_count = ech.rank
-    count_expected = math.factorial(r + s - 1)
-    induced_dim = _truncated_dimension(r + 1, s + 1, label.f + 1, label.shape)
-    return {
-        "check": "schur-truncation",
-        "r": r,
-        "s": s,
-        "label": _label_text(label),
-        "choice": choice,
-        "rank": rank,
-        "expected_rank": expected,
-        "rank_ok": rank == expected,
-        "module_count": module_count,
-        "module_count_expected": count_expected,
-        "count_ok": module_count == count_expected,
-        "induced_dim": induced_dim,
-        "ok": rank == expected and module_count == count_expected,
-    }
-
-
-# ---------------------------------------------------------------------------
-# submodule witnesses
-
-def submodule_witness(engine, kind):
-    """The one-arc vector v whose e_1-image vanishes exactly on the
-    extreme rho-power line; row uses the single-row shapes, column the
-    single-column shapes."""
-    r, s, field = engine.r, engine.s, engine.field
-    if field.quantum_characteristic() <= max(r, s):
-        raise RepError("needs quantum characteristic above max(r, s)")
-    q, rho = field.q(), field.rho()
-    n = r + s - 2
-    if kind == "row":
-        mu = Bipartition((r - 1,), (s - 1,))
-        lam = Bipartition((r,), (s,))
-        sym_shapes = (Partition((r,)), Partition((s,)))
-        sym_kind = "n"
-        scalar = field.delta() - rho * (1 - q ** (-2 * n)) / (q - 1 / q)
-        locus = "rho^2 = q^(%d)" % (2 * n)
-        scalar_zero_expected = rho * rho == q ** (2 * n)
-    elif kind == "column":
-        mu = Bipartition((1,) * (r - 1), (1,) * (s - 1))
-        lam = Bipartition((1,) * r, (1,) * s)
-        sym_shapes = (Partition((r,)), Partition((s,)))
-        sym_kind = "m"
-        scalar = field.delta() - rho * (1 - q ** (2 * n)) / (q - 1 / q)
-        locus = "rho^2 = q^(%d)" % (-2 * n)
-        scalar_zero_expected = rho * rho == q ** (-2 * n)
-    else:
-        raise RepError("kind must be 'row' or 'column'")
-    label = cell_label(r, s, 1, mu)
-    mod = cell_module(engine, label)
-    v = evaluate_factors(engine, [
-        symmetrizer_factor(engine, sym_shapes[0], 0, False, sym_kind),
-        symmetrizer_factor(engine, sym_shapes[1], 0, True, sym_kind)],
-        x=_anchor_element(engine, label))
-    vec = mod.element_vector(v)
-    e1v = mod.element_vector(v * engine.e1())
-    # e_1 v is a multiple of the anchor; the coefficient agrees with the
-    # predicted scalar up to a unit, so the two vanish on the same locus
-    anchor_multiple = set(e1v) <= {mod.anchor_index}
-    e1v_zero = not e1v
-    return {
-        "check": "submodule-witness",
-        "r": r,
-        "s": s,
-        "kind": kind,
-        "mu": _label_text(label),
-        "lambda": {"first": list(lam.first.parts),
-                   "second": list(lam.second.parts)},
-        "field": field.spec_string(),
-        "nonzero": bool(vec),
-        "scalar": scalar.to_text(),
-        "scalar_zero": scalar.is_zero(),
-        "e1v_zero": e1v_zero,
-        "anchor_multiple": anchor_multiple,
-        "locus": locus,
-        "ok": (bool(vec) and anchor_multiple
-               and e1v_zero == scalar.is_zero()
-               and scalar.is_zero() == scalar_zero_expected),
-    }
-
-
-# ---------------------------------------------------------------------------
-# homomorphism detection
-
-def hom_dimension(engine, source, target):
-    """Dimension of the space of module maps C(source) -> C(target),
-    computed from the generator intertwining equations."""
-    ma = cell_module(engine, source)
-    mb = cell_module(engine, target)
-    f = engine.field
-    d0, d1 = ma.dim, mb.dim
-    ech = Echelon(f)
-    for tok in engine.tokens:
-        a = ma.token_matrix(tok)
-        b = mb.token_matrix(tok)
-        for i in range(d0):
-            for k in range(d1):
-                row = {}
-                for m, c in a[i].items():
-                    key = m * d1 + k
-                    row[key] = f.raw_add(row.get(key, f.raw_from_int(0)), c)
-                for j in range(d1):
-                    c = b[j].get(k)
-                    if c is None:
-                        continue
-                    key = i * d1 + j
-                    row[key] = f.raw_sub(row.get(key, f.raw_from_int(0)), c)
-                row = {k: c for k, c in row.items() if not f.raw_is_zero(c)}
-                ech.insert(row)
-    return d0 * d1 - ech.rank

@@ -8,27 +8,43 @@ import functools
 import math
 from itertools import permutations
 
+from paper_checks import m_factor, perm_mul, perm_pair
 from qwalled.cellular import (
+    anchor_label,
     cell_label,
     cell_labels,
     cell_module,
+    cellular_element,
+    evaluate_factors,
+    gram_determinant,
+    gram_determinant_fraction,
+    label_symmetrizers,
     module_dimension,
     radical_rank,
+    symmetrizer_factor,
     validate_cell_datum,
 )
-from qwalled.combinat import coset_count, coset_reps, perm_mul
+from qwalled.combinat import (
+    Bipartition,
+    Partition,
+    coset_count,
+    coset_reps,
+    count_std,
+)
 from qwalled.engine import build_engine, central_element, verify_relations
-from qwalled.groundfield import GenericField, OneVarField, PrimeField
+from qwalled.groundfield import (
+    GenericField,
+    OneVarField,
+    PrimeField,
+    vanishes_under,
+)
+from qwalled.linalg import Echelon
 from qwalled.repthy import (
     DELTA_ZERO_SEMISIMPLE,
     branching_check,
     central_character,
     classify_simples,
-    delta_zero_gram_checks,
-    onearc_zero_locus,
-    schur_truncation_check,
     semisimplicity,
-    submodule_witness,
 )
 
 GEN = GenericField()
@@ -40,6 +56,13 @@ engine = functools.lru_cache(maxsize=None)(build_engine)
 def _pairs(max_total):
     return [(r, s) for r in range(1, max_total) for s in range(1, max_total)
             if r + s <= max_total]
+
+
+def _rank(vectors):
+    ech = Echelon(GEN)
+    for v in vectors:
+        ech.insert(v)
+    return ech.rank
 
 
 def _verdict(num, title, ok):
@@ -99,7 +122,7 @@ def test_criterion_03_coset_counts():
                 reps = coset_reps(r, s, f)
                 cosets = set()
                 for d in reps:
-                    u, v = d.perm_pair(r, s)
+                    u, v = perm_pair(d, r, s)
                     cosets.add(frozenset(
                         (perm_mul(hu, u), perm_mul(hv, v))
                         for hu, hv in sub))
@@ -144,10 +167,20 @@ def test_criterion_06_onearc_zero_loci():
     rho-power lines, independent of the sign branch."""
     ok = True
     for r in (2, 3, 4):
-        for kind in ("row", "column"):
-            report = onearc_zero_locus(engine(r, 1, GEN), kind)
-            ok = ok and report["ok"]
-            ok = ok and report["vanishing"] == report["expected"]
+        # det G_{1,lambda} for the row and the column hook, sampled over
+        # rho^2 = q^{2a} with |a| <= r+1 in both sign branches
+        for shape, expected in ((Bipartition((r - 1,), ()), [-1, r - 1]),
+                                (Bipartition((1,) * (r - 1), ()), [1 - r, 1])):
+            fraction = gram_determinant_fraction(cell_module(
+                engine(r, 1, GEN), cell_label(r, 1, 1, shape)))
+            vanishing = []
+            for a in range(-(r + 1), r + 2):
+                hits = [vanishes_under(fraction, OneVarField(a, sign))
+                        for sign in (1, -1)]
+                ok = ok and hits[0] == hits[1]
+                if hits[0]:
+                    vanishing.append(a)
+            ok = ok and vanishing == expected
     _verdict(6, "one-arc zero loci", ok)
 
 
@@ -177,11 +210,20 @@ def test_criterion_07_semisimplicity_grid():
 
 def test_criterion_08_delta_zero_determinants():
     """The three delta = 0 Gram determinants of sizes 6 and 8 all vanish
-    at both rho = 1 and rho = -1."""
-    report = delta_zero_gram_checks()
-    ok = report["ok"] and report["sizes"] == [6, 8]
-    ok = ok and len(report["cases"]) == 6
-    ok = ok and all(row["det_is_zero"] for row in report["cases"])
+    at both rho = 1 and rho = -1.  Below the top layer they are taken on
+    the layer-1 block, as gram takes them."""
+    ok = True
+    sizes = set()
+    for r, s, shape in ((3, 2, Bipartition((2,), (1,))),
+                        (4, 1, Bipartition((2, 1), ())),
+                        (4, 2, Bipartition((1, 1, 1), (1,)))):
+        label = cell_label(r, s, 1, shape)
+        sizes.add(module_dimension(label, r, s))
+        for sign in (1, -1):
+            eng = build_engine(r, s, OneVarField(0, sign),
+                               layer=1 if 1 < min(r, s) else None)
+            ok = ok and gram_determinant(cell_module(eng, label)).is_zero()
+    ok = ok and sorted(sizes) == [6, 8]
     _verdict(8, "delta-zero determinants", ok)
 
 
@@ -208,13 +250,19 @@ def test_criterion_10_schur_truncation():
     ok = True
     for r, s in _pairs(5):
         eng = engine(r, s, GEN)
-        choices = [c for c, cond in (("e_tilde", s >= 2), ("f21", r >= 2))
-                   if cond]
-        for lab in cell_labels(r, s):
-            for choice in choices:
-                report = schur_truncation_check(eng, lab, choice)
-                ok = (ok and report["ok"] and report["rank_ok"]
-                      and report["count_ok"])
+        # e_tilde = rho^{-1} e_1 g*_1 and f21 = rho^{-1} e_1 g_1
+        corners = [eng.e1() * eng.gs_el(1)] if s >= 2 else []
+        corners += [eng.e1() * eng.g_el(1)] if r >= 2 else []
+        for idem in (x.scale(1 / GEN.rho()) for x in corners):
+            # the corner subspace B idem has dimension (r+s-1)!
+            ok = ok and _rank((eng.element({t: 1}) * idem).terms
+                              for t in range(eng.dim)) \
+                == math.factorial(r + s - 1)
+            for lab in cell_labels(r, s):
+                expected = 0 if lab.f == 0 else \
+                    count_std(lab.shape) * coset_count(r - 1, s - 1, lab.f - 1)
+                ok = ok and _rank(cell_module(eng, lab).action_matrix(idem)) \
+                    == expected
     _verdict(10, "Schur truncation", ok)
 
 
@@ -234,6 +282,32 @@ def test_criterion_11_simple_classification():
     _verdict(11, "simple classification", ok)
 
 
+def _witness_ok(eng, kind, on_locus):
+    """The vector v = C_anchor m (m_lam or n_lam of the full row shapes) of
+    C(1, mu) is nonzero, e_1 v is a multiple of the anchor, and e_1 v and
+    the predicted scalar both vanish exactly on the locus."""
+    r, s, field = eng.r, eng.s, eng.field
+    q, rho = field.q(), field.rho()
+    n = r + s - 2
+    if kind == "row":
+        mu = Bipartition((r - 1,), (s - 1,))
+        sym, power = symmetrizer_factor, -2 * n
+    else:
+        mu = Bipartition((1,) * (r - 1), (1,) * (s - 1))
+        sym, power = m_factor, 2 * n
+    scalar = field.delta() - rho * (1 - q ** power) / (q - 1 / q)
+    label = cell_label(r, s, 1, mu)
+    mod = cell_module(eng, label)
+    anchor = anchor_label(label)
+    v = cellular_element(eng, label, anchor, anchor,
+                         label_symmetrizers(eng, label)) * evaluate_factors(
+        eng, [sym(eng, Partition((r,)), 0, False),
+              sym(eng, Partition((s,)), 0, True)])
+    e1v = mod.element_vector(v * eng.e1())
+    return (bool(mod.element_vector(v)) and set(e1v) <= {mod.anchor_index}
+            and (not e1v) == scalar.is_zero() == on_locus)
+
+
 def test_criterion_12_submodule_witnesses():
     """The explicit one-arc vector is killed by e_1 exactly on the extreme
     rho-power line: the positive power for the row witness, the negative
@@ -248,9 +322,5 @@ def test_criterion_12_submodule_witnesses():
         for kind in ("row", "column"):
             locus = n if kind == "row" else -n
             for field, a in fields:
-                report = submodule_witness(engine(r, s, field), kind)
-                ok = ok and report["ok"] and report["nonzero"]
-                expected_zero = a == locus
-                ok = ok and report["e1v_zero"] == expected_zero
-                ok = ok and report["scalar_zero"] == expected_zero
+                ok = ok and _witness_ok(engine(r, s, field), kind, a == locus)
     _verdict(12, "submodule witnesses", ok)

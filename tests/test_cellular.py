@@ -475,9 +475,9 @@ def test_cellular_data_evaluates_each_head_once(monkeypatch):
     count = [0]
     evaluate = cellular.evaluate_factors
 
-    def counting(engine, factors, x=None):
+    def counting(engine, factors):
         count[0] += 1
-        return evaluate(engine, factors, x)
+        return evaluate(engine, factors)
 
     monkeypatch.setattr(cellular, "evaluate_factors", counting)
     cellular_data(eng)

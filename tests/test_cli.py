@@ -325,6 +325,23 @@ def test_sweep_has_no_field_option():
     assert exc.value.code == EXIT_USAGE
 
 
+def test_simples_size_guard(capsys, monkeypatch):
+    import qwalled.cli
+    classify = qwalled.cli.classify_simples
+    calls = []
+    monkeypatch.setattr(qwalled.cli, "classify_simples",
+                        lambda *args: calls.append(args) or classify(*args))
+    code, _, err = run_cli(capsys, "simples", "--r", "4", "--s", "4")
+    assert code == EXIT_USAGE and "max-total" in err and calls == []
+    _, _, err_dims = run_cli(capsys, "dims", "--r", "4", "--s", "4")
+    assert err == err_dims
+    code, out, _ = run_cli(capsys, "simples", "--r", "4", "--s", "4",
+                           "--max-total", "8")
+    # generically every label of (4, 4) is simple: 25 + 9 + 4 + 1 + 1
+    assert code == EXIT_OK and json.loads(out)["count"] == 40
+    assert len(calls) == 1
+
+
 def test_sweep_size_guard(capsys):
     code, _, err = run_cli(capsys, "sweep", "--r", "4", "--s", "4")
     assert code == EXIT_USAGE and "max-total" in err

@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from paper_checks import m_factor, perm_mul
 from qwalled.cellular import (
     cellular_data,
     evaluate_factors,
@@ -14,13 +15,12 @@ from qwalled.cellular import (
 )
 from qwalled.combinat import (
     Partition,
+    StdTableau,
     d_perm,
     partitions,
     perm_length,
-    perm_mul,
     reduced_word,
     std_tableaux,
-    t_col,
     t_row,
 )
 from qwalled.engine import build_engine, g_tok, sigma
@@ -42,8 +42,8 @@ def _g_perm(hq, w):
 
 def _sym(hq, lam, kind):
     """m_lam or n_lam of H_n evaluated in the quotient engine."""
-    return evaluate_factors(
-        hq, [symmetrizer_factor(hq, lam, 0, False, kind=kind)])
+    factor = m_factor if kind == "m" else symmetrizer_factor
+    return evaluate_factors(hq, [factor(hq, lam, 0, False)])
 
 
 def _same(field, a, b):
@@ -99,9 +99,9 @@ def test_symmetrizer_identity_coefficient():
     h4 = HeckeAlgebra(4, GEN)
     for lam in partitions(4):
         ident = tuple(range(1, 5))
-        assert GEN.raw_eq(h4.m_sym(lam)[ident], GEN.raw_from_int(1))
+        assert GEN.raw_eq(h4.n_sym(lam)[ident], GEN.raw_from_int(1))
         size = math.prod(math.factorial(p) for p in lam.parts)
-        assert len(h4.m_sym(lam)) == size
+        assert len(h4.n_sym(lam)) == size
 
 
 def test_sigma_antiautomorphism():
@@ -120,11 +120,11 @@ def test_sigma_antiautomorphism():
 def test_offset_symmetrizer():
     h = HeckeAlgebra(4, GEN)
     lam = Partition((2,))
-    m = h.m_sym(lam, offset=2)
+    n = h.n_sym(lam, offset=2)
     # acts on letters 3,4 only
-    assert set(m) == {(1, 2, 3, 4), (1, 2, 4, 3)}
+    assert set(n) == {(1, 2, 3, 4), (1, 2, 4, 3)}
     with pytest.raises(HeckeError):
-        h.m_sym(Partition((3,)), offset=2)
+        h.n_sym(Partition((3,)), offset=2)
 
 
 def test_dimension_of_cell_chunks():
@@ -138,14 +138,10 @@ def test_small_symmetrizers():
     h = HeckeAlgebra(2, GEN)
     q = GEN.q()
     one = GEN.raw_from_int(1)
-    assert _same(GEN, h.m_sym(Partition((2,))),
-                 {(1, 2): one, (2, 1): q.val})
     assert _same(GEN, h.n_sym(Partition((2,))),
                  {(1, 2): one, (2, 1): (-(1 / q)).val})
-    # trivial Young subgroup: both symmetrizers are the identity
-    trivial = Partition((1, 1))
-    assert _same(GEN, h.m_sym(trivial), {(1, 2): one})
-    assert _same(GEN, h.n_sym(trivial), {(1, 2): one})
+    # trivial Young subgroup: the symmetrizer is the identity
+    assert _same(GEN, h.n_sym(Partition((1, 1))), {(1, 2): one})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -168,10 +164,15 @@ def test_specht_dimensions(n):
     # shape, are independent
     hq = build_engine(n, 1, GEN, layer=0)
     for lam in partitions(n):
-        conj = lam.conjugate()
+        conj = Partition(sum(1 for p in lam.parts if p > j)
+                         for j in range(lam[0]))
+        # the column-reading tableau t_lam is the transpose of t^{lam'}
+        cols = t_row(conj).rows
+        t_col = StdTableau([[col[i] for col in cols if i < len(col)]
+                            for i in range(len(lam))])
         head = evaluate_factors(hq, [
-            symmetrizer_factor(hq, lam, 0, False, kind="m"),
-            [(GEN.raw_from_int(1), _letters(d_perm(t_col(lam))))],
+            m_factor(hq, lam, 0, False),
+            [(GEN.raw_from_int(1), _letters(d_perm(t_col)))],
             symmetrizer_factor(hq, conj, 0, False)])
         ech = Echelon(GEN)
         tabs = std_tableaux(conj)

@@ -37,3 +37,42 @@ def test_detects_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _spans():
+    """SPANS of the benchmark tracer, read without importing it."""
+    tracer = SRC.parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["SPANS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("tracer.py defines no SPANS")
+
+
+def test_every_public_name_has_a_caller():
+    """No public top-level function or class of the package is there only
+    for its tests: each is referenced elsewhere in src/, or is a benchmark
+    span."""
+    statements = []
+    public = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.asname or sub.name)
+            statements.append((node, names))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                public.append((path.stem, node))
+    spans = {".".join(name.split(".")[:2]) for name in _spans()}
+    uncalled = ["%s.%s" % (module, node.name) for module, node in public
+                if "%s.%s" % (module, node.name) not in spans
+                and not any(node.name in names
+                            for other, names in statements
+                            if other is not node)]
+    assert not uncalled, "only tests call: " + ", ".join(uncalled)

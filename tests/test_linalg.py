@@ -17,7 +17,6 @@ from qwalled.linalg import (
     LinAlgError,
     determinant,
     matrix_rank,
-    rank,
 )
 
 GEN = GenericField()
@@ -37,8 +36,8 @@ def test_echelon_rank_and_membership():
     assert e.insert(v2)
     assert not e.insert({0: raw(f, 2), 1: raw(f, 7)})
     assert e.rank == 2
-    assert e.contains({0: raw(f, 5)})
-    assert not e.contains({2: raw(f, 1)})
+    assert not e.reduce({0: raw(f, 5)})[0]
+    assert e.reduce({2: raw(f, 1)})[0]
 
 
 def test_echelon_express():
@@ -66,6 +65,8 @@ def test_combo_tracking():
             "c": {0: raw(f, 3), 2: raw(f, 5)}}
     for tag, v in vecs.items():
         e.insert(v, tag=tag)
+    with pytest.raises(LinAlgError):
+        e.insert(vecs["a"])
     # every stored row must equal its recorded combination of inputs
     for piv, row in e.rows.items():
         acc = {}
@@ -218,6 +219,5 @@ def test_rank_generic():
     f = GEN
     q = f.q().val
     rho = f.rho().val
-    vecs = [{0: q, 1: rho}, {0: f.raw_mul(q, q), 1: f.raw_mul(q, rho)},
-            {1: rho}]
-    assert rank(f, vecs) == 2
+    rows = [[q, rho], [f.raw_mul(q, q), f.raw_mul(q, rho)], [raw(f, 0), rho]]
+    assert matrix_rank(f, rows) == 2
