@@ -23,7 +23,6 @@ from .combinat import (
     t_row,
 )
 from .engine import E_TOK, g_tok, gs_tok
-from .groundfield import FieldElement
 from .hecke import HeckeAlgebra
 from .linalg import Echelon, determinant, matrix_rank
 
@@ -121,7 +120,7 @@ def left_factors(engine, label, left, syms):
     head += engine.ecap_letters(label.f)
     head += _perm_letters(perm_inverse(d_perm(left.tab[0])), g_tok)
     head += _perm_letters(perm_inverse(d_perm(left.tab[1])), gs_tok)
-    return [[(engine._one_raw, head)], *syms]
+    return [[(engine.field.one, head)], *syms]
 
 
 def right_letters(right):
@@ -138,7 +137,7 @@ def cellular_factors(engine, label, left, right, syms):
     n_{st} = sigma(g_{d(s1)} g*_{d(s2)}) n_lam g_{d(t1)} g*_{d(t2)}: the left
     factors followed by the tail word."""
     return [*left_factors(engine, label, left, syms),
-            [(engine._one_raw, right_letters(right))]]
+            [(engine.field.one, right_letters(right))]]
 
 
 def sigma_factors(factors):
@@ -351,7 +350,7 @@ class CellModule:
         if mat is None:
             f = self.field
             mat = _mat_axpy(f, self._tok[tok],
-                            f.raw_neg(self.engine._qdiff),
+                            f.raw_neg(f.qdiff),
                             _mat_identity(f, self.dim))
             self._tok_inv[tok] = mat
         return mat
@@ -381,8 +380,7 @@ class CellModule:
         return out
 
     def action_trace(self, elem):
-        return FieldElement(self.field,
-                            _mat_trace(self.field, self.action_matrix(elem)))
+        return _mat_trace(self.field, self.action_matrix(elem))
 
     def factors_matrix(self, factors):
         """Action matrix of a product of factors."""
@@ -409,7 +407,7 @@ def cell_module(engine, label):
 
 
 def gram_matrix(module):
-    """The Gram matrix of the invariant form, as FieldElement entries.
+    """The Gram matrix of the invariant form, as normalized raw entries.
 
     Entry (i, j) is the coefficient of C_{(u,a)(u,a)} in the product
     C_{(u,a) i} C_{j (u,a)} modulo the higher ideal.
@@ -432,17 +430,15 @@ def gram_matrix(module):
                     raise CellularError("form value leaks off the anchor")
             col.append(row.get(module.anchor_index, f.raw_from_int(0)))
         cols.append(col)
-    gram = [[FieldElement(f, cols[j][i]) for j in range(m)]
-            for i in range(m)]
+    gram = [[f.normalize(cols[j][i]) for j in range(m)] for i in range(m)]
     module._gram = gram
     return gram
 
 
 def gram_determinant(module):
     if module._det is None:
-        gram = gram_matrix(module)
-        module._det = FieldElement(module.field, determinant(
-            module.field, [[e.val for e in row] for row in gram]))
+        # determinant returns a normalized value
+        module._det = determinant(module.field, gram_matrix(module))
     return module._det
 
 
@@ -457,8 +453,7 @@ def gram_determinant_fraction(module):
 
 def radical_rank(module):
     """(rank of the Gram matrix, dimension of the radical)."""
-    gram = gram_matrix(module)
-    r = matrix_rank(module.field, [[e.val for e in row] for row in gram])
+    r = matrix_rank(module.field, gram_matrix(module))
     return r, module.dim - r
 
 

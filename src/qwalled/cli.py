@@ -235,6 +235,16 @@ def emit(config, report, csv_rows=None, csv_columns=None, text_lines=None):
     return json.dumps(report, sort_keys=True, indent=2)
 
 
+def _report(config, field=None, **items):
+    """A report: the header keys every command shares, then the items."""
+    report = {"schema_version": SCHEMA_VERSION, "command": config.command,
+              "r": config.r, "s": config.s}
+    if field is not None:
+        report["field"] = field.spec_string()
+    report.update(items)
+    return report
+
+
 def _shape_text(label):
     def part(p):
         return ",".join(str(x) for x in p.parts) or "-"
@@ -255,18 +265,9 @@ def cmd_dims(config, field):
         rows.append({"f": label.f, "shape": _shape_text(label),
                      "dim": dim, "square": dim * dim})
     ok = engine.dim == math.factorial(config.r + config.s) == total
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "dims",
-        "r": config.r,
-        "s": config.s,
-        "field": field.spec_string(),
-        "dim": engine.dim,
-        "factorial": math.factorial(config.r + config.s),
-        "modules": rows,
-        "sum_of_squares": total,
-        "ok": ok,
-    }
+    report = _report(config, field, dim=engine.dim,
+                     factorial=math.factorial(config.r + config.s),
+                     modules=rows, sum_of_squares=total, ok=ok)
     text = ["dim B_{%d,%d} = %d" % (config.r, config.s, engine.dim)]
     text += ["  f=%d  %-12s dim %d" % (r["f"], r["shape"], r["dim"])
              for r in rows]
@@ -279,15 +280,7 @@ def cmd_relations(config, field):
     checks = verify_relations(engine)
     rows = [{"name": name, "ok": ok} for name, ok in checks]
     ok = all(r["ok"] for r in rows)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "relations",
-        "r": config.r,
-        "s": config.s,
-        "field": field.spec_string(),
-        "checks": rows,
-        "ok": ok,
-    }
+    report = _report(config, field, checks=rows, ok=ok)
     text = ["%-14s %s" % (r["name"], "ok" if r["ok"] else "FAILED")
             for r in rows]
     return (EXIT_OK if ok else EXIT_FAILURE,
@@ -300,18 +293,11 @@ def cmd_cellular(config, field):
         raise UsageError("--anchors must be at least 1")
     engine = load_engine(config, field)
     result = validate_cell_datum(engine, alternate_anchors=anchors)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cellular",
-        "r": config.r,
-        "s": config.s,
-        "field": field.spec_string(),
-        "basis": result["basis"],
-        "involution": result["involution"],
-        "triangular": result["triangular"],
-        "failures": [str(x) for x in result["failures"]],
-        "ok": result["ok"],
-    }
+    report = _report(config, field, basis=result["basis"],
+                     involution=result["involution"],
+                     triangular=result["triangular"],
+                     failures=[str(x) for x in result["failures"]],
+                     ok=result["ok"])
     text = ["basis: %s" % result["basis"],
             "involution: %s" % result["involution"],
             "triangular: %s" % result["triangular"]]
@@ -328,27 +314,18 @@ def cmd_gram(config, field):
         and label.f < min(config.r, config.s)
     engine = load_engine(config, field, label.f if block else None)
     module = cell_module(engine, label)
-    entries = [[e.to_text() for e in row] for row in gram_matrix(module)]
+    entries = [[field.to_text(e) for e in row] for row in gram_matrix(module)]
     det = gram_determinant(module)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "gram",
-        "r": config.r,
-        "s": config.s,
-        "field": field.spec_string(),
-        "label": _label_text(label),
-        "dim": module.dim,
-        "entries": entries,
-        "determinant": det.to_text(),
-        "determinant_is_zero": det.is_zero(),
-    }
+    report = _report(config, field, label=_label_text(label), dim=module.dim,
+                     entries=entries, determinant=field.to_text(det),
+                     determinant_is_zero=field.raw_is_zero(det))
     if config.fmt == "csv":
         # a matrix has no column names, so no header line
         return EXIT_OK, "\n".join(_csv_line(row) for row in entries)
     text = ["G_{%d,%s}  (%d x %d)" % (label.f, _shape_text(label),
                                       module.dim, module.dim)]
     text += ["  ".join(row) for row in entries]
-    text.append("det = %s" % det.to_text())
+    text.append("det = %s" % report["determinant"])
     return EXIT_OK, emit(config, report, text_lines=text)
 
 
@@ -366,16 +343,8 @@ def cmd_central(config, field):
             ok = False
             scalar = central_scalar(label, field)
         rows.append({"f": label.f, "shape": _shape_text(label),
-                     "scalar": scalar.to_text(), "verified": verified})
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "central",
-        "r": config.r,
-        "s": config.s,
-        "field": field.spec_string(),
-        "characters": rows,
-        "ok": ok,
-    }
+                     "scalar": field.to_text(scalar), "verified": verified})
+    report = _report(config, field, characters=rows, ok=ok)
     text = ["f=%d  %-12s %s" % (r["f"], r["shape"], r["scalar"])
             for r in rows]
     return (EXIT_OK if ok else EXIT_FAILURE,
@@ -388,17 +357,11 @@ def cmd_simples(config, field):
     _check_size(config)
     labels = classify_simples(config.r, config.s, field)
     rows = [{"f": label.f, "shape": _shape_text(label)} for label in labels]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simples",
-        "r": config.r,
-        "s": config.s,
-        "field": field.spec_string(),
-        "quantum_characteristic": str(field.quantum_characteristic()),
-        "quasi_hereditary": is_quasi_hereditary(config.r, config.s, field),
-        "simples": rows,
-        "count": len(rows),
-    }
+    report = _report(
+        config, field,
+        quantum_characteristic=str(field.quantum_characteristic()),
+        quasi_hereditary=is_quasi_hereditary(config.r, config.s, field),
+        simples=rows, count=len(rows))
     text = ["f=%d  %s" % (r["f"], r["shape"]) for r in rows]
     return EXIT_OK, emit(config, report, rows, ["f", "shape"], text)
 
@@ -409,17 +372,9 @@ def cmd_semisimple(config, field):
     # in the field; the engine is loaded only when the Gram side runs
     verdict = semisimplicity(config.r, config.s, field, mode=mode,
                              generic=lambda: generic_engine(config))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "semisimple",
-        "r": config.r,
-        "s": config.s,
-        "field": field.spec_string(),
-        "mode": mode,
-        "semisimple": verdict.verdict,
-        "reason": verdict.reason,
-        "witnesses": [_label_text(w) for w in verdict.witnesses],
-    }
+    report = _report(config, field, mode=mode, semisimple=verdict.verdict,
+                     reason=verdict.reason,
+                     witnesses=[_label_text(w) for w in verdict.witnesses])
     text = ["semisimple: %s" % verdict.verdict,
             "reason: %s" % verdict.reason]
     text += ["witness: f=%d %s" % (w.f, _shape_text(w))
@@ -433,11 +388,7 @@ def cmd_branch(config, field):
         raise UsageError("branch needs r >= 2")
     engine = load_engine(config, field)
     result = branching_check(engine, label)
-    report = dict(result)
-    report["schema_version"] = SCHEMA_VERSION
-    report["command"] = "branch"
-    report["field"] = field.spec_string()
-    del report["check"]
+    report = _report(config, field, **result)
     rows = result["sections"]
     text = ["%s -> %d sections, dim %d" % (_shape_text(label),
                                            len(rows), result["dim"])]
@@ -473,16 +424,7 @@ def cmd_sweep(config):
                 "reason": verdict.reason,
                 "witnesses": len(verdict.witnesses),
             })
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sweep",
-        "r": config.r,
-        "s": config.s,
-        "mode": mode,
-        "amax": amax,
-        "points": rows,
-        "ok": True,
-    }
+    report = _report(config, mode=mode, amax=amax, points=rows, ok=True)
     text = ["a=%-3d rho=%-6s semisimple=%s (%s)"
             % (r["a"], r["rho"], r["semisimple"], r["reason"]) for r in rows]
     return (EXIT_OK,

@@ -246,12 +246,13 @@ def nodes_addable(lam):
 
 def content_scalar(node, field):
     """The content scalar attached to a node; side selects the component."""
-    q = field.q()
+    f = field
     k = node.residue
     if node.side == 1:
-        return (1 - q ** (2 * k)) / (q - q ** -1)
+        return f.raw_div(f.raw_sub(f.one, f.raw_pow(f.q, 2 * k)), f.qdiff)
     if node.side == 2:
-        return (1 - q ** (-2 * k)) / (q ** -1 - q)
+        return f.raw_div(f.raw_sub(f.one, f.raw_pow(f.q, -2 * k)),
+                         f.raw_neg(f.qdiff))
     raise CombinatError("side must be 1 or 2")
 
 

@@ -38,7 +38,7 @@ import math
 from collections import deque
 
 from .combinat import coset_count, s_range_word
-from .groundfield import FieldElement, fields_from_spec
+from .groundfield import fields_from_spec
 
 SCHEMA_VERSION = 1
 
@@ -100,10 +100,6 @@ class AlgebraElement:
             return False
         f = self.engine.field
         return all(f.raw_eq(c, other.terms[i]) for i, c in self.terms.items())
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __add__(self, other):
         self._check(other)
@@ -181,10 +177,6 @@ class AlgebraEngine:
         self.layer = layer
         self.field = field
         f = field
-        one = f.raw_from_int(1)
-        self._one_raw = one
-        q = f.q().val
-        self._qdiff = f.raw_sub(q, f.raw_div(one, q))
         self.tokens = [E_TOK] + [g_tok(i) for i in range(1, r)] \
             + [gs_tok(j) for j in range(1, s)]
         self.is_block = layer < top
@@ -197,8 +189,9 @@ class AlgebraEngine:
             # root * (x_f - rho^f) = 0, x_f = e^f g_1 ... g_f
             x_f = self.ecap_letters(layer) \
                 + [(g_tok(k), 1) for k in range(1, layer + 1)]
-            self._root_relations.append(self.expand_letters(x_f)
-                                        + [((-f.rho() ** layer).val, ())])
+            self._root_relations.append(
+                self.expand_letters(x_f)
+                + [(f.raw_neg(f.raw_pow(f.rho, layer)), ())])
         # data derived from the engine lives exactly as long as the engine:
         # sigma images of basis vectors, the cellular coordinate system
         # (cellular.cellular_data) and the cell modules by label
@@ -234,21 +227,17 @@ class AlgebraEngine:
             and self.basis_words == other.basis_words
 
     def as_raw(self, c):
-        if isinstance(c, int):
-            return self.field.raw_from_int(c)
-        if getattr(c, "field", None) is not None:
-            return c.val
-        return c
+        return self.field.raw_from_int(c) if isinstance(c, int) else c
 
     def expand_letters(self, letters):
         """Expand (token, power) letters into [(raw coeff, token word)]."""
         f = self.field
-        combos = [(self._one_raw, ())]
+        combos = [(f.one, ())]
         for tok, p in letters:
             if p == 1:
                 combos = [(c, w + (tok,)) for c, w in combos]
             elif p == -1 and tok != E_TOK:
-                mqd = f.raw_neg(self._qdiff)
+                mqd = f.raw_neg(f.qdiff)
                 new = []
                 for c, w in combos:
                     new.append((c, w + (tok,)))
@@ -260,11 +249,11 @@ class AlgebraEngine:
 
     def _defining_relations(self):
         f = self.field
-        one = self._one_raw
+        one = f.one
         neg = f.raw_neg
-        qd = self._qdiff
-        rho = f.rho().val
-        delta = f.delta().val
+        qd = f.qdiff
+        rho = f.rho
+        delta = f.delta()
         r, s = self.r, self.s
         E = E_TOK
         rels = []
@@ -319,7 +308,7 @@ class AlgebraEngine:
     # -- closure -----------------------------------------------------------
 
     def _build(self):
-        one = self._one_raw
+        one = self.field.one
         self._defs = [None]
         self._subst = {}
         self._act = {}
@@ -376,7 +365,7 @@ class AlgebraEngine:
         if v is None:
             new = len(self._defs)
             self._defs.append((st, tok))
-            v = {new: self._one_raw}
+            v = {new: self.field.one}
             self._act[key] = v
             self._queue.append(new)
             return v
@@ -398,7 +387,7 @@ class AlgebraEngine:
                 if x in subst:
                     stack.append(x)
         iaxpy = self.field.vec_iaxpy
-        one = self._one_raw
+        one = self.field.one
         for k in sorted(todo):
             sub = subst[k]
             if not subst.keys().isdisjoint(sub):
@@ -414,7 +403,7 @@ class AlgebraEngine:
             return vec
         self._compress([k for k in vec if k in subst])
         iaxpy = self.field.vec_iaxpy
-        one = self._one_raw
+        one = self.field.one
         out = {}
         for k, c in vec.items():
             sub = subst.get(k)
@@ -489,7 +478,7 @@ class AlgebraEngine:
         if power == -1:
             if tok == E_TOK:
                 raise EngineError("e_1 has no inverse")
-            return res - elem.scale(self._qdiff)
+            return res - elem.scale(self.field.qdiff)
         if power != 1:
             raise EngineError("token power must be +-1")
         return res
@@ -622,7 +611,9 @@ def central_element(engine, r=None, s=None):
     s = eng.s if s is None else s
     if not (1 <= r <= eng.r and 1 <= s <= eng.s):
         raise EngineError("sub-range out of bounds")
-    rho = eng.field.rho()
+    f = eng.field
+    rho = f.rho
+    rho_inv = f.raw_div(f.one, rho)
     out = eng.zero()
     for i in range(1, r + 1):
         for j in range(1, s + 1):
@@ -631,7 +622,7 @@ def central_element(engine, r=None, s=None):
         for j in range(1, i):
             letters = inv_letters(eng._g_range(j, i)) \
                 + inv_letters(eng._g_range(i, j + 1))
-            out = out - eng.from_letters(letters).scale(1 / rho)
+            out = out - eng.from_letters(letters).scale(rho_inv)
     for i in range(2, s + 1):
         for j in range(1, i):
             letters = eng._gs_range(i, j) + eng._gs_range(j + 1, i)
@@ -647,9 +638,8 @@ def verify_relations(engine):
     eng = engine
     f = eng.field
     r, s = eng.r, eng.s
-    q = eng.field.q()
-    rho = eng.field.rho()
-    delta = eng.field.delta()
+    q, rho, delta = f.q, f.rho, f.delta()
+    q_inv, rho_inv = f.raw_div(f.one, q), f.raw_div(f.one, rho)
     one = eng.one()
     report = []
 
@@ -664,7 +654,7 @@ def verify_relations(engine):
 
     for i in range(1, r):
         check("def.a[%d]" % i,
-              (g[i] - q.val * one) * (g[i] + (1 / q).val * one), eng.zero())
+              (g[i] - one.scale(q)) * (g[i] + one.scale(q_inv)), eng.zero())
     for i in range(1, r):
         for j in range(i + 2, r):
             check("def.b[%d,%d]" % (i, j), g[i] * g[j], g[j] * g[i])
@@ -681,7 +671,8 @@ def verify_relations(engine):
             check("def.g[%d,%d]" % (i, j), g[i] * gs[j], gs[j] * g[i])
     for j in range(1, s):
         check("def.h[%d]" % j,
-              (gs[j] - q.val * one) * (gs[j] + (1 / q).val * one), eng.zero())
+              (gs[j] - one.scale(q)) * (gs[j] + one.scale(q_inv)),
+              eng.zero())
     for i in range(1, s):
         for j in range(i + 2, s):
             check("def.i[%d,%d]" % (i, j), gs[i] * gs[j], gs[j] * gs[i])
@@ -710,10 +701,10 @@ def verify_relations(engine):
         check("tool.b[%d]" % i, e[i] * e[i], e[i].scale(delta))
     for i in range(1, m):
         check("tool.c.g+[%d]" % i, e[i] * g[i] * e[i], e[i].scale(rho))
-        check("tool.c.g-[%d]" % i, e[i] * gi[i] * e[i], e[i].scale(1 / rho))
+        check("tool.c.g-[%d]" % i, e[i] * gi[i] * e[i], e[i].scale(rho_inv))
         check("tool.c.gs+[%d]" % i, e[i] * gs[i] * e[i], e[i].scale(rho))
         check("tool.c.gs-[%d]" % i, e[i] * gsi[i] * e[i],
-              e[i].scale(1 / rho))
+              e[i].scale(rho_inv))
         prod = e[i] * e[i + 1]
         check("tool.d.1[%d]" % i, e[i] * g[i] * gsi[i] * e[i], prod)
         check("tool.d.2[%d]" % i, e[i] * gs[i] * gi[i] * e[i], prod)
@@ -758,7 +749,7 @@ def engine_to_json(engine):
         for i in range(engine.dim):
             row = engine.act_table[(i, tok)]
             for k in sorted(row):
-                triplets.append([i, k, FieldElement(field, row[k]).to_text()])
+                triplets.append([i, k, field.to_text(row[k])])
         data["act"][token_text(tok)] = triplets
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
@@ -787,7 +778,7 @@ def engine_from_json(text):
         for i, k, val in triplets:
             raw = parsed.get(val)
             if raw is None:
-                raw = parsed[val] = field.parse(val).val
+                raw = parsed[val] = field.parse(val)
             rows[i][k] = raw
         for i in range(eng.dim):
             eng.act_table[(i, tok)] = rows[i]

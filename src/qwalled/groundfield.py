@@ -7,6 +7,13 @@ Four coefficient fields are supported:
 * ``rational``  -- Q with numeric values for q and rho,
 * ``gfp``       -- an odd prime field GF(p) with chosen units for q and rho.
 
+A scalar is a raw value of its field -- an int mod p, a Fraction, or one
+of the values below -- and the field is its only API: the raw_* methods
+compute with raw values, and a field holds q, rho, one and qdiff =
+q - q^{-1} as raw values.  The functions that read a value's normal form
+(to_text, to_laurent_fraction, parse, transfer_from_generic) normalize it
+themselves.
+
 All arithmetic is exact.  Generic and one-variable values that lie in the
 ring R = Z[q^{+-1}, rho^{+-1}, (q - 1)^{-1}, (q + 1)^{-1}] -- every closure
 pivot and every action-table coefficient does -- are kept natively, with no
@@ -20,16 +27,17 @@ a quotient is native when the divisor, stripped of its factors q -+ 1, is
 +-q^a rho^b.  Any other quotient falls back to a polynomial fraction
 (``_Frac``: numerator and denominator dicts over Z[q, rho] with exponents
 >= 0), counted in ``fallbacks``; operations with a fallback operand lift
-the other one, and normalizing a reduced fraction whose denominator is a
-unit of R returns it to the native form.  Fractions are reduced by a
+the other one, and normalizing a fraction reduces it and returns it to the
+native form when its denominator is a unit of R.  Fractions are reduced by a
 native heuristic gcd (``heugcd``, the GCDHEU that sympy uses over
 Z[q, rho]), which raises FieldError in the rare case that its evaluation
 points run out.  No module imports sympy; the tests use it as their
 reference.  Text ("num / den", reduced, the denominator's lex-leading
 coefficient positive) is written and read natively.
 
-Laurent data (a ``LaurentPoly``, as read from text or taken from a generic
-value by ``to_laurent_fraction``) become field values in one pass through
+Laurent data (a terms dict {(a, b): c} of nonzero integers, as read from
+text by ``laurent_from_text`` or taken from a generic value by
+``to_laurent_fraction``) become field values in one pass through
 ``Field.raw_from_laurent``: each term is evaluated at the field's q and rho
 directly, with no intermediate field elements, and the result needs at most
 one normalization.  Parsing, engine cache loads and the generic-to-field
@@ -55,194 +63,68 @@ class FieldError(Exception):
     """Raised for invalid field constructions or illegal arithmetic."""
 
 
-class LaurentPoly:
-    """An integer Laurent polynomial in q and rho.
-
-    Terms are stored as a map from exponent pairs ``(a, b)`` (power of q,
-    power of rho; either may be negative) to nonzero integers.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for exps, coeff in dict(terms).items():
-                a, b = exps
-                if coeff:
-                    clean[(int(a), int(b))] = int(coeff)
-        self.terms = clean
-
-    @classmethod
-    def monomial(cls, coeff, a=0, b=0):
-        return cls({(a, b): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def to_text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms):
-            coeff = self.terms[(a, b)]
-            factors = [str(coeff)]
-            if a:
-                factors.append("q^%d" % a)
-            if b:
-                factors.append("rho^%d" % b)
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    @classmethod
-    def from_text(cls, text):
-        text = text.strip()
-        if text == "0":
-            return cls()
-        terms = {}
-        for part in text.split("+"):
-            part = part.strip()
-            if not part:
-                raise FieldError("empty term in %r" % text)
-            coeff, a, b = 1, 0, 0
-            seen_coeff = False
-            for factor in part.split("*"):
-                factor = factor.strip()
-                if factor.startswith("q^"):
-                    a += int(factor[2:])
-                elif factor == "q":
-                    a += 1
-                elif factor.startswith("rho^"):
-                    b += int(factor[4:])
-                elif factor == "rho":
-                    b += 1
-                else:
-                    coeff *= int(factor)
-                    seen_coeff = True
-            if not seen_coeff and not part:
-                raise FieldError("bad term %r" % part)
-            terms[(a, b)] = terms.get((a, b), 0) + coeff
-        return cls(terms)
-
-    def __repr__(self):
-        return "LaurentPoly(%s)" % self.to_text()
+def laurent_text(terms):
+    """The text of a Laurent terms dict {(a, b): c}: "c*q^a*rho^b" terms,
+    zero exponents left out, joined by " + " in exponent order; "0" when
+    empty."""
+    if not terms:
+        return "0"
+    parts = []
+    for (a, b) in sorted(terms):
+        factors = [str(terms[(a, b)])]
+        if a:
+            factors.append("q^%d" % a)
+        if b:
+            factors.append("rho^%d" % b)
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
-class FieldElement:
-    """An exact scalar attached to its field; immutable."""
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field, val):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "val", field.normalize(val))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
-
-    def _other(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldError("mixed field tags: %s vs %s"
-                                 % (self.field, other.field))
-            return other.val
-        if isinstance(other, int):
-            return self.field.raw_from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.raw_add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.raw_sub(self.val, v))
-
-    def __rsub__(self, other):
-        v = self._other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.raw_sub(v, self.val))
-
-    def __mul__(self, other):
-        v = self._other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.raw_mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.raw_div(self.val, v))
-
-    def __rtruediv__(self, other):
-        v = self._other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.raw_div(v, self.val))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.raw_neg(self.val))
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (1 / self) ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            v = self._other(other)
-            return self.field.raw_eq(self.val, v)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.field.to_text(self)))
-
-    def __bool__(self):
-        return not self.field.raw_is_zero(self.val)
-
-    def is_zero(self):
-        return self.field.raw_is_zero(self.val)
-
-    def inverse(self):
-        return 1 / self
-
-    def to_text(self):
-        return self.field.to_text(self)
-
-    def __repr__(self):
-        return "FieldElement(%s)" % self.to_text()
+def laurent_from_text(text):
+    """The terms dict of a Laurent polynomial read from text in the form
+    laurent_text writes, zero terms dropped."""
+    text = text.strip()
+    if text == "0":
+        return {}
+    terms = {}
+    for part in text.split("+"):
+        part = part.strip()
+        if not part:
+            raise FieldError("empty term in %r" % text)
+        coeff, a, b = 1, 0, 0
+        for factor in part.split("*"):
+            factor = factor.strip()
+            if factor.startswith("q^"):
+                a += int(factor[2:])
+            elif factor == "q":
+                a += 1
+            elif factor.startswith("rho^"):
+                b += int(factor[4:])
+            elif factor == "rho":
+                b += 1
+            else:
+                coeff *= int(factor)
+        terms[(a, b)] = terms.get((a, b), 0) + coeff
+    return {k: c for k, c in terms.items() if c}
 
 
 class Field:
-    """Base class for the scalar fields; concrete fields fix q and rho."""
+    """Base class for the scalar fields.
+
+    A field's scalars are its raw values, handled only through its
+    methods.  Each concrete field sets, through _set_constants, the raw
+    values q, rho, one and qdiff = q - q^{-1}.
+    """
 
     tag = None
 
-    # -- raw value protocol (operates on unwrapped backend values) --------
+    def _set_constants(self, q, rho):
+        self.q = q
+        self.rho = rho
+        self.one = self.raw_from_int(1)
+        self.qdiff = self.raw_sub(q, self.raw_div(self.one, q))
+
+    # -- raw value protocol -------------------------------------------------
     raw_add = staticmethod(operator.add)
     raw_sub = staticmethod(operator.sub)
     raw_mul = staticmethod(operator.mul)
@@ -252,6 +134,19 @@ class Field:
         if self.raw_is_zero(b):
             raise FieldError("division by zero")
         return a / b
+
+    def raw_pow(self, a, n):
+        """a^n for an integer n of either sign."""
+        if n < 0:
+            a, n = self.raw_div(self.one, a), -n
+        out = self.one
+        while n:
+            if n & 1:
+                out = self.raw_mul(out, a)
+            n >>= 1
+            if n:
+                a = self.raw_mul(a, a)
+        return out
 
     def raw_is_zero(self, a):
         return not a
@@ -271,9 +166,9 @@ class Field:
     def raw_from_int(self, n):
         raise NotImplementedError
 
-    def raw_from_laurent(self, lp):
-        """The canonical raw value of a LaurentPoly at the field's q and
-        rho."""
+    def raw_from_laurent(self, terms):
+        """The canonical raw value of a Laurent terms dict at the field's q
+        and rho."""
         raise NotImplementedError
 
     def normalize(self, v):
@@ -289,7 +184,7 @@ class Field:
             return u
         # products with one (fresh states, unit coefficients) are skipped;
         # == on raw values is exact and never slower than a product
-        one = self.raw_from_int(1)
+        one = self.one
         if c != one:
             mul = self.raw_mul
             v = {k: c if a == one else mul(c, a) for k, a in v.items()}
@@ -305,47 +200,25 @@ class Field:
                 u[k] = ca
         return u
 
-    def quotient(self, a, b):
-        """The FieldElement a / b of two raw values, normalized once."""
-        return FieldElement(self, self.raw_div(a, b))
-
-    # -- wrapped constructors ---------------------------------------------
-    def __call__(self, n):
-        return FieldElement(self, self.raw_from_int(n))
-
-    def zero(self):
-        return self(0)
-
-    def one(self):
-        return self(1)
-
-    def q(self):
-        return FieldElement(self, self._q_val)
-
-    def rho(self):
-        return FieldElement(self, self._rho_val)
-
     def delta(self):
-        """The loop parameter (rho - rho^-1) / (q - q^-1)."""
-        q, rho = self.q(), self.rho()
-        denom = q - 1 / q
-        if denom.is_zero():
+        """The loop parameter (rho - rho^-1) / (q - q^-1); raises FieldError
+        where q - q^-1 = 0."""
+        if self.raw_is_zero(self.qdiff):
             raise FieldError("q-q^{-1} not invertible")
-        return (rho - 1 / rho) / denom
+        rho = self.rho
+        return self.raw_div(self.raw_sub(rho, self.raw_div(self.one, rho)),
+                            self.qdiff)
 
     def quantum_characteristic(self):
         """Least e >= 1 with 1 + q^2 + ... + q^(2(e-1)) = 0, else math.inf."""
         raise NotImplementedError
 
-    def to_text(self, elem):
+    def to_text(self, a):
         raise NotImplementedError
 
     def parse(self, text):
+        """The normalized raw value written by to_text."""
         raise NotImplementedError
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
 
 # -- Laurent numerators: dicts {(a, b): c} for sum c q^a rho^b, c != 0 ------
@@ -652,17 +525,19 @@ class _Frac:
     necessarily reduced.
 
     The raw arithmetic layer postpones gcd cancellation; values are reduced
-    when they cross into FieldElement or when they grow past a size
-    threshold.  num == {} exactly characterizes the zero value, so zero
-    testing never needs a reduction.  Neither dict is mutated once it is
-    part of a _Frac.
+    by normalize, which callers apply where a value must be canonical, and
+    when they grow past a size threshold.  normal marks a value that
+    normalize returned, so normalizing it again costs nothing.  num == {}
+    exactly characterizes the zero value, so zero testing never needs a
+    reduction.  Neither dict is mutated once it is part of a _Frac.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "normal")
 
-    def __init__(self, num, den):
+    def __init__(self, num, den, normal=False):
         self.num = num
         self.den = den
+        self.normal = normal
 
     def __repr__(self):
         return "_Frac(%s, %s)" % (self.num, self.den)
@@ -684,11 +559,12 @@ def _lift(x):
 
 
 def _demote(frac):
-    """A reduced _Frac as (N, i, j) when its denominator is a unit of R."""
+    """The normal form of a reduced _Frac: (N, i, j) when its denominator
+    is a unit of R, else the _Frac marked normal."""
     den, i, j = _linear_factors(frac.den)
     unit = _unit_monomial(den)
     if unit is None:
-        return frac
+        return _Frac(frac.num, frac.den, True)
     u, v, c = unit
     return ({(a - u, b - v): c * d for (a, b), d in frac.num.items()}, i, j)
 
@@ -710,8 +586,8 @@ class _FunctionField(Field):
     def raw_from_int(self, n):
         return ({(0, 0): n}, 0, 0) if n else _ZERO
 
-    def raw_from_laurent(self, lp):
-        terms = self._exponent_terms(lp)
+    def raw_from_laurent(self, terms):
+        terms = self._exponent_terms(terms)
         return (dict(terms), 0, 0) if terms else _ZERO
 
     def raw_is_zero(self, a):
@@ -738,7 +614,7 @@ class _FunctionField(Field):
         if a.__class__ is tuple:
             n, i, j = a
             return ({k: -c for k, c in n.items()}, i, j)
-        return _Frac({k: -c for k, c in a.num.items()}, a.den)
+        return _Frac({k: -c for k, c in a.num.items()}, a.den, a.normal)
 
     def raw_add(self, a, b):
         if a.__class__ is tuple and b.__class__ is tuple:
@@ -760,8 +636,7 @@ class _FunctionField(Field):
         return self._maybe_reduce(
             _Frac(_terms_mul(a.num, b.num), _terms_mul(a.den, b.den)))
 
-    def _div(self, a, b):
-        # no lazy reduction: quotient hands the result to FieldElement
+    def raw_div(self, a, b):
         global fallbacks
         if self.raw_is_zero(b):
             raise FieldError("division by zero")
@@ -771,14 +646,8 @@ class _FunctionField(Field):
                 return v
             fallbacks += 1
         a, b = _lift(a), _lift(b)
-        return _Frac(_terms_mul(a.num, b.den), _terms_mul(a.den, b.num))
-
-    def raw_div(self, a, b):
-        v = self._div(a, b)
-        return v if v.__class__ is tuple else self._maybe_reduce(v)
-
-    def quotient(self, a, b):
-        return FieldElement(self, self._div(a, b))
+        return self._maybe_reduce(
+            _Frac(_terms_mul(a.num, b.den), _terms_mul(a.den, b.num)))
 
     def _maybe_reduce(self, v):
         if len(v.den) > 1 and (len(v.num) > self._reduce_len
@@ -797,39 +666,39 @@ class _FunctionField(Field):
         return _Frac(num, den)
 
     def normalize(self, v):
-        if v.__class__ is tuple:
+        if v.__class__ is tuple or v.normal:
             return v
         return _demote(self.reduce_raw(v))
 
-    def to_laurent_fraction(self, elem):
-        """Return the reduced (numerator, denominator) as LaurentPoly values:
-        polynomials with no common factor, the denominator's leading
-        coefficient (q before rho, lexicographically) positive."""
-        v = elem.val  # a FieldElement is normalized on construction
+    def to_laurent_fraction(self, a):
+        """The reduced (numerator, denominator) of a raw value as Laurent
+        terms dicts: polynomials with no common factor, the denominator's
+        leading coefficient (q before rho, lexicographically) positive."""
+        v = self.normalize(a)
         if v.__class__ is _Frac:
-            return LaurentPoly(v.num), LaurentPoly(v.den)
+            return v.num, v.den
         n, i, j = v
         if not n:
-            return LaurentPoly(), LaurentPoly.monomial(1)
+            return {}, _POLY_ONE
         u, w = _shift(n)
-        return (LaurentPoly({(a + u, b + w): c for (a, b), c in n.items()}),
-                LaurentPoly(_den_terms(u, w, i, j)))
+        return ({(a + u, b + w): c for (a, b), c in n.items()},
+                _den_terms(u, w, i, j))
 
-    def to_text(self, elem):
-        num, den = self.to_laurent_fraction(elem)
-        if den == LaurentPoly.monomial(1):
-            return num.to_text()
-        return "%s / %s" % (num.to_text(), den.to_text())
+    def to_text(self, a):
+        num, den = self.to_laurent_fraction(a)
+        if den == _POLY_ONE:
+            return laurent_text(num)
+        return "%s / %s" % (laurent_text(num), laurent_text(den))
 
     def parse(self, text):
         parts = text.split("/")
         if len(parts) > 2:
             raise FieldError("too many '/' in %r" % text)
-        num = self.raw_from_laurent(LaurentPoly.from_text(parts[0]))
+        num = self.raw_from_laurent(laurent_from_text(parts[0]))
         if len(parts) == 1:
-            return FieldElement(self, num)
-        den = self.raw_from_laurent(LaurentPoly.from_text(parts[1]))
-        return self.quotient(num, den)
+            return num
+        den = self.raw_from_laurent(laurent_from_text(parts[1]))
+        return self.normalize(self.raw_div(num, den))
 
     def quantum_characteristic(self):
         return math.inf
@@ -839,12 +708,13 @@ class GenericField(_FunctionField):
     """The generic rational function field Q(q, rho)."""
 
     tag = "generic"
-    _q_val = ({(1, 0): 1}, 0, 0)
-    _rho_val = ({(0, 1): 1}, 0, 0)
+
+    def __init__(self):
+        self._set_constants(({(1, 0): 1}, 0, 0), ({(0, 1): 1}, 0, 0))
 
     @staticmethod
-    def _exponent_terms(lp):
-        return lp.terms
+    def _exponent_terms(terms):
+        return terms
 
     def __eq__(self, other):
         return isinstance(other, GenericField)
@@ -868,7 +738,6 @@ class OneVarField(_FunctionField):
     raw value is 0."""
 
     tag = "one-var"
-    _q_val = ({(1, 0): 1}, 0, 0)
 
     def __init__(self, n, sign=1):
         if sign not in (1, -1):
@@ -879,12 +748,12 @@ class OneVarField(_FunctionField):
             raise FieldError("|n| in rho = +-q^n must be at most %d"
                              % EXPONENT_MAX)
         self.sign = sign
-        self._rho_val = ({(self.n, 0): sign}, 0, 0)
+        self._set_constants(({(1, 0): 1}, 0, 0), ({(self.n, 0): sign}, 0, 0))
 
-    def _exponent_terms(self, lp):
+    def _exponent_terms(self, terms):
         # c q^a rho^b = c sign^b q^(a + n b)
         out = {}
-        for (a, b), c in lp.terms.items():
+        for (a, b), c in terms.items():
             key = (a + self.n * b, 0)
             out[key] = out.get(key, 0) + (-c if self.sign < 0 and b % 2 else c)
         return {m: c for m, c in out.items() if c}
@@ -904,8 +773,30 @@ class OneVarField(_FunctionField):
         return "OneVarField(n=%d, sign=%d)" % (self.n, self.sign)
 
 
+# the largest digit count of the numerator, the denominator and the exponent
+# of a rational q or rho as written, and the largest |exponent|: Fraction
+# takes superlinear time in the exponent, and the spec is written back as
+# text
+RATIONAL_DIGITS_MAX = 100
+RATIONAL_EXPONENT_MAX = 100
+
+
+def _bounded_number(text):
+    """text, once its digit counts and exponent are within the bounds."""
+    mantissa, _, exp = text.lower().partition("e")
+    num, _, den = mantissa.partition("/")
+    if max(sum(map(str.isdigit, part)) for part in (num, den, exp)) \
+            > RATIONAL_DIGITS_MAX \
+            or (exp.strip() and abs(int(exp)) > RATIONAL_EXPONENT_MAX):
+        raise FieldError("rational q and rho take at most %d digits above "
+                         "and below the bar and exponents up to %d"
+                         % (RATIONAL_DIGITS_MAX, RATIONAL_EXPONENT_MAX))
+    return text
+
+
 class RationalField(Field):
-    """Q with numeric q and rho, given as anything Fraction accepts."""
+    """Q with numeric q and rho, given as numbers or text that Fraction
+    reads, within the bounds of _bounded_number."""
 
     tag = "rational"
 
@@ -913,47 +804,44 @@ class RationalField(Field):
         # only rational fields pay for importing fractions (and decimal)
         from fractions import Fraction
         self._fraction = Fraction
-        q = Fraction(q)
-        rho = Fraction(rho)
+        q, rho = (Fraction(_bounded_number(str(x))) for x in (q, rho))
         if q == 0 or rho == 0:
             raise FieldError("q and rho must be nonzero")
         if q * q == 1:
             raise FieldError("q-q^{-1} not invertible")
-        self._q_val = q
-        self._rho_val = rho
+        self._set_constants(q, rho)
 
     def raw_from_int(self, n):
         return self._fraction(n)
 
-    def raw_from_laurent(self, lp):
-        q, rho = self._q_val, self._rho_val
-        return sum((c * q ** a * rho ** b for (a, b), c in lp.terms.items()),
+    def raw_from_laurent(self, terms):
+        q, rho = self.q, self.rho
+        return sum((c * q ** a * rho ** b for (a, b), c in terms.items()),
                    self._fraction(0))
 
     def quantum_characteristic(self):
         return math.inf
 
-    def to_text(self, elem):
-        v = elem.val
-        if v.denominator == 1:
-            return str(v.numerator)
-        return "%d / %d" % (v.numerator, v.denominator)
+    def to_text(self, a):
+        if a.denominator == 1:
+            return str(a.numerator)
+        return "%d / %d" % (a.numerator, a.denominator)
 
     def parse(self, text):
-        return FieldElement(self, self._fraction(text.replace(" ", "")))
+        return self._fraction(text.replace(" ", ""))
 
     def __eq__(self, other):
         return (isinstance(other, RationalField)
-                and (self._q_val, self._rho_val) == (other._q_val, other._rho_val))
+                and (self.q, self.rho) == (other.q, other.rho))
 
     def __hash__(self):
-        return hash((self.tag, self._q_val, self._rho_val))
+        return hash((self.tag, self.q, self.rho))
 
     def spec_string(self):
-        return "rational:%s,%s" % (self._q_val, self._rho_val)
+        return "rational:%s,%s" % (self.q, self.rho)
 
     def __repr__(self):
-        return "RationalField(q=%s, rho=%s)" % (self._q_val, self._rho_val)
+        return "RationalField(q=%s, rho=%s)" % (self.q, self.rho)
 
 
 # GF(p) takes p below this bound, so that the trial divisions testing p and
@@ -998,8 +886,7 @@ class PrimeField(Field):
         if q == 0 or rho == 0:
             raise FieldError("q and rho must be units")
         self.p = p
-        self._q_val = q
-        self._rho_val = rho
+        self._set_constants(q, rho)
 
     def raw_add(self, a, b):
         return (a + b) % self.p
@@ -1035,13 +922,13 @@ class PrimeField(Field):
                 u.pop(k, None)
         return u
 
-    def raw_from_laurent(self, lp):
-        p, q, rho = self.p, self._q_val, self._rho_val
+    def raw_from_laurent(self, terms):
+        p, q, rho = self.p, self.q, self.rho
         return sum(c * pow(q, a, p) * pow(rho, b, p)
-                   for (a, b), c in lp.terms.items()) % p
+                   for (a, b), c in terms.items()) % p
 
     def quantum_characteristic(self):
-        qq = (self._q_val * self._q_val) % self.p
+        qq = (self.q * self.q) % self.p
         if qq == 1:
             return self.p
         # least e with (q^{2e}-1)/(q^2-1) = 0, i.e. the order of q^2: it
@@ -1053,38 +940,37 @@ class PrimeField(Field):
                 e //= ell
         return e
 
-    def to_text(self, elem):
-        return str(elem.val)
+    def to_text(self, a):
+        return str(a)
 
     def parse(self, text):
-        return self(int(text))
+        return self.raw_from_int(int(text))
 
     def __eq__(self, other):
         return (isinstance(other, PrimeField)
-                and (self.p, self._q_val, self._rho_val)
-                == (other.p, other._q_val, other._rho_val))
+                and (self.p, self.q, self.rho)
+                == (other.p, other.q, other.rho))
 
     def __hash__(self):
-        return hash((self.tag, self.p, self._q_val, self._rho_val))
+        return hash((self.tag, self.p, self.q, self.rho))
 
     def spec_string(self):
-        return "gfp:%d,%d,%d" % (self.p, self._q_val, self._rho_val)
+        return "gfp:%d,%d,%d" % (self.p, self.q, self.rho)
 
     def __repr__(self):
-        return "PrimeField(p=%d, q=%d, rho=%d)" % (self.p, self._q_val, self._rho_val)
+        return "PrimeField(p=%d, q=%d, rho=%d)" % (self.p, self.q, self.rho)
 
 
-def transfer_from_generic(elem, field):
-    """Map a generic scalar into another field by evaluating q and rho.
+def transfer_from_generic(value, field):
+    """Map a raw value of the generic field into another field by
+    evaluating q and rho; the result is normalized.
 
     Valid whenever the reduced denominator does not vanish in the target
     field; values of the base ring Z[q^{+-1}, rho^{+-1}, (q-q^{-1})^{-1}]
     always transfer.
     """
-    src = elem.field
-    if not isinstance(src, GenericField):
-        raise FieldError("transfer source must be the generic field")
-    return field.quotient(*_specialize(src.to_laurent_fraction(elem), field))
+    fraction = GenericField().to_laurent_fraction(value)
+    return field.normalize(field.raw_div(*_specialize(fraction, field)))
 
 
 def vanishes_under(fraction, field):

@@ -44,6 +44,7 @@ class HeckeAlgebra:
 
     def n_sym(self, lam, offset=0):
         """n_lam: sum of (-q)^{-l(w)} g_w over the row stabilizer."""
-        q = self.field.q()
-        return {w: ((-q) ** (-perm_length(w))).val
+        f = self.field
+        minus_q = f.raw_neg(f.q)
+        return {w: f.raw_pow(minus_q, -perm_length(w))
                 for w in self.young_subgroup(lam, offset)}

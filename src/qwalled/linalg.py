@@ -1,8 +1,7 @@
 """Sparse exact linear algebra over the scalar fields.
 
-Vectors are dicts mapping hashable keys to raw field values (never zero).
-Working on raw values keeps the hot loops cheap; callers wrap results in
-FieldElement only at the boundary.
+Vectors are dicts mapping hashable keys to raw field values (never zero),
+the only scalars there are.
 
 Accumulation goes through the field's in-place kernel
 ``field.vec_iaxpy(u, c, v)`` (u += c * v).  Callers own their accumulators:
@@ -113,7 +112,7 @@ def matrix_rank(field, matrix):
 
 
 def determinant(field, matrix):
-    """Determinant of a square matrix of raw field values.
+    """Determinant of a square matrix of raw field values, normalized.
 
     Ordinary Gaussian elimination with a normalization pass per entry;
     matrices here stay small enough that fraction growth is not a concern.

@@ -36,7 +36,8 @@ def m_factor(engine, lam, offset, starred):
     the offset, on the g strands or (starred) the g* strands, as a factor
     for cellular.evaluate_factors."""
     alg = HeckeAlgebra(engine.s if starred else engine.r, engine.field)
-    q = engine.field.q()
+    f = engine.field
     mk = gs_tok if starred else g_tok
-    return [((q ** perm_length(w)).val, [(mk(i), 1) for i in reduced_word(w)])
+    return [(f.raw_pow(f.q, perm_length(w)),
+             [(mk(i), 1) for i in reduced_word(w)])
             for w in alg.young_subgroup(lam, offset)]

@@ -217,11 +217,14 @@ def test_usage_errors(capsys):
                                   "gfp:7,1,2", "generic:abc", "generic:",
                                   "delta-zero:", "q-power:3:",
                                   "q-power:100000000000", "rho2:99999999999",
-                                  "gfp:1000000000000000000000000000057,2,3"])
+                                  "gfp:1000000000000000000000000000057,2,3",
+                                  "rational:1e100000,2",
+                                  "rational:2,1e-100000"])
 def test_bad_field_is_a_usage_error(capsys, spec):
     # gfp:7,1,2 parses, but q^2 = 1 leaves delta undefined; the huge
-    # exponents would make delta a polynomial with 10^11 terms, and the
-    # huge prime would take 10^15 trial divisions
+    # exponents would make delta a polynomial with 10^11 terms, the huge
+    # prime would take 10^15 trial divisions, and the huge rationals have
+    # more digits than an int may print
     code, out, err = run_cli(capsys, "dims", "--r", "2", "--s", "1",
                              "--field", spec)
     assert code == EXIT_USAGE and out == ""

@@ -161,15 +161,17 @@ def test_add_remove_inverse(lam):
 
 
 def test_content_scalar():
-    q = GEN.q()
-    assert content_scalar(Node(1, 1, side=1), GEN).is_zero()
-    assert content_scalar(Node(2, 2, side=2), GEN).is_zero()
-    assert content_scalar(Node(1, 2, side=1), GEN) == -q
-    assert content_scalar(Node(1, 2, side=2), GEN) == -(q ** -1)
+    f = GEN
+    assert f.raw_is_zero(content_scalar(Node(1, 1, side=1), f))
+    assert f.raw_is_zero(content_scalar(Node(2, 2, side=2), f))
+    assert f.raw_eq(content_scalar(Node(1, 2, side=1), f), f.raw_neg(f.q))
+    assert f.raw_eq(content_scalar(Node(1, 2, side=2), f),
+                    f.raw_neg(f.raw_pow(f.q, -1)))
     # side 1 at general k: (1 - q^{2k}) / (q - q^{-1})
     k = 3
-    expect = (1 - q ** (2 * k)) / (q - q ** -1)
-    assert content_scalar(Node(1, 1 + k, side=1), GEN) == expect
+    expect = f.raw_div(f.raw_sub(f.one, f.raw_pow(f.q, 2 * k)),
+                       f.raw_sub(f.q, f.raw_pow(f.q, -1)))
+    assert f.raw_eq(content_scalar(Node(1, 1 + k, side=1), f), expect)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from qwalled.groundfield import (
-    FieldElement,
     GenericField,
     PrimeField,
     RationalField,
@@ -128,7 +127,7 @@ def test_determinant_rational_oracle():
 
 def test_determinant_generic():
     f = GEN
-    q = f.q().val
+    q = f.q
     one = raw(f, 1)
     # [[q, 1], [1, q^{-1}]] is singular
     qinv = f.raw_div(one, q)
@@ -144,12 +143,12 @@ def test_determinant_prefers_unit_pivots():
     # column holds 1 + q^-2, not a unit of R, above the unit q
     from qwalled import groundfield
     f = GEN
-    q = f.q()
-    a, b, d = 1 + q ** -2, q, q ** 2 + q ** -2
+    a, b, d = (f.raw_from_laurent(terms) for terms in (
+        {(0, 0): 1, (-2, 0): 1}, {(1, 0): 1}, {(2, 0): 1, (-2, 0): 1}))
     before = groundfield.fallbacks
-    got = determinant(f, [[a.val, b.val], [b.val, d.val]])
+    got = determinant(f, [[a, b], [b, d]])
     assert groundfield.fallbacks == before
-    assert f.raw_eq(got, (a * d - b * b).val)
+    assert f.raw_eq(got, f.raw_sub(f.raw_mul(a, d), f.raw_mul(b, b)))
 
 
 def _divisions(field, matrix):
@@ -168,19 +167,21 @@ def test_determinant_prefers_small_pivots():
     # five-term value above it, and the determinant is unchanged
     import sympy
     f = GenericField()
-    q, rho = f.q(), f.rho()
-    big, small = 1 + q + q ** 2 + q ** 3 + rho, 1 + q ** 2
-    mat = [[big, f(1), q], [small, rho, f(2)], [f(0), q, 1 + rho]]
-    det, pairs = _divisions(f, [[e.val for e in row] for row in mat])
-    assert f.raw_eq(pairs[0][1], small.val)
+    q, rho = f.q, f.rho
+    big, small, rho1 = (f.raw_from_laurent(terms) for terms in (
+        {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1, (0, 1): 1},
+        {(0, 0): 1, (2, 0): 1}, {(0, 0): 1, (0, 1): 1}))
+    mat = [[big, raw(f, 1), q], [small, rho, raw(f, 2)], [raw(f, 0), q, rho1]]
+    det, pairs = _divisions(f, mat)
+    assert f.raw_eq(pairs[0][1], small)
     x, y = sympy.symbols("q rho")
     ref = sympy.Matrix([[1 + x + x ** 2 + x ** 3 + y, 1, x],
                         [1 + x ** 2, y, 2], [0, x, 1 + y]]).det()
     for qv, rv in [(2, 3), (Fraction(3, 2), -5)]:
         at = RationalField(qv, rv)
         want = Fraction(str(ref.subs({x: qv, y: rv})))
-        assert transfer_from_generic(FieldElement(f, det), at).val == want
-        assert determinant(at, [[transfer_from_generic(e, at).val
+        assert transfer_from_generic(det, at) == want
+        assert determinant(at, [[transfer_from_generic(e, at)
                                  for e in row] for row in mat]) == want
 
 
@@ -217,7 +218,6 @@ def test_determinant_shape_check():
 
 def test_rank_generic():
     f = GEN
-    q = f.q().val
-    rho = f.rho().val
+    q, rho = f.q, f.rho
     rows = [[q, rho], [f.raw_mul(q, q), f.raw_mul(q, rho)], [raw(f, 0), rho]]
     assert matrix_rank(f, rows) == 2
