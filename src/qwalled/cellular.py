@@ -22,7 +22,7 @@ from .combinat import (
     std_tableau_pairs,
     t_row,
 )
-from .engine import E_TOK, g_tok, gs_tok
+from .engine import E_TOK, evaluate_factors, g_tok, gs_tok, word_letters
 from .hecke import HeckeAlgebra
 from .linalg import Echelon, determinant, matrix_rank
 
@@ -88,20 +88,14 @@ def module_dimension(label, r, s):
 
 
 # ---------------------------------------------------------------------------
-# the cellular basis as a product of factors: a factor is a list of (raw
-# coeff, letters) terms with letters (token, power) pairs; one-term factors
-# (bare words, trivial symmetrizers) have coefficient one
-
-def _perm_letters(w, mk):
-    return [(mk(i), 1) for i in reduced_word(w)]
-
+# the cellular basis as a product of factors (engine.evaluate_factors)
 
 def symmetrizer_factor(engine, lam, offset, starred):
     """n_lam of the row stabilizer of lam placed at the offset, on the g
     strands or (starred) the g* strands."""
     alg = HeckeAlgebra(engine.s if starred else engine.r, engine.field)
     mk = gs_tok if starred else g_tok
-    return [(c, _perm_letters(w, mk))
+    return [(c, word_letters(mk, reduced_word(w)))
             for w, c in alg.n_sym(lam, offset).items()]
 
 
@@ -118,16 +112,17 @@ def left_factors(engine, label, left, syms):
     label_symmetrizers(engine, label), the two factors of n_lam."""
     head = [(tok, 1) for tok in reversed(left.rep.word_pairs())]
     head += engine.ecap_letters(label.f)
-    head += _perm_letters(perm_inverse(d_perm(left.tab[0])), g_tok)
-    head += _perm_letters(perm_inverse(d_perm(left.tab[1])), gs_tok)
+    for tok, tab in zip((g_tok, gs_tok), left.tab):
+        head += word_letters(tok, reduced_word(perm_inverse(d_perm(tab))))
     return [[(engine.field.one, head)], *syms]
 
 
 def right_letters(right):
     """The tail g_{d(t1)} g*_{d(t2)} g_d of C_{(s,e)(t,d)}, which depends on
     the right index only, as letters."""
-    tail = _perm_letters(d_perm(right.tab[0]), g_tok)
-    tail += _perm_letters(d_perm(right.tab[1]), gs_tok)
+    tail = []
+    for tok, tab in zip((g_tok, gs_tok), right.tab):
+        tail += word_letters(tok, reduced_word(d_perm(tab)))
     tail += [(tok, 1) for tok in right.rep.word_pairs()]
     return tail
 
@@ -146,27 +141,6 @@ def sigma_factors(factors):
             for factor in reversed(factors)]
 
 
-def evaluate_factors(engine, factors):
-    """The product of factors."""
-    x = engine.one()
-    for factor in factors:
-        if len(factor) == 1:
-            x = engine.from_letters(factor[0][1], x)
-            continue
-        out = engine.zero()
-        for c, letters in factor:
-            out = out + engine.from_letters(letters, x).scale(c)
-        x = out
-    return x
-
-
-def cellular_element(engine, label, left, right, syms):
-    """C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d, with syms as in
-    cellular_factors."""
-    return evaluate_factors(
-        engine, cellular_factors(engine, label, left, right, syms))
-
-
 # ---------------------------------------------------------------------------
 # the full basis and its coordinate system
 
@@ -181,7 +155,8 @@ class _CellData:
     right index (t, d).  The tails go through a prefix memo {letters:
     element} that lives for one left index, so rights that share tableaux
     share the products of their common prefixes.  The product is associated
-    left to right as in cellular_element, so the elements are the same.
+    left to right as in evaluate_factors of cellular_factors, so the
+    elements are the same.
     """
 
     def __init__(self, engine):
@@ -317,7 +292,6 @@ class CellModule:
                     data, engine.apply_token(x, tok).terms))
             self._tok[tok] = rows
         self._tok_inv = {}
-        self._word_mats = {(): _mat_identity(self.field, self.dim)}
         self._gram = None
         self._det = None
         self._det_fraction = None
@@ -337,10 +311,6 @@ class CellModule:
                     "action leaks to non-higher label %r" % (lab2,))
         return row
 
-    def element_vector(self, elem):
-        """Module coordinates of an engine element of the cell ideal."""
-        return self._extract(cellular_data(self.engine), elem.terms)
-
     def token_matrix(self, tok, power=1):
         if power == 1:
             return self._tok[tok]
@@ -355,45 +325,26 @@ class CellModule:
             self._tok_inv[tok] = mat
         return mat
 
-    def letters_matrix(self, letters):
-        """Action matrix of a product of (token, power) letters."""
-        a = _mat_identity(self.field, self.dim)
-        for tok, p in letters:
-            a = _mat_mul(self.field, a, self.token_matrix(tok, p))
-        return a
-
-    def word_matrix(self, word):
-        mat = self._word_mats.get(word)
-        if mat is None:
-            mat = _mat_mul(self.field, self.word_matrix(word[:-1]),
-                           self._tok[word[-1]])
-            self._word_mats[word] = mat
-        return mat
-
-    def action_matrix(self, elem):
-        """Action matrix of an arbitrary engine element."""
-        f = self.field
-        out = _mat_zero(self.dim)
-        for t, c in elem.terms.items():
-            out = _mat_axpy(f, out, c,
-                            self.word_matrix(self.engine.basis_words[t]))
-        return out
-
-    def action_trace(self, elem):
-        return _mat_trace(self.field, self.action_matrix(elem))
-
     def factors_matrix(self, factors):
-        """Action matrix of a product of factors."""
+        """Action matrix of a product of factors, the one way an algebra
+        expression acts on the module; row i is the class of C_{anchor, i}
+        times the product."""
         f = self.field
+
+        def times_letters(a, letters):
+            for tok, p in letters:
+                a = _mat_mul(f, a, self.token_matrix(tok, p))
+            return a
+
         a = _mat_identity(f, self.dim)
         for factor in factors:
             if len(factor) == 1:
-                for tok, p in factor[0][1]:
-                    a = _mat_mul(f, a, self.token_matrix(tok, p))
+                a = times_letters(a, factor[0][1])
                 continue
             m = _mat_zero(self.dim)
             for c, letters in factor:
-                m = _mat_axpy(f, m, c, self.letters_matrix(letters))
+                m = _mat_axpy(f, m, c, times_letters(
+                    _mat_identity(f, self.dim), letters))
             a = _mat_mul(f, a, m)
         return a
 

@@ -61,26 +61,12 @@ DEFAULT_MAX_TOTAL = 6
 # gram closes the layer block e^f B/J_{f+1} for labels up to this layer
 GRAM_QUOTIENT_MAX_LAYER = 1
 
+# the commands whose reports have no table, and so no csv output
+NO_CSV = ("cellular", "semisimple")
+
 
 class UsageError(Exception):
     pass
-
-
-class RunConfig:
-    """The arguments of one call."""
-
-    def __init__(self, r, s, field_spec, command, fmt="json", cache_dir=None,
-                 max_total=DEFAULT_MAX_TOTAL, args=None):
-        self.r = r
-        self.s = s
-        self.field_spec = field_spec
-        self.command = command
-        self.fmt = fmt
-        self.cache_dir = cache_dir
-        self.max_total = max_total
-        self.args = {} if args is None else args
-        # the generic engine, once a command of this run has loaded it
-        self.generic = None
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +93,9 @@ def parse_bipartition(text):
 
 
 def _config_label(config):
-    f = config.args["f"]
-    shape = parse_bipartition(config.args["shape"])
+    shape = parse_bipartition(config.shape)
     try:
-        return cell_label(config.r, config.s, f, shape)
+        return cell_label(config.r, config.s, config.f, shape)
     except CellularError as exc:
         raise UsageError(str(exc))
 
@@ -221,11 +206,9 @@ def _csv_line(values):
 
 
 def emit(config, report, csv_rows=None, csv_columns=None, text_lines=None):
-    if config.fmt == "json":
+    if config.format == "json":
         return json.dumps(report, sort_keys=True, separators=(",", ":"))
-    if config.fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is not available for this command")
+    if config.format == "csv":
         lines = [",".join(csv_columns)]
         for row in csv_rows:
             lines.append(_csv_line(row.get(col, "") for col in csv_columns))
@@ -288,11 +271,10 @@ def cmd_relations(config, field):
 
 
 def cmd_cellular(config, field):
-    anchors = config.args.get("anchors")
-    if anchors is not None and anchors < 1:
+    if config.anchors is not None and config.anchors < 1:
         raise UsageError("--anchors must be at least 1")
     engine = load_engine(config, field)
-    result = validate_cell_datum(engine, alternate_anchors=anchors)
+    result = validate_cell_datum(engine, alternate_anchors=config.anchors)
     report = _report(config, field, basis=result["basis"],
                      involution=result["involution"],
                      triangular=result["triangular"],
@@ -319,7 +301,7 @@ def cmd_gram(config, field):
     report = _report(config, field, label=_label_text(label), dim=module.dim,
                      entries=entries, determinant=field.to_text(det),
                      determinant_is_zero=field.raw_is_zero(det))
-    if config.fmt == "csv":
+    if config.format == "csv":
         # a matrix has no column names, so no header line
         return EXIT_OK, "\n".join(_csv_line(row) for row in entries)
     text = ["G_{%d,%s}  (%d x %d)" % (label.f, _shape_text(label),
@@ -367,12 +349,12 @@ def cmd_simples(config, field):
 
 
 def cmd_semisimple(config, field):
-    mode = config.args.get("mode", "closed_form")
     # Gram determinants are taken over the generic field, then evaluated
     # in the field; the engine is loaded only when the Gram side runs
-    verdict = semisimplicity(config.r, config.s, field, mode=mode,
+    verdict = semisimplicity(config.r, config.s, field, mode=config.mode,
                              generic=lambda: generic_engine(config))
-    report = _report(config, field, mode=mode, semisimple=verdict.verdict,
+    report = _report(config, field, mode=config.mode,
+                     semisimple=verdict.verdict,
                      reason=verdict.reason,
                      witnesses=[_label_text(w) for w in verdict.witnesses])
     text = ["semisimple: %s" % verdict.verdict,
@@ -403,19 +385,19 @@ def cmd_branch(config, field):
 
 
 def cmd_sweep(config):
-    amax = config.args.get("amax")
+    amax = config.amax
     if amax is None:
         amax = config.r + config.s
     elif not 0 <= amax <= EXPONENT_MAX:
         raise UsageError("--amax must be between 0 and %d" % EXPONENT_MAX)
-    mode = config.args.get("mode", "both")
     rows = []
     for a in range(-amax, amax + 1):
         for sign in (1, -1):
             point = OneVarField(a, sign)
             # Gram determinants are taken over the generic field once,
             # then evaluated at each point
-            verdict = semisimplicity(config.r, config.s, point, mode=mode,
+            verdict = semisimplicity(config.r, config.s, point,
+                                     mode=config.mode,
                                      generic=lambda: generic_engine(config))
             rows.append({
                 "a": a,
@@ -424,7 +406,8 @@ def cmd_sweep(config):
                 "reason": verdict.reason,
                 "witnesses": len(verdict.witnesses),
             })
-    report = _report(config, mode=mode, amax=amax, points=rows, ok=True)
+    report = _report(config, mode=config.mode, amax=amax, points=rows,
+                     ok=True)
     text = ["a=%-3d rho=%-6s semisimple=%s (%s)"
             % (r["a"], r["rho"], r["semisimple"], r["reason"]) for r in rows]
     return (EXIT_OK,
@@ -499,13 +482,17 @@ def build_parser():
 
 
 def run(config):
-    """Execute one subcommand; returns (exit_code, output string)."""
+    """Execute one subcommand; returns (exit_code, output string).  config
+    is the namespace of build_parser, plus the attribute generic: the
+    generic engine, once a command of this run has loaded it."""
     if config.r < 1 or config.s < 1:
         raise UsageError("r and s must be positive")
+    if config.format == "csv" and config.command in NO_CSV:
+        raise UsageError("csv output is not available for this command")
     if config.command == "sweep":
         return cmd_sweep(config)
     try:
-        fields = fields_from_spec(config.field_spec)
+        fields = fields_from_spec(config.field)
     except FieldError as exc:
         raise UsageError(str(exc))
     for field in fields:
@@ -524,16 +511,8 @@ def run(config):
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    extras = {}
-    for key in ("f", "shape", "mode", "amax", "anchors"):
-        if hasattr(ns, key):
-            extras[key] = getattr(ns, key)
-    config = RunConfig(r=ns.r, s=ns.s, field_spec=getattr(ns, "field", None),
-                       command=ns.command, fmt=ns.format,
-                       cache_dir=ns.cache_dir, max_total=ns.max_total,
-                       args=extras)
+    config = build_parser().parse_args(argv)
+    config.generic = None
     try:
         code, output = run(config)
     except UsageError as exc:

@@ -21,8 +21,8 @@ e_1 g_1 g*_1^{-1} e_1 = e_1 e_2 (tool.d.1) at f = 1, and e^{k+1} =
 e^k g_k g*_k^{-1} e_k up to a unit in general.  The root relation
 root (x_f - rho^f) = 0 holds at the identity state only, where it is
 evaluated first; at f = 0 it is trivial and the block is the algebra
-H_r (x) H_s.  A block of layer f >= 1 is not an algebra: multiply, sigma
-and central_element refuse it.
+H_r (x) H_s.  A block of layer f >= 1 is not an algebra: multiply and
+sigma refuse it.
 
 At each state taken from the queue, all relations are evaluated through one
 prefix memo {word prefix: vector}, so a prefix shared by several relation
@@ -55,6 +55,11 @@ def g_tok(i):
 
 def gs_tok(j):
     return ("gs", j)
+
+
+def word_letters(tok, indices):
+    """Letters of the word of tok(i), i over the indices."""
+    return [(tok(i), 1) for i in indices]
 
 
 def token_text(tok):
@@ -133,9 +138,6 @@ class AlgebraElement:
                               {i: f.raw_mul(cv, raw)
                                for i, cv in self.terms.items()})
 
-    def sigma(self):
-        return sigma(self)
-
     def _check(self, other):
         if not isinstance(other, AlgebraElement) \
                 or (other.engine is not self.engine
@@ -188,7 +190,7 @@ class AlgebraEngine:
         if self.is_block and layer > 0:
             # root * (x_f - rho^f) = 0, x_f = e^f g_1 ... g_f
             x_f = self.ecap_letters(layer) \
-                + [(g_tok(k), 1) for k in range(1, layer + 1)]
+                + word_letters(g_tok, range(1, layer + 1))
             self._root_relations.append(
                 self.expand_letters(x_f)
                 + [(f.raw_neg(f.raw_pow(f.rho, layer)), ())])
@@ -506,38 +508,34 @@ class AlgebraEngine:
 
     # -- distinguished elements -------------------------------------------
 
-    @staticmethod
-    def _g_range(i, j):
-        return [(g_tok(k), 1) for k in s_range_word(i, j)]
-
-    @staticmethod
-    def _gs_range(i, j):
-        return [(gs_tok(k), 1) for k in s_range_word(i, j)]
-
     def e_ij_letters(self, i, j):
         if not (1 <= i <= self.r and 1 <= j <= self.s):
             raise EngineError("e_{i,j} index out of range")
-        return inv_letters(self._g_range(1, i)) + self._gs_range(j, 1) \
-            + [(E_TOK, 1)] + self._g_range(1, i) \
-            + inv_letters(self._gs_range(j, 1))
+        g = word_letters(g_tok, s_range_word(1, i))
+        gs = word_letters(gs_tok, s_range_word(j, 1))
+        return inv_letters(g) + gs + [(E_TOK, 1)] + g + inv_letters(gs)
 
     def ecap_letters(self, f):
         """Letters of e^f = e_{1,1} ... e_{f,f}."""
         return [x for i in range(1, f + 1) for x in self.e_ij_letters(i, i)]
 
-    def e_ij(self, i, j):
-        return self.from_letters(self.e_ij_letters(i, j))
-
-    def ebar_ij(self, i, j):
-        if not (1 <= i <= self.r and 1 <= j <= self.s):
-            raise EngineError("ebar_{i,j} index out of range")
-        letters = inv_letters(self._g_range(1, i)) + self._gs_range(j, 1) \
-            + [(E_TOK, 1)] + self._gs_range(1, j) \
-            + inv_letters(self._g_range(i, 1))
-        return self.from_letters(letters)
-
     def e_single(self, i):
-        return self.e_ij(i, i)
+        return self.from_letters(self.e_ij_letters(i, i))
+
+
+def evaluate_factors(engine, factors):
+    """The product of factors, each a list of (raw coeff, letters) terms;
+    a one-term factor (a bare word) has coefficient one."""
+    x = engine.one()
+    for factor in factors:
+        if len(factor) == 1:
+            x = engine.from_letters(factor[0][1], x)
+            continue
+        out = engine.zero()
+        for c, letters in factor:
+            out = out + engine.from_letters(letters, x).scale(c)
+        x = out
+    return x
 
 
 def layer_dimension(r, s, f):
@@ -599,35 +597,34 @@ def sigma(x):
 
 
 def central_element(engine, r=None, s=None):
-    """The central element built from ebar summands and Murphy-type terms.
+    """The central element as one factor, which acts on any right module:
+    the ebar_{i,j} summands, then the two Murphy-type sums.
 
     Optional r, s restrict the sums to the front subalgebra on the first r
-    row strands and s column strands; the result is then the central element
-    of that subalgebra, viewed inside the ambient one.
+    row strands and s column strands, giving its central element.
     """
-    eng = engine
-    eng._require_algebra("central_element")
-    r = eng.r if r is None else r
-    s = eng.s if s is None else s
-    if not (1 <= r <= eng.r and 1 <= s <= eng.s):
+    r = engine.r if r is None else r
+    s = engine.s if s is None else s
+    if not (1 <= r <= engine.r and 1 <= s <= engine.s):
         raise EngineError("sub-range out of bounds")
-    f = eng.field
-    rho = f.rho
-    rho_inv = f.raw_div(f.one, rho)
-    out = eng.zero()
-    for i in range(1, r + 1):
-        for j in range(1, s + 1):
-            out = out + eng.ebar_ij(i, j)
-    for i in range(2, r + 1):
-        for j in range(1, i):
-            letters = inv_letters(eng._g_range(j, i)) \
-                + inv_letters(eng._g_range(i, j + 1))
-            out = out - eng.from_letters(letters).scale(rho_inv)
-    for i in range(2, s + 1):
-        for j in range(1, i):
-            letters = eng._gs_range(i, j) + eng._gs_range(j + 1, i)
-            out = out - eng.from_letters(letters).scale(rho)
-    return out
+    f = engine.field
+
+    def g(i, j):
+        return word_letters(g_tok, s_range_word(i, j))
+
+    def gs(i, j):
+        return word_letters(gs_tok, s_range_word(i, j))
+
+    factor = [(f.one, inv_letters(g(1, i)) + gs(j, 1) + [(E_TOK, 1)]
+               + gs(1, j) + inv_letters(g(i, 1)))
+              for i in range(1, r + 1) for j in range(1, s + 1)]
+    minus_rho_inv = f.raw_neg(f.raw_div(f.one, f.rho))
+    factor += [(minus_rho_inv, inv_letters(g(j, i)) + inv_letters(g(i, j + 1)))
+               for i in range(2, r + 1) for j in range(1, i)]
+    minus_rho = f.raw_neg(f.rho)
+    factor += [(minus_rho, gs(i, j) + gs(j + 1, i))
+               for i in range(2, s + 1) for j in range(1, i)]
+    return factor
 
 
 def verify_relations(engine):

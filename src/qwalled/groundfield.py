@@ -116,13 +116,26 @@ class Field:
     values q, rho, one and qdiff = q - q^{-1}.
     """
 
-    tag = None
+    # the attributes that the repr shows
+    _repr_args = ()
 
     def _set_constants(self, q, rho):
         self.q = q
         self.rho = rho
         self.one = self.raw_from_int(1)
         self.qdiff = self.raw_sub(q, self.raw_div(self.one, q))
+
+    # spec_string is canonical, so it is the field's identity
+    def __eq__(self, other):
+        return type(other) is type(self) \
+            and other.spec_string() == self.spec_string()
+
+    def __hash__(self):
+        return hash(self.spec_string())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%s" % (name, getattr(self, name)) for name in self._repr_args))
 
     # -- raw value protocol -------------------------------------------------
     raw_add = staticmethod(operator.add)
@@ -707,8 +720,6 @@ class _FunctionField(Field):
 class GenericField(_FunctionField):
     """The generic rational function field Q(q, rho)."""
 
-    tag = "generic"
-
     def __init__(self):
         self._set_constants(({(1, 0): 1}, 0, 0), ({(0, 1): 1}, 0, 0))
 
@@ -716,17 +727,8 @@ class GenericField(_FunctionField):
     def _exponent_terms(terms):
         return terms
 
-    def __eq__(self, other):
-        return isinstance(other, GenericField)
-
-    def __hash__(self):
-        return hash(self.tag)
-
     def spec_string(self):
         return "generic"
-
-    def __repr__(self):
-        return "GenericField()"
 
 
 # the largest |n| of a field rho = +-q^n
@@ -737,7 +739,7 @@ class OneVarField(_FunctionField):
     """Q(q) with rho specialized to sign * q^n; every exponent of rho in a
     raw value is 0."""
 
-    tag = "one-var"
+    _repr_args = ("n", "sign")
 
     def __init__(self, n, sign=1):
         if sign not in (1, -1):
@@ -758,19 +760,9 @@ class OneVarField(_FunctionField):
             out[key] = out.get(key, 0) + (-c if self.sign < 0 and b % 2 else c)
         return {m: c for m, c in out.items() if c}
 
-    def __eq__(self, other):
-        return (isinstance(other, OneVarField)
-                and (self.n, self.sign) == (other.n, other.sign))
-
-    def __hash__(self):
-        return hash((self.tag, self.n, self.sign))
-
     def spec_string(self):
         base = "q-power:%d" % self.n
         return base + (":neg" if self.sign < 0 else "")
-
-    def __repr__(self):
-        return "OneVarField(n=%d, sign=%d)" % (self.n, self.sign)
 
 
 # the largest digit count of the numerator, the denominator and the exponent
@@ -798,7 +790,7 @@ class RationalField(Field):
     """Q with numeric q and rho, given as numbers or text that Fraction
     reads, within the bounds of _bounded_number."""
 
-    tag = "rational"
+    _repr_args = ("q", "rho")
 
     def __init__(self, q, rho):
         # only rational fields pay for importing fractions (and decimal)
@@ -830,18 +822,8 @@ class RationalField(Field):
     def parse(self, text):
         return self._fraction(text.replace(" ", ""))
 
-    def __eq__(self, other):
-        return (isinstance(other, RationalField)
-                and (self.q, self.rho) == (other.q, other.rho))
-
-    def __hash__(self):
-        return hash((self.tag, self.q, self.rho))
-
     def spec_string(self):
         return "rational:%s,%s" % (self.q, self.rho)
-
-    def __repr__(self):
-        return "RationalField(q=%s, rho=%s)" % (self.q, self.rho)
 
 
 # GF(p) takes p below this bound, so that the trial divisions testing p and
@@ -875,7 +857,7 @@ class PrimeField(Field):
     specializations is still computable, but delta() raises in that case.
     """
 
-    tag = "gfp"
+    _repr_args = ("p", "q", "rho")
 
     def __init__(self, p, q, rho):
         if p >= PRIME_BOUND:
@@ -946,19 +928,8 @@ class PrimeField(Field):
     def parse(self, text):
         return self.raw_from_int(int(text))
 
-    def __eq__(self, other):
-        return (isinstance(other, PrimeField)
-                and (self.p, self.q, self.rho)
-                == (other.p, other.q, other.rho))
-
-    def __hash__(self):
-        return hash((self.tag, self.p, self.q, self.rho))
-
     def spec_string(self):
         return "gfp:%d,%d,%d" % (self.p, self.q, self.rho)
-
-    def __repr__(self):
-        return "PrimeField(p=%d, q=%d, rho=%d)" % (self.p, self.q, self.rho)
 
 
 def transfer_from_generic(value, field):

@@ -22,18 +22,17 @@ from .engine import (
     g_tok,
     gs_tok,
     inv_letters,
+    word_letters,
 )
 from .groundfield import FieldError, GenericField, vanishes_under
 from .cellular import (
     _label_text,
-    anchor_label,
+    _mat_trace,
     cell_label,
     cell_labels,
     cell_module,
-    cellular_element,
     gram_determinant,
     gram_determinant_fraction,
-    label_symmetrizers,
     module_dimension,
 )
 
@@ -85,7 +84,7 @@ def central_character(engine, label):
     against the action matrix of the central element."""
     f = engine.field
     scalar = central_scalar(label, f)
-    mat = cell_module(engine, label).action_matrix(central_element(engine))
+    mat = cell_module(engine, label).factors_matrix([central_element(engine)])
     for i, row in enumerate(mat):
         for j, c in row.items():
             want = scalar if i == j else f.raw_from_int(0)
@@ -219,37 +218,31 @@ def cell_label_any(f, shape):
     return cell_label(f + n1, f + n2, f, shape)
 
 
-def _anchor_element(engine, label):
-    anchor = anchor_label(label)
-    return cellular_element(engine, label, anchor, anchor,
-                            label_symmetrizers(engine, label))
-
+# A section generator is a factor: C_anchor times it is the generator's class
+# in C(f, lambda), the anchor row of its action matrix.
 
 def _y_alpha(engine, label, node):
-    """Class of the row-removal section generator in C(f, lambda)."""
+    """The row-removal section generator."""
     a_k = label.f + label.shape.first.partial_sums(node.row)[-1]
-    return engine.from_letters([(g_tok(i), 1)
-                                for i in s_range_word(a_k, engine.r)],
-                               _anchor_element(engine, label))
+    return [(engine.field.one,
+             word_letters(g_tok, s_range_word(a_k, engine.r)))]
 
 
 def _z_beta(engine, label, node):
-    """Class of the column-addition section generator in C(f, lambda)."""
+    """The column-addition section generator."""
     f = label.f
     lam2 = label.shape.second
     c_k = f + lam2.partial_sums(node.row)[-1]
     d_k = f + (lam2.partial_sums(node.row - 1)[-1] if node.row > 1 else 0) + 1
     entries = range(d_k, c_k + 1) if d_k <= c_k else (c_k,)
-    anchor = _anchor_element(engine, label)
     fld = engine.field
     minus_q = fld.raw_neg(fld.q)
-    out = engine.zero()
+    out = []
     for j in entries:
-        letters = [(gs_tok(i), 1) for i in s_range_word(j, c_k)]
-        letters += inv_letters([(gs_tok(i), 1) for i in s_range_word(f, c_k)])
-        letters += [(g_tok(i), 1) for i in s_range_word(engine.r, f)]
-        x = engine.from_letters(letters[::-1], anchor)
-        out = out + x.scale(fld.raw_pow(minus_q, j - c_k))
+        letters = word_letters(gs_tok, s_range_word(j, c_k))
+        letters += inv_letters(word_letters(gs_tok, s_range_word(f, c_k)))
+        letters += word_letters(g_tok, s_range_word(engine.r, f))
+        out.append((fld.raw_pow(minus_q, j - c_k), letters[::-1]))
     return out
 
 
@@ -278,16 +271,13 @@ def branching_check(engine, label):
             "scalar": field.to_text(scalar),
         })
     dim_ok = total == mod.dim
-    trace = mod.action_trace(central_element(engine, r - 1, s))
+    trace = _mat_trace(field, mod.factors_matrix(
+        [central_element(engine, r - 1, s)]))
     trace_ok = field.raw_eq(trace, expected_trace)
-    generators_ok = True
-    for kind, node, sec in sections:
-        if kind == "remove":
-            vec = mod.element_vector(_y_alpha(engine, label, node))
-        else:
-            vec = mod.element_vector(_z_beta(engine, label, node))
-        if not vec:
-            generators_ok = False
+    gens = [(_y_alpha if kind == "remove" else _z_beta)(engine, label, node)
+            for kind, node, _ in sections]
+    generators_ok = all(mod.factors_matrix([gen])[mod.anchor_index]
+                        for gen in gens)
     return {
         "r": r,
         "s": s,

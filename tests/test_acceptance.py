@@ -8,17 +8,19 @@ import functools
 import math
 from itertools import permutations
 
-from paper_checks import m_factor, perm_mul, perm_pair
+from paper_checks import (
+    m_factor,
+    module_matrix,
+    module_row,
+    perm_mul,
+    perm_pair,
+)
 from qwalled.cellular import (
-    anchor_label,
     cell_label,
     cell_labels,
     cell_module,
-    cellular_element,
-    evaluate_factors,
     gram_determinant,
     gram_determinant_fraction,
-    label_symmetrizers,
     module_dimension,
     radical_rank,
     symmetrizer_factor,
@@ -31,7 +33,13 @@ from qwalled.combinat import (
     coset_reps,
     count_std,
 )
-from qwalled.engine import build_engine, central_element, verify_relations
+from qwalled.engine import (
+    E_TOK,
+    build_engine,
+    central_element,
+    evaluate_factors,
+    verify_relations,
+)
 from qwalled.groundfield import (
     GenericField,
     OneVarField,
@@ -152,7 +160,7 @@ def test_criterion_05_central_element():
     ok = True
     for r, s in _pairs(5):
         eng = engine(r, s, GEN)
-        c = central_element(eng)
+        c = evaluate_factors(eng, [central_element(eng)])
         gens = ([eng.g_el(i) for i in range(1, r)]
                 + [eng.gs_el(j) for j in range(1, s)] + [eng.e1()])
         for g in gens:
@@ -263,7 +271,7 @@ def test_criterion_10_schur_truncation():
             for lab in cell_labels(r, s):
                 expected = 0 if lab.f == 0 else \
                     count_std(lab.shape) * coset_count(r - 1, s - 1, lab.f - 1)
-                ok = ok and _rank(cell_module(eng, lab).action_matrix(idem)) \
+                ok = ok and _rank(module_matrix(cell_module(eng, lab), idem)) \
                     == expected
     _verdict(10, "Schur truncation", ok)
 
@@ -286,7 +294,7 @@ def test_criterion_11_simple_classification():
 
 def _witness_ok(eng, kind, on_locus):
     """The vector v = C_anchor m (m_lam or n_lam of the full row shapes) of
-    C(1, mu) is nonzero, e_1 v is a multiple of the anchor, and e_1 v and
+    C(1, mu) is nonzero, v e_1 is a multiple of the anchor, and v e_1 and
     the predicted scalar both vanish exactly on the locus."""
     r, s, field = eng.r, eng.s, eng.field
     n = r + s - 2
@@ -303,13 +311,12 @@ def _witness_ok(eng, kind, on_locus):
         field.qdiff))
     label = cell_label(r, s, 1, mu)
     mod = cell_module(eng, label)
-    anchor = anchor_label(label)
-    v = cellular_element(eng, label, anchor, anchor,
-                         label_symmetrizers(eng, label)) * evaluate_factors(
-        eng, [sym(eng, Partition((r,)), 0, False),
-              sym(eng, Partition((s,)), 0, True)])
-    e1v = mod.element_vector(v * eng.e1())
-    return (bool(mod.element_vector(v)) and set(e1v) <= {mod.anchor_index}
+    m = [sym(eng, Partition((r,)), 0, False),
+         sym(eng, Partition((s,)), 0, True)]
+    v = module_row(mod, mod.anchor, evaluate_factors(eng, m))
+    e1v = module_row(mod, mod.anchor, evaluate_factors(
+        eng, m + [[(field.one, [(E_TOK, 1)])]]))
+    return (bool(v) and set(e1v) <= {mod.anchor_index}
             and (not e1v) == field.raw_is_zero(scalar) == on_locus)
 
 

@@ -5,9 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paper_checks import module_matrix, same_matrix
 from qwalled import groundfield
 from qwalled.combinat import Bipartition, count_std, labels
-from qwalled.engine import E_TOK, build_engine, sigma
+from qwalled.engine import E_TOK, build_engine, evaluate_factors, sigma
 from qwalled.groundfield import (
     GenericField,
     OneVarField,
@@ -24,7 +25,6 @@ from qwalled.cellular import (
     cell_module,
     cellular_data,
     cellular_factors,
-    evaluate_factors,
     gram_determinant,
     gram_matrix,
     label_symmetrizers,
@@ -52,17 +52,11 @@ def b32():
     return build_engine(3, 2, GEN)
 
 
-def _same_matrix(field, a, b):
-    zero = field.raw_from_int(0)
-    return len(a) == len(b) and all(
-        field.raw_eq(ra.get(k, zero), rb.get(k, zero))
-        for ra, rb in zip(a, b) for k in set(ra) | set(rb))
-
-
 @pytest.mark.parametrize("r,s,field", [(2, 2, GEN),
                                        (3, 2, PrimeField(13, 2, 6))])
 def test_two_evaluators_agree(r, s, field):
-    """Both evaluators of sigma(C_{(u,a) b}) give the same action."""
+    """The action of sigma(C_{(u,a) b}) through the module's token matrices
+    equals the engine product taken to module coordinates."""
     eng = build_engine(r, s, field)
     for label in cell_labels(r, s):
         mod = cell_module(eng, label)
@@ -70,9 +64,9 @@ def test_two_evaluators_agree(r, s, field):
         for b in mod.basis:
             factors = sigma_factors(cellular_factors(
                 eng, label, anchor_label(label), b, syms))
-            assert _same_matrix(
+            assert same_matrix(
                 field, mod.factors_matrix(factors),
-                mod.action_matrix(evaluate_factors(eng, factors)))
+                module_matrix(mod, evaluate_factors(eng, factors)))
 
 
 @pytest.mark.parametrize("r,s,field", [(2, 2, GEN),

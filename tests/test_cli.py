@@ -278,6 +278,23 @@ def test_text_and_csv_formats(capsys):
     assert out.splitlines()[0] == "a,rho,semisimple,reason,witnesses"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cellular", "--r", "3", "--s", "3"],
+    ["semisimple", "--r", "3", "--s", "3", "--mode", "gram"],
+])
+def test_csv_refused_before_any_work(capsys, monkeypatch, argv):
+    import qwalled.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("field or engine work before the csv refusal")
+
+    monkeypatch.setattr(qwalled.cli, "fields_from_spec", no_work)
+    monkeypatch.setattr(qwalled.cli, "build_engine", no_work)
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == EXIT_USAGE and not out
+    assert "csv output is not available for this command" in err
+
+
 def test_gram_side_reuses_cached_engine(tmp_path, capsys, monkeypatch):
     import qwalled.cli
     import qwalled.repthy

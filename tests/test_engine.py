@@ -16,6 +16,7 @@ from qwalled.engine import (
     central_element,
     engine_from_json,
     engine_to_json,
+    evaluate_factors,
     g_tok,
     gs_tok,
     layer_dimension,
@@ -111,7 +112,9 @@ def test_sigma_properties(b22):
 
 
 def test_special_elements(b22):
-    assert b22.e_ij(1, 1) == b22.e1()
+    one = b22.field.one
+    assert evaluate_factors(b22, [[(one, b22.e_ij_letters(1, 1))]]) \
+        == b22.e1()
     # rho^{-1} e_1 g*_1 and rho^{-1} e_1 g_1
     rho_inv = GEN.raw_div(GEN.one, GEN.rho)
     et = (b22.e1() * b22.gs_el(1)).scale(rho_inv)
@@ -133,7 +136,7 @@ def test_special_elements(b22):
 
 def test_central_element(b22, b32):
     for eng in (b22, b32):
-        c = central_element(eng)
+        c = evaluate_factors(eng, [central_element(eng)])
         for i in range(1, eng.r):
             assert c * eng.g_el(i) == eng.g_el(i) * c
         for j in range(1, eng.s):
@@ -141,7 +144,7 @@ def test_central_element(b22, b32):
         assert c * eng.e1() == eng.e1() * c
         assert sigma(c) == c
     e11 = build_engine(1, 1, GEN)
-    assert central_element(e11) == e11.e1()
+    assert evaluate_factors(e11, [central_element(e11)]) == e11.e1()
 
 
 def test_verify_relations(b22, b32):
@@ -308,7 +311,7 @@ def test_errors(b22):
     with pytest.raises(EngineError):
         b22.g_el(5)
     with pytest.raises(EngineError):
-        b22.e_ij(3, 1)
+        b22.e_ij_letters(3, 1)
     other = build_engine(2, 1, GEN)
     with pytest.raises(EngineError):
         multiply(b22.one(), other.one())
@@ -392,11 +395,6 @@ def test_block_refuses_multiply(block22):
 def test_block_refuses_sigma(block22):
     with pytest.raises(EngineError, match="right module"):
         sigma(block22.e1())
-
-
-def test_block_refuses_central_element(block22):
-    with pytest.raises(EngineError, match="right module"):
-        central_element(block22)
 
 
 def test_layer_quotient_is_not_serialized(b22):

@@ -8,11 +8,7 @@ from itertools import permutations
 import pytest
 
 from paper_checks import m_factor, perm_mul
-from qwalled.cellular import (
-    cellular_data,
-    evaluate_factors,
-    symmetrizer_factor,
-)
+from qwalled.cellular import cellular_data, symmetrizer_factor
 from qwalled.combinat import (
     Partition,
     StdTableau,
@@ -23,7 +19,7 @@ from qwalled.combinat import (
     std_tableaux,
     t_row,
 )
-from qwalled.engine import build_engine, g_tok, sigma
+from qwalled.engine import build_engine, evaluate_factors, g_tok, sigma
 from qwalled.groundfield import GenericField, PrimeField
 from qwalled.hecke import HeckeAlgebra, HeckeError
 from qwalled.linalg import Echelon

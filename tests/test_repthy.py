@@ -5,6 +5,7 @@ import functools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from paper_checks import module_matrix, module_row, same_matrix
 from qwalled.combinat import Bipartition, nodes_removable
 from qwalled.cellular import (
     cell_label,
@@ -14,7 +15,12 @@ from qwalled.cellular import (
     gram_determinant_fraction,
     radical_rank,
 )
-from qwalled.engine import build_engine, central_element, sigma
+from qwalled.engine import (
+    build_engine,
+    central_element,
+    evaluate_factors,
+    sigma,
+)
 from qwalled.groundfield import (
     FieldError,
     GenericField,
@@ -29,6 +35,8 @@ from qwalled.repthy import (
     CentralCharacter,
     RepError,
     SemisimplicityVerdict,
+    _y_alpha,
+    _z_beta,
     branching_check,
     branching_sections,
     central_character,
@@ -71,12 +79,12 @@ def test_central_character_verifies_action():
 
 def test_central_element_subrange_is_central():
     eng = engine(2, 2, GEN)
-    c = central_element(eng, 1, 2)
+    c = evaluate_factors(eng, [central_element(eng, 1, 2)])
     assert c * eng.gs_el(1) == eng.gs_el(1) * c
     assert c * eng.e1() == eng.e1() * c
     assert sigma(c) == c
     eng32 = engine(3, 2, GEN)
-    c = central_element(eng32, 2, 2)
+    c = evaluate_factors(eng32, [central_element(eng32, 2, 2)])
     for gen in (eng32.g_el(1), eng32.gs_el(1), eng32.e1()):
         assert c * gen == gen * c
 
@@ -286,6 +294,39 @@ def test_branching_specialized_trace():
     eng = engine(2, 2, OneVarField(3))
     for label in cell_labels(2, 2):
         assert branching_check(eng, label)["ok"]
+
+
+@pytest.mark.parametrize("field", [GEN, PrimeField(13, 2, 6), OneVarField(1)],
+                         ids=lambda f: f.spec_string())
+@pytest.mark.parametrize("r,s", [(3, 2), (2, 3)])
+def test_module_actions_match_engine_products(r, s, field):
+    """The central matrices and the section-generator rows, taken in the
+    cell module from factors, equal the engine products taken to module
+    coordinates, for every label."""
+    eng = engine(r, s, field)
+    for z in (central_element(eng), central_element(eng, r - 1, s)):
+        x = evaluate_factors(eng, [z])
+        for label in cell_labels(r, s):
+            mod = cell_module(eng, label)
+            assert same_matrix(field, mod.factors_matrix([z]),
+                               module_matrix(mod, x))
+    for label in cell_labels(r, s):
+        mod = cell_module(eng, label)
+        for kind, node, _ in branching_sections(label):
+            gen = (_y_alpha if kind == "remove" else _z_beta)(eng, label, node)
+            want = module_row(mod, mod.anchor, evaluate_factors(eng, [gen]))
+            assert want
+            assert same_matrix(
+                field, [mod.factors_matrix([gen])[mod.anchor_index]], [want])
+
+
+def test_central_character_on_block_modules():
+    # a factor acts on any right module: on the layer-1 block the central
+    # element acts on each cell module of layer 1 by its scalar
+    block = build_engine(3, 2, PrimeField(13, 2, 6), layer=1)
+    for label in cell_labels(3, 2):
+        if label.f == 1:
+            central_character(block, label)
 
 
 def _detected_hom_is_explained(r, s, source, target, field):
