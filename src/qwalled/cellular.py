@@ -22,9 +22,9 @@ from .combinat import (
     std_tableau_pairs,
     t_row,
 )
-from .engine import E_TOK, evaluate_factors, g_tok, gs_tok, word_letters
+from .engine import act, evaluate_factors, g_tok, gs_tok, word_letters
 from .hecke import HeckeAlgebra
-from .linalg import Echelon, determinant, matrix_rank
+from .linalg import Echelon, determinant, matrix_rank, same_vector
 
 
 class CellularError(Exception):
@@ -153,10 +153,11 @@ class _CellData:
     C_{(s,e)(t,d)} is the head element of the left index (s, e), evaluated
     once per left index from left_factors, times the tail letters of the
     right index (t, d).  The tails go through a prefix memo {letters:
-    element} that lives for one left index, so rights that share tableaux
+    vector} that lives for one left index, so rights that share tableaux
     share the products of their common prefixes.  The product is associated
     left to right as in evaluate_factors of cellular_factors, so the
-    elements are the same.
+    elements are the same.  Each item is (label, left, right, engine
+    vector).
     """
 
     def __init__(self, engine):
@@ -177,37 +178,37 @@ class _CellData:
                 if engine.is_block and left.rep != ident:
                     continue
                 memo = {(): evaluate_factors(
-                    engine, left_factors(engine, label, left, syms))}
+                    engine, left_factors(engine, label, left, syms),
+                    {0: engine.field.one})}
                 for right, tail in zip(bl, tails):
-                    elem = _tail_product(engine, memo, tail)
+                    vec = _tail_product(engine, memo, tail)
                     pos = len(self.items)
-                    self.items.append((label, left, right, elem))
+                    self.items.append((label, left, right, vec))
                     self.index[(label, left, right)] = pos
-                    if not self.ech.insert(elem.terms, tag=pos):
+                    if not self.ech.insert(vec, tag=pos):
                         raise CellularError(
                             "singular transition matrix at %r" % (label,))
         if len(self.items) != engine.dim:
             raise CellularError("cellular basis size %d, expected %d"
                                 % (len(self.items), engine.dim))
 
-    def coords(self, terms):
+    def coords(self, vec):
         """Coordinates of an engine vector in the cellular basis."""
         iaxpy = self.engine.field.vec_iaxpy
         combos = self.ech.combos
         out = {}
-        for piv, c in self.ech.express(terms).items():
+        for piv, c in self.ech.express(vec).items():
             iaxpy(out, c, combos[piv])
         return out
 
 
 def _tail_product(engine, memo, letters):
     """memo[()] times the letters, through the memo of their prefixes."""
-    elem = memo.get(letters)
-    if elem is None:
-        tok, p = letters[-1]
-        elem = memo[letters] = engine.apply_token(
-            _tail_product(engine, memo, letters[:-1]), tok, p)
-    return elem
+    vec = memo.get(letters)
+    if vec is None:
+        vec = memo[letters] = act(
+            engine, _tail_product(engine, memo, letters[:-1]), letters[-1:])
+    return vec
 
 
 def cellular_data(engine):
@@ -218,53 +219,18 @@ def cellular_data(engine):
 
 
 # ---------------------------------------------------------------------------
-# small matrices over raw values (rows are sparse dicts)
-
-def _mat_identity(field, m):
-    one = field.raw_from_int(1)
-    return [{i: one} for i in range(m)]
-
-
-def _mat_mul(field, a, b):
-    iaxpy = field.vec_iaxpy
-    out = []
-    for row in a:
-        acc = {}
-        for k, c in row.items():
-            iaxpy(acc, c, b[k])
-        out.append(acc)
-    return out
-
-
-def _mat_axpy(field, a, c, b):
-    """a + c * b as a fresh matrix."""
-    iaxpy = field.vec_iaxpy
-    return [iaxpy(dict(ra), c, rb) for ra, rb in zip(a, b)]
-
-
-def _mat_zero(m):
-    return [{} for _ in range(m)]
-
-
-def _mat_trace(field, a):
-    tr = field.raw_from_int(0)
-    for i, row in enumerate(a):
-        if i in row:
-            tr = field.raw_add(tr, row[i])
-    return tr
-
-
-# ---------------------------------------------------------------------------
 # cell modules
 
 class CellModule:
     """The right cell module C(f, lambda) in cellular coordinates.
 
-    The basis is I(f, lambda); generator actions are extracted from the
-    coordinates of C_{(u,a)(t,d)} * token with the anchor row (u,a) fixed to
-    (t^lambda, identity).  The Gram matrix, its determinant and, over a
-    function field, the determinant's reduced Laurent fraction are memoized
-    on the module.
+    The basis is I(f, lambda).  act_table holds the generator rows in the
+    engine's layout, {(basis index, token): row}, so act and
+    evaluate_factors act on module vectors as on engine vectors; row
+    (i, tok) is the class of C_{(u,a) i} * tok, with the anchor row (u,a)
+    fixed to (t^lambda, identity).  The Gram matrix, its determinant and,
+    over a function field, the determinant's reduced Laurent fraction are
+    memoized on the module.
     """
 
     def __init__(self, engine, label, anchor=None):
@@ -283,23 +249,20 @@ class CellModule:
                                 "cellular basis")
         self.pos = {b: i for i, b in enumerate(self.basis)}
         self.anchor_index = self.pos[self.anchor]
-        self._tok = {}
-        for tok in engine.tokens:
-            rows = []
-            for b in self.basis:
-                x = data.items[data.index[(label, self.anchor, b)]][3]
-                rows.append(self._extract(
-                    data, engine.apply_token(x, tok).terms))
-            self._tok[tok] = rows
-        self._tok_inv = {}
+        self.act_table = {}
+        for i, b in enumerate(self.basis):
+            x = data.items[data.index[(label, self.anchor, b)]][3]
+            for tok in engine.tokens:
+                self.act_table[(i, tok)] = self._extract(
+                    data, act(engine, x, [(tok, 1)]))
         self._gram = None
         self._det = None
         self._det_fraction = None
 
-    def _extract(self, data, terms):
+    def _extract(self, data, vec):
         """Module coordinates of a vector lying in the cell ideal."""
         row = {}
-        for pos, c in data.coords(terms).items():
+        for pos, c in data.coords(vec).items():
             lab2, left2, right2, _ = data.items[pos]
             if lab2 == self.label:
                 if left2 != self.anchor:
@@ -311,42 +274,12 @@ class CellModule:
                     "action leaks to non-higher label %r" % (lab2,))
         return row
 
-    def token_matrix(self, tok, power=1):
-        if power == 1:
-            return self._tok[tok]
-        if power != -1 or tok == E_TOK:
-            raise CellularError("bad token power")
-        mat = self._tok_inv.get(tok)
-        if mat is None:
-            f = self.field
-            mat = _mat_axpy(f, self._tok[tok],
-                            f.raw_neg(f.qdiff),
-                            _mat_identity(f, self.dim))
-            self._tok_inv[tok] = mat
-        return mat
-
     def factors_matrix(self, factors):
-        """Action matrix of a product of factors, the one way an algebra
-        expression acts on the module; row i is the class of C_{anchor, i}
-        times the product."""
-        f = self.field
-
-        def times_letters(a, letters):
-            for tok, p in letters:
-                a = _mat_mul(f, a, self.token_matrix(tok, p))
-            return a
-
-        a = _mat_identity(f, self.dim)
-        for factor in factors:
-            if len(factor) == 1:
-                a = times_letters(a, factor[0][1])
-                continue
-            m = _mat_zero(self.dim)
-            for c, letters in factor:
-                m = _mat_axpy(f, m, c, times_letters(
-                    _mat_identity(f, self.dim), letters))
-            a = _mat_mul(f, a, m)
-        return a
+        """Action matrix of a product of factors: row i is the unit row i
+        through evaluate_factors."""
+        one = self.field.one
+        return [evaluate_factors(self, factors, {i: one})
+                for i in range(self.dim)]
 
 
 def cell_module(engine, label):
@@ -429,9 +362,9 @@ def validate_cell_datum(engine, alternate_anchors=None):
     data = cellular_data(engine)
     report = {"basis": data.ech.rank == engine.dim, "involution": True,
               "triangular": True, "failures": []}
-    for label, left, right, elem in data.items:
+    for label, left, right, vec in data.items:
         mate = data.items[data.index[(label, right, left)]][3]
-        if sigma(elem) != mate:
+        if not same_vector(engine.field, sigma(engine, vec), mate):
             report["involution"] = False
             report["failures"].append(("involution", label, left, right))
     for label in data.labels:
@@ -446,25 +379,15 @@ def validate_cell_datum(engine, alternate_anchors=None):
                 report["triangular"] = False
                 report["failures"].append(("triangular", label, anchor))
                 continue
-            rows = {tok: mod._tok[tok] for tok in engine.tokens}
             if reference is None:
-                reference = rows
-            elif not _same_rows(engine.field, reference, rows):
+                reference = mod.act_table
+            elif not all(same_vector(engine.field, row, mod.act_table[key])
+                         for key, row in reference.items()):
                 report["triangular"] = False
                 report["failures"].append(("left-index", label, anchor))
     report["ok"] = (report["basis"] and report["involution"]
                     and report["triangular"])
     return report
-
-
-def _same_rows(field, a, b):
-    for tok, rows in a.items():
-        for ra, rb in zip(rows, b[tok]):
-            if set(ra) != set(rb):
-                return False
-            if any(not field.raw_eq(ra[k], rb[k]) for k in ra):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,13 @@ e_1 g_1 g*_1^{-1} e_1 = e_1 e_2 (tool.d.1) at f = 1, and e^{k+1} =
 e^k g_k g*_k^{-1} e_k up to a unit in general.  The root relation
 root (x_f - rho^f) = 0 holds at the identity state only, where it is
 evaluated first; at f = 0 it is trivial and the block is the algebra
-H_r (x) H_s.  A block of layer f >= 1 is not an algebra: multiply and
-sigma refuse it.
+H_r (x) H_s.  A block of layer f >= 1 is a right module, not an algebra:
+sigma refuses it.
+
+A vector is a dict {basis index: raw value}; the identity is {0: one}.
+act applies letters to a vector through an act_table, and
+evaluate_factors applies a product of factors; both take an engine or a
+cell module, whose act_table has the same layout.
 
 At each state taken from the queue, all relations are evaluated through one
 prefix memo {word prefix: vector}, so a prefix shared by several relation
@@ -39,6 +44,7 @@ from collections import deque
 
 from .combinat import coset_count, s_range_word
 from .groundfield import fields_from_spec
+from .linalg import same_vector
 
 SCHEMA_VERSION = 1
 
@@ -79,74 +85,6 @@ def token_from_text(text):
 def inv_letters(letters):
     """Inverse of a product given as (token, power) letters."""
     return [(tok, -p) for tok, p in reversed(letters)]
-
-
-class AlgebraElement:
-    """A vector over the engine's normal basis."""
-
-    __slots__ = ("engine", "terms")
-
-    def __init__(self, engine, terms):
-        field = engine.field
-        self.engine = engine
-        self.terms = {i: c for i, c in terms.items()
-                      if not field.raw_is_zero(c)}
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        if self.engine is not other.engine \
-                and not self.engine.same_presentation(other.engine):
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        f = self.engine.field
-        return all(f.raw_eq(c, other.terms[i]) for i, c in self.terms.items())
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.engine.field
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            out[i] = f.raw_add(out[i], c) if i in out else c
-        return AlgebraElement(self.engine, out)
-
-    def __neg__(self):
-        f = self.engine.field
-        return AlgebraElement(self.engine,
-                              {i: f.raw_neg(c) for i, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check(other)
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        f = self.engine.field
-        raw = self.engine.as_raw(c)
-        return AlgebraElement(self.engine,
-                              {i: f.raw_mul(cv, raw)
-                               for i, cv in self.terms.items()})
-
-    def _check(self, other):
-        if not isinstance(other, AlgebraElement) \
-                or (other.engine is not self.engine
-                    and not other.engine.same_presentation(self.engine)):
-            raise EngineError("operands belong to different engines")
-
-    def __repr__(self):
-        return "AlgebraElement(%d terms, dim %d)" % (
-            len(self.terms), self.engine.dim)
 
 
 class AlgebraEngine:
@@ -202,12 +140,6 @@ class AlgebraEngine:
         self._cell_data = None
         self._modules = {}
 
-    def _require_algebra(self, what):
-        """A block of layer f >= 1 is a right module, not an algebra."""
-        if self.is_block and self.layer > 0:
-            raise EngineError("%s needs an algebra; the layer-%d block is a "
-                              "right module" % (what, self.layer))
-
     def _layer_letters(self, f):
         """Letters of a generator of J_{f+1} = B e^{f+1} B: e^1 = e_1 and
         e^{k+1} = e^k g_k g*_k^{-1} e_k (tool.d.1), with the trailing
@@ -222,14 +154,6 @@ class AlgebraEngine:
         return letters
 
     # -- presentation ------------------------------------------------------
-
-    def same_presentation(self, other):
-        return (self.r, self.s, self.layer, self.field) \
-            == (other.r, other.s, other.layer, other.field) \
-            and self.basis_words == other.basis_words
-
-    def as_raw(self, c):
-        return self.field.raw_from_int(c) if isinstance(c, int) else c
 
     def expand_letters(self, letters):
         """Expand (token, power) letters into [(raw coeff, token word)]."""
@@ -457,55 +381,6 @@ class AlgebraEngine:
                     new = self._apply_build(self._subst[m], tok)
                     pending.append(f.vec_iaxpy(new, minus_one, old))
 
-    # -- element constructors ---------------------------------------------
-
-    def element(self, terms):
-        return AlgebraElement(self, {i: self.as_raw(c)
-                                     for i, c in terms.items()})
-
-    def zero(self):
-        return AlgebraElement(self, {})
-
-    def one(self):
-        return self.element({0: 1})
-
-    def apply_token(self, elem, tok, power=1):
-        """Right-multiply an element by a generator token or its inverse."""
-        iaxpy = self.field.vec_iaxpy
-        act = self.act_table
-        out = {}
-        for i, c in elem.terms.items():
-            iaxpy(out, c, act[(i, tok)])
-        res = AlgebraElement(self, out)
-        if power == -1:
-            if tok == E_TOK:
-                raise EngineError("e_1 has no inverse")
-            return res - elem.scale(self.field.qdiff)
-        if power != 1:
-            raise EngineError("token power must be +-1")
-        return res
-
-    def from_letters(self, letters, x=None):
-        """Right-multiply x (default the identity) by a product of (token,
-        power) letters."""
-        out = self.one() if x is None else x
-        for tok, p in letters:
-            out = self.apply_token(out, tok, p)
-        return out
-
-    def e1(self):
-        return self.from_letters([(E_TOK, 1)])
-
-    def g_el(self, i, power=1):
-        if not 1 <= i < self.r:
-            raise EngineError("g index out of range")
-        return self.from_letters([(g_tok(i), power)])
-
-    def gs_el(self, j, power=1):
-        if not 1 <= j < self.s:
-            raise EngineError("g* index out of range")
-        return self.from_letters([(gs_tok(j), power)])
-
     # -- distinguished elements -------------------------------------------
 
     def e_ij_letters(self, i, j):
@@ -519,23 +394,36 @@ class AlgebraEngine:
         """Letters of e^f = e_{1,1} ... e_{f,f}."""
         return [x for i in range(1, f + 1) for x in self.e_ij_letters(i, i)]
 
-    def e_single(self, i):
-        return self.from_letters(self.e_ij_letters(i, i))
+
+def act(owner, vec, letters):
+    """vec times a product of (token, power) letters, power +-1, through
+    owner.act_table {(basis index, token): row}.  The owner is an engine or
+    a cell module; g^{-1} = g - (q - q^{-1}) adds -qdiff * vec."""
+    field = owner.field
+    iaxpy = field.vec_iaxpy
+    table = owner.act_table
+    for tok, p in letters:
+        out = {}
+        for i, c in vec.items():
+            iaxpy(out, c, table[(i, tok)])
+        if p == -1 and tok != E_TOK:
+            iaxpy(out, field.raw_neg(field.qdiff), vec)
+        elif p != 1:
+            raise EngineError("bad letter power for %r" % (tok,))
+        vec = out
+    return vec
 
 
-def evaluate_factors(engine, factors):
-    """The product of factors, each a list of (raw coeff, letters) terms;
-    a one-term factor (a bare word) has coefficient one."""
-    x = engine.one()
+def evaluate_factors(owner, factors, vec):
+    """vec times the product of factors, each a list of (raw coeff,
+    letters) terms, through act."""
+    iaxpy = owner.field.vec_iaxpy
     for factor in factors:
-        if len(factor) == 1:
-            x = engine.from_letters(factor[0][1], x)
-            continue
-        out = engine.zero()
+        out = {}
         for c, letters in factor:
-            out = out + engine.from_letters(letters, x).scale(c)
-        x = out
-    return x
+            iaxpy(out, c, act(owner, vec, letters))
+        vec = out
+    return vec
 
 
 def layer_dimension(r, s, f):
@@ -558,42 +446,22 @@ def build_engine(r, s, field_tag, layer=None, **kwargs):
     return AlgebraEngine(r, s, field, layer=layer, **kwargs)
 
 
-def multiply(x, y):
-    """Product in the engine; y is expanded through its basis words."""
-    x._check(y)
-    eng = x.engine
-    eng._require_algebra("multiply")
-    iaxpy = eng.field.vec_iaxpy
-    act = eng.act_table
+def sigma(engine, vec):
+    """The anti-involution fixing all generators, on an engine vector."""
+    if engine.is_block and engine.layer > 0:
+        raise EngineError("sigma needs an algebra; the layer-%d block is a "
+                          "right module" % engine.layer)
+    one = engine.field.one
+    iaxpy = engine.field.vec_iaxpy
+    cache = engine._sigma_cache
     out = {}
-    for t, c in y.terms.items():
-        vec = x.terms
-        for tok in eng.basis_words[t]:
-            nxt = {}
-            for i, cv in vec.items():
-                iaxpy(nxt, cv, act[(i, tok)])
-            vec = nxt
-        iaxpy(out, c, vec)
-    return AlgebraElement(eng, out)
-
-
-def sigma(x):
-    """The anti-involution fixing all generators."""
-    eng = x.engine
-    eng._require_algebra("sigma")
-    iaxpy = eng.field.vec_iaxpy
-    cache = eng._sigma_cache
-    out = {}
-    for t, c in x.terms.items():
+    for t, c in vec.items():
         v = cache.get(t)
         if v is None:
-            elem = eng.one()
-            for tok in reversed(eng.basis_words[t]):
-                elem = eng.apply_token(elem, tok)
-            v = elem.terms
-            cache[t] = v
+            v = cache[t] = act(engine, {0: one}, [
+                (tok, 1) for tok in reversed(engine.basis_words[t])])
         iaxpy(out, c, v)
-    return AlgebraElement(eng, out)
+    return out
 
 
 def central_element(engine, r=None, s=None):
@@ -628,97 +496,103 @@ def central_element(engine, r=None, s=None):
 
 
 def verify_relations(engine):
-    """Evaluate the defining relations and the derived e_i identities.
+    """Evaluate the defining relations and the derived e_i identities, each
+    side a list of factors acting on the identity.
 
     Returns a list of (name, ok) pairs; every pair should be (..., True).
     """
     eng = engine
     f = eng.field
     r, s = eng.r, eng.s
-    q, rho, delta = f.q, f.rho, f.delta()
-    q_inv, rho_inv = f.raw_div(f.one, q), f.raw_div(f.one, rho)
-    one = eng.one()
+    one, q, rho, delta = f.one, f.q, f.rho, f.delta()
+    q_inv, rho_inv = f.raw_div(one, q), f.raw_div(one, rho)
+    unit = {0: one}
+    zero = [[]]  # one factor with no terms: the empty sum
     report = []
 
     def check(name, lhs, rhs):
-        report.append((name, lhs == rhs))
+        report.append((name, same_vector(
+            f, evaluate_factors(eng, lhs, unit),
+            evaluate_factors(eng, rhs, unit))))
 
-    g = {i: eng.g_el(i) for i in range(1, r)}
-    gi = {i: eng.g_el(i, -1) for i in range(1, r)}
-    gs = {j: eng.gs_el(j) for j in range(1, s)}
-    gsi = {j: eng.gs_el(j, -1) for j in range(1, s)}
-    e1 = eng.e1()
+    def w(*parts, c=one):
+        """c times the product of letter lists, as one factor."""
+        return [[(c, [x for part in parts for x in part])]]
+
+    def quadratic(t):
+        """(t - q)(t + q^{-1}) as two factors."""
+        return [[(one, t), (f.raw_neg(q), [])], [(one, t), (q_inv, [])]]
+
+    g = {i: [(g_tok(i), 1)] for i in range(1, r)}
+    gi = {i: [(g_tok(i), -1)] for i in range(1, r)}
+    gs = {j: [(gs_tok(j), 1)] for j in range(1, s)}
+    gsi = {j: [(gs_tok(j), -1)] for j in range(1, s)}
+    e1 = [(E_TOK, 1)]
 
     for i in range(1, r):
-        check("def.a[%d]" % i,
-              (g[i] - one.scale(q)) * (g[i] + one.scale(q_inv)), eng.zero())
+        check("def.a[%d]" % i, quadratic(g[i]), zero)
     for i in range(1, r):
         for j in range(i + 2, r):
-            check("def.b[%d,%d]" % (i, j), g[i] * g[j], g[j] * g[i])
+            check("def.b[%d,%d]" % (i, j), w(g[i], g[j]), w(g[j], g[i]))
     for i in range(1, r - 1):
         check("def.c[%d]" % i,
-              g[i] * g[i + 1] * g[i], g[i + 1] * g[i] * g[i + 1])
+              w(g[i], g[i + 1], g[i]), w(g[i + 1], g[i], g[i + 1]))
     for i in range(2, r):
-        check("def.d[%d]" % i, g[i] * e1, e1 * g[i])
+        check("def.d[%d]" % i, w(g[i], e1), w(e1, g[i]))
     if r >= 2:
-        check("def.e", e1 * g[1] * e1, e1.scale(rho))
-    check("def.f", e1 * e1, e1.scale(delta))
+        check("def.e", w(e1, g[1], e1), w(e1, c=rho))
+    check("def.f", w(e1, e1), w(e1, c=delta))
     for i in range(1, r):
         for j in range(1, s):
-            check("def.g[%d,%d]" % (i, j), g[i] * gs[j], gs[j] * g[i])
+            check("def.g[%d,%d]" % (i, j), w(g[i], gs[j]), w(gs[j], g[i]))
     for j in range(1, s):
-        check("def.h[%d]" % j,
-              (gs[j] - one.scale(q)) * (gs[j] + one.scale(q_inv)),
-              eng.zero())
+        check("def.h[%d]" % j, quadratic(gs[j]), zero)
     for i in range(1, s):
         for j in range(i + 2, s):
-            check("def.i[%d,%d]" % (i, j), gs[i] * gs[j], gs[j] * gs[i])
+            check("def.i[%d,%d]" % (i, j), w(gs[i], gs[j]), w(gs[j], gs[i]))
     for j in range(1, s - 1):
         check("def.j[%d]" % j,
-              gs[j] * gs[j + 1] * gs[j], gs[j + 1] * gs[j] * gs[j + 1])
+              w(gs[j], gs[j + 1], gs[j]), w(gs[j + 1], gs[j], gs[j + 1]))
     for j in range(2, s):
-        check("def.k[%d]" % j, gs[j] * e1, e1 * gs[j])
+        check("def.k[%d]" % j, w(gs[j], e1), w(e1, gs[j]))
     if s >= 2:
-        check("def.l", e1 * gs[1] * e1, e1.scale(rho))
+        check("def.l", w(e1, gs[1], e1), w(e1, c=rho))
     if r >= 2 and s >= 2:
-        check("def.m",
-              e1 * gi[1] * gs[1] * e1 * g[1],
-              e1 * gi[1] * gs[1] * e1 * gs[1])
-        check("def.n",
-              g[1] * e1 * gi[1] * gs[1] * e1,
-              gs[1] * e1 * gi[1] * gs[1] * e1)
+        check("def.m", w(e1, gi[1], gs[1], e1, g[1]),
+              w(e1, gi[1], gs[1], e1, gs[1]))
+        check("def.n", w(g[1], e1, gi[1], gs[1], e1),
+              w(gs[1], e1, gi[1], gs[1], e1))
 
     m = min(r, s)
-    e = {i: eng.e_single(i) for i in range(1, m + 1)}
+    e = {i: eng.e_ij_letters(i, i) for i in range(1, m + 1)}
     for i in range(1, m + 1):
         for k in range(i + 1, r):
-            check("tool.a.g[%d,%d]" % (i, k), e[i] * g[k], g[k] * e[i])
+            check("tool.a.g[%d,%d]" % (i, k), w(e[i], g[k]), w(g[k], e[i]))
         for l in range(i + 1, s):
-            check("tool.a.gs[%d,%d]" % (i, l), e[i] * gs[l], gs[l] * e[i])
-        check("tool.b[%d]" % i, e[i] * e[i], e[i].scale(delta))
+            check("tool.a.gs[%d,%d]" % (i, l),
+                  w(e[i], gs[l]), w(gs[l], e[i]))
+        check("tool.b[%d]" % i, w(e[i], e[i]), w(e[i], c=delta))
     for i in range(1, m):
-        check("tool.c.g+[%d]" % i, e[i] * g[i] * e[i], e[i].scale(rho))
-        check("tool.c.g-[%d]" % i, e[i] * gi[i] * e[i], e[i].scale(rho_inv))
-        check("tool.c.gs+[%d]" % i, e[i] * gs[i] * e[i], e[i].scale(rho))
-        check("tool.c.gs-[%d]" % i, e[i] * gsi[i] * e[i],
-              e[i].scale(rho_inv))
-        prod = e[i] * e[i + 1]
-        check("tool.d.1[%d]" % i, e[i] * g[i] * gsi[i] * e[i], prod)
-        check("tool.d.2[%d]" % i, e[i] * gs[i] * gi[i] * e[i], prod)
-        check("tool.d.3[%d]" % i, e[i + 1] * e[i], prod)
+        check("tool.c.g+[%d]" % i, w(e[i], g[i], e[i]), w(e[i], c=rho))
+        check("tool.c.g-[%d]" % i, w(e[i], gi[i], e[i]), w(e[i], c=rho_inv))
+        check("tool.c.gs+[%d]" % i, w(e[i], gs[i], e[i]), w(e[i], c=rho))
+        check("tool.c.gs-[%d]" % i,
+              w(e[i], gsi[i], e[i]), w(e[i], c=rho_inv))
+        prod = w(e[i], e[i + 1])
+        check("tool.d.1[%d]" % i, w(e[i], g[i], gsi[i], e[i]), prod)
+        check("tool.d.2[%d]" % i, w(e[i], gs[i], gi[i], e[i]), prod)
+        check("tool.d.3[%d]" % i, w(e[i + 1], e[i]), prod)
         check("tool.e[%d]" % i,
-              e[i] * e[i + 1] * g[i], e[i + 1] * e[i] * gs[i])
+              w(e[i], e[i + 1], g[i]), w(e[i + 1], e[i], gs[i]))
         check("tool.f[%d]" % i,
-              g[i] * e[i] * e[i + 1], gs[i] * e[i + 1] * e[i])
-        check("tool.eii1[%d]" % i,
-              e[i] * gi[i] * gs[i] * e[i] * g[i],
-              e[i] * gi[i] * gs[i] * e[i] * gs[i])
-        check("tool.eii2[%d]" % i,
-              g[i] * e[i] * gi[i] * gs[i] * e[i],
-              gs[i] * e[i] * gi[i] * gs[i] * e[i])
+              w(g[i], e[i], e[i + 1]), w(gs[i], e[i + 1], e[i]))
+        check("tool.eii1[%d]" % i, w(e[i], gi[i], gs[i], e[i], g[i]),
+              w(e[i], gi[i], gs[i], e[i], gs[i]))
+        check("tool.eii2[%d]" % i, w(g[i], e[i], gi[i], gs[i], e[i]),
+              w(gs[i], e[i], gi[i], gs[i], e[i]))
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            check("tool.g[%d,%d]" % (i, j), e[i] * e[j], e[j] * e[i])
+            check("tool.g[%d,%d]" % (i, j), w(e[i], e[j]), w(e[j], e[i]))
     return report
 
 

@@ -21,8 +21,8 @@ gcd: a raw value (N, i, j) is N / ((q - 1)^i (q + 1)^j), N a dict
 {(a, b): int} of Laurent terms c q^a rho^b (b = 0 over Q(q)).  In canonical
 form i is 0 or N(1, rho) != 0, and j is 0 or N(-1, rho) != 0; a factor
 q -+ 1 is tested by evaluating N at q = +-1 and removed by synthetic
-division, so equal values have equal tuples.  Products multiply numerators
-and add exponents, sums first bring both operands to common exponents, and
+division, so equal values have equal tuples.  A product takes the product
+of the numerators and adds exponents, sums first bring both operands to common exponents, and
 a quotient is native when the divisor, stripped of its factors q -+ 1, is
 +-q^a rho^b.  Any other quotient falls back to a polynomial fraction
 (``_Frac``: numerator and denominator dicts over Z[q, rho] with exponents

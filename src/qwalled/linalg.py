@@ -103,6 +103,13 @@ class Echelon:
         return out
 
 
+def same_vector(field, u, v):
+    """Whether u - v cancels to the empty vector; exact also for values
+    that are not in normal form.  Equal raw values are equal scalars, so
+    equal dicts need no arithmetic."""
+    return u == v or not field.vec_iaxpy(dict(u), field.raw_from_int(-1), v)
+
+
 def matrix_rank(field, matrix):
     ech = Echelon(field)
     for row in matrix:

@@ -19,15 +19,16 @@ from .combinat import (
 from .engine import (
     build_engine,
     central_element,
+    evaluate_factors,
     g_tok,
     gs_tok,
     inv_letters,
     word_letters,
 )
 from .groundfield import FieldError, GenericField, vanishes_under
+from .linalg import same_vector
 from .cellular import (
     _label_text,
-    _mat_trace,
     cell_label,
     cell_labels,
     cell_module,
@@ -86,11 +87,9 @@ def central_character(engine, label):
     scalar = central_scalar(label, f)
     mat = cell_module(engine, label).factors_matrix([central_element(engine)])
     for i, row in enumerate(mat):
-        for j, c in row.items():
-            want = scalar if i == j else f.raw_from_int(0)
-            if not f.raw_eq(c, want):
-                raise RepError("central element is not scalar %s on %r"
-                               % (f.to_text(scalar), label))
+        if not same_vector(f, row, f.vec_iaxpy({}, scalar, {i: f.one})):
+            raise RepError("central element is not scalar %s on %r"
+                           % (f.to_text(scalar), label))
     return CentralCharacter(label, scalar)
 
 
@@ -219,7 +218,7 @@ def cell_label_any(f, shape):
 
 
 # A section generator is a factor: C_anchor times it is the generator's class
-# in C(f, lambda), the anchor row of its action matrix.
+# in C(f, lambda), the anchor's unit vector through evaluate_factors.
 
 def _y_alpha(engine, label, node):
     """The row-removal section generator."""
@@ -271,13 +270,16 @@ def branching_check(engine, label):
             "scalar": field.to_text(scalar),
         })
     dim_ok = total == mod.dim
-    trace = _mat_trace(field, mod.factors_matrix(
-        [central_element(engine, r - 1, s)]))
+    trace = field.raw_from_int(0)
+    for i, row in enumerate(mod.factors_matrix(
+            [central_element(engine, r - 1, s)])):
+        if i in row:
+            trace = field.raw_add(trace, row[i])
     trace_ok = field.raw_eq(trace, expected_trace)
     gens = [(_y_alpha if kind == "remove" else _z_beta)(engine, label, node)
             for kind, node, _ in sections]
-    generators_ok = all(mod.factors_matrix([gen])[mod.anchor_index]
-                        for gen in gens)
+    anchor = {mod.anchor_index: field.one}
+    generators_ok = all(evaluate_factors(mod, [gen], anchor) for gen in gens)
     return {
         "r": r,
         "s": s,

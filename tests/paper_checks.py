@@ -3,8 +3,9 @@ that the package itself never needs."""
 
 from qwalled.cellular import cellular_data
 from qwalled.combinat import perm_identity, perm_length, reduced_word
-from qwalled.engine import g_tok, gs_tok
+from qwalled.engine import act, g_tok, gs_tok
 from qwalled.hecke import HeckeAlgebra
+from qwalled.linalg import same_vector
 
 
 def perm_mul(u, v):
@@ -44,14 +45,25 @@ def m_factor(engine, lam, offset, starred):
             for w in alg.young_subgroup(lam, offset)]
 
 
+def product(engine, x, y):
+    """The product x y of two engine vectors: x times the basis word of each
+    term of y."""
+    iaxpy = engine.field.vec_iaxpy
+    out = {}
+    for t, c in y.items():
+        iaxpy(out, c, act(engine, x, [(tok, 1)
+                                      for tok in engine.basis_words[t]]))
+    return out
+
+
 def module_row(mod, b, x):
-    """Row b of the action of the engine element x on the cell module of a
+    """Row b of the action of the engine vector x on the cell module of a
     full engine, the long way: the engine product C_{anchor, b} x, taken to
     module coordinates through the cellular basis.  It is the reference for
-    CellModule.factors_matrix."""
+    the module's own action (act and evaluate_factors on the module)."""
     data = cellular_data(mod.engine)
     c = data.items[data.index[(mod.label, mod.anchor, b)]][3]
-    return mod._extract(data, (c * x).terms)
+    return mod._extract(data, product(mod.engine, c, x))
 
 
 def module_matrix(mod, x):
@@ -61,7 +73,5 @@ def module_matrix(mod, x):
 
 def same_matrix(field, a, b):
     """Equality of two matrices of sparse rows over the field."""
-    zero = field.raw_from_int(0)
     return len(a) == len(b) and all(
-        field.raw_eq(ra.get(k, zero), rb.get(k, zero))
-        for ra, rb in zip(a, b) for k in set(ra) | set(rb))
+        same_vector(field, ra, rb) for ra, rb in zip(a, b))

@@ -14,6 +14,7 @@ from paper_checks import (
     module_row,
     perm_mul,
     perm_pair,
+    product,
 )
 from qwalled.cellular import (
     cell_label,
@@ -35,9 +36,12 @@ from qwalled.combinat import (
 )
 from qwalled.engine import (
     E_TOK,
+    act,
     build_engine,
     central_element,
     evaluate_factors,
+    g_tok,
+    gs_tok,
     verify_relations,
 )
 from qwalled.groundfield import (
@@ -46,7 +50,7 @@ from qwalled.groundfield import (
     PrimeField,
     vanishes_under,
 )
-from qwalled.linalg import Echelon
+from qwalled.linalg import Echelon, same_vector
 from qwalled.repthy import (
     DELTA_ZERO_SEMISIMPLE,
     branching_check,
@@ -160,11 +164,14 @@ def test_criterion_05_central_element():
     ok = True
     for r, s in _pairs(5):
         eng = engine(r, s, GEN)
-        c = evaluate_factors(eng, [central_element(eng)])
-        gens = ([eng.g_el(i) for i in range(1, r)]
-                + [eng.gs_el(j) for j in range(1, s)] + [eng.e1()])
-        for g in gens:
-            ok = ok and c * g == g * c
+        one = {0: GEN.one}
+        c = evaluate_factors(eng, [central_element(eng)], one)
+        toks = ([g_tok(i) for i in range(1, r)]
+                + [gs_tok(j) for j in range(1, s)] + [E_TOK])
+        for tok in toks:
+            g = act(eng, one, [(tok, 1)])
+            ok = ok and same_vector(GEN, act(eng, c, [(tok, 1)]),
+                                    product(eng, g, c))
         for lab in cell_labels(r, s):
             central_character(eng, lab)
     _verdict(5, "central element", ok)
@@ -260,12 +267,13 @@ def test_criterion_10_schur_truncation():
     for r, s in _pairs(5):
         eng = engine(r, s, GEN)
         # e_tilde = rho^{-1} e_1 g*_1 and f21 = rho^{-1} e_1 g_1
-        corners = [eng.e1() * eng.gs_el(1)] if s >= 2 else []
-        corners += [eng.e1() * eng.g_el(1)] if r >= 2 else []
+        corners = [gs_tok(1)] if s >= 2 else []
+        corners += [g_tok(1)] if r >= 2 else []
         rho_inv = GEN.raw_div(GEN.one, GEN.rho)
-        for idem in (x.scale(rho_inv) for x in corners):
+        for tok in corners:
+            idem = act(eng, {0: rho_inv}, [(E_TOK, 1), (tok, 1)])
             # the corner subspace B idem has dimension (r+s-1)!
-            ok = ok and _rank((eng.element({t: 1}) * idem).terms
+            ok = ok and _rank(product(eng, {t: GEN.one}, idem)
                               for t in range(eng.dim)) \
                 == math.factorial(r + s - 1)
             for lab in cell_labels(r, s):
@@ -313,9 +321,10 @@ def _witness_ok(eng, kind, on_locus):
     mod = cell_module(eng, label)
     m = [sym(eng, Partition((r,)), 0, False),
          sym(eng, Partition((s,)), 0, True)]
-    v = module_row(mod, mod.anchor, evaluate_factors(eng, m))
+    one = {0: field.one}
+    v = module_row(mod, mod.anchor, evaluate_factors(eng, m, one))
     e1v = module_row(mod, mod.anchor, evaluate_factors(
-        eng, m + [[(field.one, [(E_TOK, 1)])]]))
+        eng, m + [[(field.one, [(E_TOK, 1)])]], one))
     return (bool(v) and set(e1v) <= {mod.anchor_index}
             and (not e1v) == field.raw_is_zero(scalar) == on_locus)
 

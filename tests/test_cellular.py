@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from paper_checks import module_matrix, same_matrix
 from qwalled import groundfield
 from qwalled.combinat import Bipartition, count_std, labels
-from qwalled.engine import E_TOK, build_engine, evaluate_factors, sigma
+from qwalled.engine import E_TOK, act, build_engine, evaluate_factors, sigma
 from qwalled.groundfield import (
     GenericField,
     OneVarField,
     PrimeField,
     transfer_from_generic,
 )
+from qwalled.linalg import same_vector
 from qwalled.cellular import (
     CellModule,
     CellularError,
@@ -55,9 +56,10 @@ def b32():
 @pytest.mark.parametrize("r,s,field", [(2, 2, GEN),
                                        (3, 2, PrimeField(13, 2, 6))])
 def test_two_evaluators_agree(r, s, field):
-    """The action of sigma(C_{(u,a) b}) through the module's token matrices
+    """The action of sigma(C_{(u,a) b}) through the module's act_table
     equals the engine product taken to module coordinates."""
     eng = build_engine(r, s, field)
+    one = {0: field.one}
     for label in cell_labels(r, s):
         mod = cell_module(eng, label)
         syms = label_symmetrizers(eng, label)
@@ -66,15 +68,17 @@ def test_two_evaluators_agree(r, s, field):
                 eng, label, anchor_label(label), b, syms))
             assert same_matrix(
                 field, mod.factors_matrix(factors),
-                module_matrix(mod, evaluate_factors(eng, factors)))
+                module_matrix(mod, evaluate_factors(eng, factors, one)))
 
 
 @pytest.mark.parametrize("r,s,field", [(2, 2, GEN),
                                        (3, 2, PrimeField(13, 2, 6))])
 def test_cellular_element_involution(r, s, field):
-    data = cellular_data(build_engine(r, s, field))
-    for label, left, right, elem in data.items:
-        assert sigma(elem) == data.items[data.index[(label, right, left)]][3]
+    eng = build_engine(r, s, field)
+    data = cellular_data(eng)
+    for label, left, right, vec in data.items:
+        assert same_vector(field, sigma(eng, vec),
+                           data.items[data.index[(label, right, left)]][3])
 
 
 def test_label_bookkeeping():
@@ -100,9 +104,10 @@ def test_basis_small_cases(b21):
     e11 = build_engine(1, 1, GEN)
     items = cellular_data(e11).items
     assert len(items) == 2
-    by_f = {lab.f: elem for lab, _, _, elem in items}
-    assert by_f[1] == e11.e1()
-    assert by_f[0] == e11.one()
+    by_f = {lab.f: vec for lab, _, _, vec in items}
+    one = {0: GEN.one}
+    assert same_vector(GEN, by_f[1], act(e11, one, [(E_TOK, 1)]))
+    assert same_vector(GEN, by_f[0], one)
 
     items = cellular_data(b21).items
     assert len(items) == 6
@@ -139,7 +144,7 @@ def test_11_module_action():
     lab = cell_label(1, 1, 1, Bipartition((), ()))
     mod = cell_module(e11, lab)
     assert mod.dim == 1
-    row = mod.token_matrix(E_TOK)[0]
+    row = mod.act_table[(0, E_TOK)]
     assert GEN.raw_eq(row[0], GEN.delta())
     gram = gram_matrix(mod)
     assert GEN.raw_eq(gram[0][0], GEN.delta())
@@ -459,9 +464,9 @@ CELLULAR_PINS = {
 def _cellular_digest(engine):
     import hashlib
     lines = []
-    for label, left, right, elem in cellular_data(engine).items:
-        terms = ";".join("%d:%s" % (i, engine.field.to_text(elem.terms[i]))
-                         for i in sorted(elem.terms))
+    for label, left, right, vec in cellular_data(engine).items:
+        terms = ";".join("%d:%s" % (i, engine.field.to_text(vec[i]))
+                         for i in sorted(vec))
         lines.append("%r|%r|%r|%s" % (label, left, right, terms))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -483,11 +488,33 @@ def test_cellular_data_evaluates_each_head_once(monkeypatch):
     count = [0]
     evaluate = cellular.evaluate_factors
 
-    def counting(engine, factors):
+    def counting(engine, factors, vec):
         count[0] += 1
-        return evaluate(engine, factors)
+        return evaluate(engine, factors, vec)
 
     monkeypatch.setattr(cellular, "evaluate_factors", counting)
     cellular_data(eng)
     assert count[0] == sum(module_dimension(label, 3, 2)
                            for label in cell_labels(3, 2))
+
+
+def test_one_term_factor_keeps_its_coefficient():
+    # a factor of one term is a sum like any other: 2 e_1 is twice e_1, on
+    # the engine and on every cell module where e_1 acts
+    eng = build_engine(2, 1, "gfp:13,2,6")
+    f = eng.field
+    two = f.raw_from_int(2)
+    twice, once = [[(two, [(E_TOK, 1)])]], [[(f.one, [(E_TOK, 1)])]]
+    one = {0: f.one}
+    e1 = evaluate_factors(eng, once, one)
+    assert e1 and same_vector(f, evaluate_factors(eng, twice, one),
+                              f.vec_iaxpy({}, two, e1))
+    acted = 0
+    for label in cell_labels(2, 1):
+        mod = cell_module(eng, label)
+        for i in range(mod.dim):
+            row = evaluate_factors(mod, once, {i: f.one})
+            acted += bool(row)
+            assert same_vector(f, evaluate_factors(mod, twice, {i: f.one}),
+                               f.vec_iaxpy({}, two, row))
+    assert acted

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from paper_checks import m_factor, perm_mul
+from paper_checks import m_factor, perm_mul, product
 from qwalled.cellular import cellular_data, symmetrizer_factor
 from qwalled.combinat import (
     Partition,
@@ -19,10 +19,10 @@ from qwalled.combinat import (
     std_tableaux,
     t_row,
 )
-from qwalled.engine import build_engine, evaluate_factors, g_tok, sigma
+from qwalled.engine import act, build_engine, evaluate_factors, g_tok, sigma
 from qwalled.groundfield import GenericField, PrimeField
 from qwalled.hecke import HeckeAlgebra, HeckeError
-from qwalled.linalg import Echelon
+from qwalled.linalg import Echelon, same_vector
 
 GEN = GenericField()
 FIELDS = (GEN, PrimeField(5, 2, 3))
@@ -32,14 +32,20 @@ def _letters(w):
     return [(g_tok(i), 1) for i in reduced_word(w)]
 
 
+def _ev(hq, letters, x=None):
+    """x (default the identity) times the letters."""
+    return act(hq, {0: hq.field.one} if x is None else x, letters)
+
+
 def _g_perm(hq, w):
-    return hq.from_letters(_letters(w))
+    return _ev(hq, _letters(w))
 
 
 def _sym(hq, lam, kind):
     """m_lam or n_lam of H_n evaluated in the quotient engine."""
     factor = m_factor if kind == "m" else symmetrizer_factor
-    return evaluate_factors(hq, [factor(hq, lam, 0, False)])
+    return evaluate_factors(hq, [factor(hq, lam, 0, False)],
+                            {0: hq.field.one})
 
 
 def _same(field, a, b):
@@ -49,19 +55,22 @@ def _same(field, a, b):
 def test_quadratic_relation():
     hq = build_engine(3, 1, GEN, layer=0)
     q, q_inv = GEN.q, GEN.raw_div(GEN.one, GEN.q)
-    one = hq.one()
+    one = {0: GEN.one}
     for i in (1, 2):
-        g = hq.g_el(i)
-        assert ((g - one.scale(q)) * (g + one.scale(q_inv))).is_zero()
-        assert g * hq.g_el(i, -1) == one
+        g = [(GEN.one, [(g_tok(i), 1)])]
+        assert not evaluate_factors(
+            hq, [g + [(GEN.raw_neg(q), [])], g + [(q_inv, [])]], one)
+        assert same_vector(GEN, _ev(hq, [(g_tok(i), 1), (g_tok(i), -1)]), one)
 
 
 def test_braid_and_commuting():
     hq = build_engine(4, 1, GEN, layer=0)
-    g1, g2, g3 = hq.g_el(1), hq.g_el(2), hq.g_el(3)
-    assert g1 * g2 * g1 == g2 * g1 * g2
-    assert g2 * g3 * g2 == g3 * g2 * g3
-    assert g1 * g3 == g3 * g1
+
+    def g(*word):
+        return _ev(hq, [(g_tok(i), 1) for i in word])
+    assert same_vector(GEN, g(1, 2, 1), g(2, 1, 2))
+    assert same_vector(GEN, g(2, 3, 2), g(3, 2, 3))
+    assert same_vector(GEN, g(1, 3), g(3, 1))
 
 
 def test_g_perm_length_additive():
@@ -72,7 +81,9 @@ def test_g_perm_length_additive():
         for v in permutations(range(1, 5)):
             uv = perm_mul(u, v)
             if perm_length(uv) == perm_length(u) + perm_length(v):
-                assert _g_perm(hq, u) * _g_perm(hq, v) == _g_perm(hq, uv)
+                assert same_vector(GEN, product(hq, _g_perm(hq, u),
+                                                _g_perm(hq, v)),
+                                   _g_perm(hq, uv))
 
 
 def test_symmetrizer_eigenvalues():
@@ -87,9 +98,12 @@ def test_symmetrizer_eigenvalues():
                 for row in t_row(lam).rows:
                     for a, b in zip(row, row[1:]):
                         assert b == a + 1
-                        assert hq.apply_token(m, g_tok(a)) == m.scale(q)
-                        assert hq.apply_token(nn, g_tok(a)) \
-                            == nn.scale(minus_q_inv)
+                        assert same_vector(
+                            field, _ev(hq, [(g_tok(a), 1)], m),
+                            field.vec_iaxpy({}, q, m))
+                        assert same_vector(
+                            field, _ev(hq, [(g_tok(a), 1)], nn),
+                            field.vec_iaxpy({}, minus_q_inv, nn))
 
 
 def test_symmetrizer_identity_coefficient():
@@ -107,11 +121,12 @@ def test_sigma_antiautomorphism():
         for n in (2, 3, 4):
             hq = build_engine(n, 1, field, layer=0)
             for i in range(1, n):
-                assert sigma(hq.g_el(i)) == hq.g_el(i)
+                g = _ev(hq, [(g_tok(i), 1)])
+                assert same_vector(field, sigma(hq, g), g)
             for lam in partitions(n):
                 for kind in ("m", "n"):
                     x = _sym(hq, lam, kind)
-                    assert sigma(x) == x
+                    assert same_vector(field, sigma(hq, x), x)
 
 
 def test_offset_symmetrizer():
@@ -170,11 +185,11 @@ def test_specht_dimensions(n):
         head = evaluate_factors(hq, [
             m_factor(hq, lam, 0, False),
             [(GEN.raw_from_int(1), _letters(d_perm(t_col)))],
-            symmetrizer_factor(hq, conj, 0, False)])
+            symmetrizer_factor(hq, conj, 0, False)], {0: GEN.one})
         ech = Echelon(GEN)
         tabs = std_tableaux(conj)
         for t in tabs:
-            assert ech.insert(hq.from_letters(_letters(d_perm(t)), head).terms)
+            assert ech.insert(_ev(hq, _letters(d_perm(t)), head))
         assert ech.rank == len(tabs)
 
 
@@ -183,13 +198,13 @@ def test_normal_form_independence():
     hq = build_engine(4, 1, GEN, layer=0)
     for _ in range(100):
         word = [rng.randrange(1, 4) for _ in range(rng.randrange(0, 7))]
-        direct = hq.from_letters([(g_tok(i), 1) for i in word])
+        direct = _ev(hq, [(g_tok(i), 1) for i in word])
         # evaluate in a random association order via explicit products
-        parts = [hq.g_el(i) for i in word] or [hq.one()]
+        parts = [_ev(hq, [(g_tok(i), 1)]) for i in word] or [{0: GEN.one}]
         while len(parts) > 1:
             k = rng.randrange(len(parts) - 1)
-            parts[k:k + 2] = [parts[k] * parts[k + 1]]
-        assert parts[0] == direct
+            parts[k:k + 2] = [product(hq, parts[k], parts[k + 1])]
+        assert same_vector(GEN, parts[0], direct)
 
 
 def test_cell_branching_counts():

@@ -16,6 +16,7 @@ from qwalled.linalg import (
     LinAlgError,
     determinant,
     matrix_rank,
+    same_vector,
 )
 
 GEN = GenericField()
@@ -221,3 +222,17 @@ def test_rank_generic():
     q, rho = f.q, f.rho
     rows = [[q, rho], [f.raw_mul(q, q), f.raw_mul(q, rho)], [raw(f, 0), rho]]
     assert matrix_rank(f, rows) == 2
+
+
+def test_same_vector_is_exact_for_unreduced_fractions():
+    # q (q + rho) / (q + rho) leaves R and stays an unreduced fraction; it
+    # equals its reduced form as a value, though not as a Python object
+    s = GEN.raw_add(GEN.q, GEN.rho)
+    x = GEN.raw_div(GEN.raw_mul(GEN.q, s), s)
+    y = GEN.reduce_raw(x)
+    assert type(x) is not tuple and x.num != y.num
+    assert {0: x} != {0: y}
+    assert same_vector(GEN, {0: x, 1: GEN.one}, {0: y, 1: GEN.one})
+    assert not same_vector(GEN, {0: x}, {0: GEN.raw_add(y, GEN.one)})
+    assert not same_vector(GEN, {0: x}, {1: y})
+    assert not same_vector(GEN, {0: x, 1: GEN.one}, {0: y})

@@ -5,7 +5,7 @@ import functools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from paper_checks import module_matrix, module_row, same_matrix
+from paper_checks import module_matrix, module_row, product, same_matrix
 from qwalled.combinat import Bipartition, nodes_removable
 from qwalled.cellular import (
     cell_label,
@@ -16,9 +16,13 @@ from qwalled.cellular import (
     radical_rank,
 )
 from qwalled.engine import (
+    E_TOK,
+    act,
     build_engine,
     central_element,
     evaluate_factors,
+    g_tok,
+    gs_tok,
     sigma,
 )
 from qwalled.groundfield import (
@@ -30,7 +34,7 @@ from qwalled.groundfield import (
     transfer_from_generic,
     vanishes_under,
 )
-from qwalled.linalg import Echelon
+from qwalled.linalg import Echelon, same_vector
 from qwalled.repthy import (
     CentralCharacter,
     RepError,
@@ -78,15 +82,33 @@ def test_central_character_verifies_action():
 
 
 def test_central_element_subrange_is_central():
+    one = {0: GEN.one}
+
+    def commutes(eng, c, letters):
+        return same_vector(GEN, act(eng, c, letters),
+                           product(eng, act(eng, one, letters), c))
+
     eng = engine(2, 2, GEN)
-    c = evaluate_factors(eng, [central_element(eng, 1, 2)])
-    assert c * eng.gs_el(1) == eng.gs_el(1) * c
-    assert c * eng.e1() == eng.e1() * c
-    assert sigma(c) == c
+    c = evaluate_factors(eng, [central_element(eng, 1, 2)], one)
+    assert commutes(eng, c, [(gs_tok(1), 1)])
+    assert commutes(eng, c, [(E_TOK, 1)])
+    assert same_vector(GEN, sigma(eng, c), c)
     eng32 = engine(3, 2, GEN)
-    c = evaluate_factors(eng32, [central_element(eng32, 2, 2)])
-    for gen in (eng32.g_el(1), eng32.gs_el(1), eng32.e1()):
-        assert c * gen == gen * c
+    c = evaluate_factors(eng32, [central_element(eng32, 2, 2)], one)
+    for tok in (g_tok(1), gs_tok(1), E_TOK):
+        assert commutes(eng32, c, [(tok, 1)])
+
+
+def test_central_character_refuses_a_zero_action(monkeypatch):
+    # a row that lacks its diagonal entry is no scalar action: an action
+    # matrix of zero rows must not pass for a nonzero scalar
+    from qwalled.cellular import CellModule
+    label = lab(2, 1, 1, (1,), ())
+    assert not GEN.raw_is_zero(central_scalar(label, GEN))
+    monkeypatch.setattr(CellModule, "factors_matrix",
+                        lambda self, factors: [{} for _ in range(self.dim)])
+    with pytest.raises(RepError, match="not scalar"):
+        central_character(engine(2, 1, GEN), label)
 
 
 def test_central_scalars_separate_labels():
@@ -305,7 +327,7 @@ def test_module_actions_match_engine_products(r, s, field):
     coordinates, for every label."""
     eng = engine(r, s, field)
     for z in (central_element(eng), central_element(eng, r - 1, s)):
-        x = evaluate_factors(eng, [z])
+        x = evaluate_factors(eng, [z], {0: field.one})
         for label in cell_labels(r, s):
             mod = cell_module(eng, label)
             assert same_matrix(field, mod.factors_matrix([z]),
@@ -314,10 +336,35 @@ def test_module_actions_match_engine_products(r, s, field):
         mod = cell_module(eng, label)
         for kind, node, _ in branching_sections(label):
             gen = (_y_alpha if kind == "remove" else _z_beta)(eng, label, node)
-            want = module_row(mod, mod.anchor, evaluate_factors(eng, [gen]))
+            want = module_row(mod, mod.anchor,
+                              evaluate_factors(eng, [gen], {0: field.one}))
             assert want
-            assert same_matrix(
-                field, [mod.factors_matrix([gen])[mod.anchor_index]], [want])
+            assert same_vector(field, evaluate_factors(
+                mod, [gen], {mod.anchor_index: field.one}), want)
+
+
+def test_branching_generators_act_on_the_anchor_vector(monkeypatch):
+    # each section generator acts once, on the anchor's unit vector of the
+    # cell module, not on the module's whole basis
+    import qwalled.repthy
+    eng = engine(3, 2, GEN)
+    calls = []
+    evaluate = qwalled.repthy.evaluate_factors
+
+    def recording(owner, factors, vec):
+        calls.append((owner, factors, vec))
+        return evaluate(owner, factors, vec)
+
+    monkeypatch.setattr(qwalled.repthy, "evaluate_factors", recording)
+    for label in cell_labels(3, 2):
+        del calls[:]
+        mod = cell_module(eng, label)
+        assert branching_check(eng, label)["ok"]
+        gens = [(_y_alpha if kind == "remove" else _z_beta)(eng, label, node)
+                for kind, node, _ in branching_sections(label)]
+        assert [factors for _, factors, _ in calls] == [[gen] for gen in gens]
+        assert all(owner is mod and vec == {mod.anchor_index: GEN.one}
+                   for owner, _, vec in calls)
 
 
 def test_central_character_on_block_modules():
@@ -354,16 +401,14 @@ def _hom_dimension(engine, source, target):
     d0, d1 = ma.dim, mb.dim
     ech = Echelon(f)
     for tok in engine.tokens:
-        a = ma.token_matrix(tok)
-        b = mb.token_matrix(tok)
         for i in range(d0):
             for k in range(d1):
                 row = {}
-                for m, c in a[i].items():
+                for m, c in ma.act_table[(i, tok)].items():
                     key = m * d1 + k
                     row[key] = f.raw_add(row.get(key, f.raw_from_int(0)), c)
                 for j in range(d1):
-                    c = b[j].get(k)
+                    c = mb.act_table[(j, tok)].get(k)
                     if c is not None:
                         key = i * d1 + j
                         row[key] = f.raw_sub(row.get(key, f.raw_from_int(0)),
