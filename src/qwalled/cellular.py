@@ -88,7 +88,10 @@ def module_dimension(label, r, s):
 
 
 # ---------------------------------------------------------------------------
-# the cellular basis as a product of factors (engine.evaluate_factors)
+# the cellular basis as a product of factors (engine.evaluate_factors):
+# C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d, with n_{st} =
+# sigma(g_{d(s1)} g*_{d(s2)}) n_lam g_{d(t1)} g*_{d(t2)}, is L T, the left
+# factors L of (s, e) followed by the tail letters T of (t, d)
 
 def symmetrizer_factor(engine, lam, offset, starred):
     """n_lam of the row stabilizer of lam placed at the offset, on the g
@@ -127,14 +130,6 @@ def right_letters(right):
     return tail
 
 
-def cellular_factors(engine, label, left, right, syms):
-    """C_{(s,e)(t,d)} = sigma(g_e) e^f n_{st} g_d as a list of factors, with
-    n_{st} = sigma(g_{d(s1)} g*_{d(s2)}) n_lam g_{d(t1)} g*_{d(t2)}: the left
-    factors followed by the tail word."""
-    return [*left_factors(engine, label, left, syms),
-            [(engine.field.one, right_letters(right))]]
-
-
 def sigma_factors(factors):
     """The anti-involution on a product of factors."""
     return [[(c, letters[::-1]) for c, letters in factor]
@@ -154,10 +149,8 @@ class _CellData:
     once per left index from left_factors, times the tail letters of the
     right index (t, d).  The tails go through a prefix memo {letters:
     vector} that lives for one left index, so rights that share tableaux
-    share the products of their common prefixes.  The product is associated
-    left to right as in evaluate_factors of cellular_factors, so the
-    elements are the same.  Each item is (label, left, right, engine
-    vector).
+    share the products of their common prefixes.  Each item is (label,
+    left, right, engine vector).
     """
 
     def __init__(self, engine):
@@ -293,26 +286,37 @@ def cell_module(engine, label):
 def gram_matrix(module):
     """The Gram matrix of the invariant form, as normalized raw entries.
 
-    Entry (i, j) is the coefficient of C_{(u,a)(u,a)} in the product
-    C_{(u,a) i} C_{j (u,a)} modulo the higher ideal.
+    Entry (i, b) is the coefficient of C_{(u,a)(u,a)} in the product
+    C_{(u,a) i} C_{b (u,a)} modulo the higher ideal: the anchor coordinate
+    of e_i sigma(C_{(u,a) b}) = e_i sigma(T_b) sigma(L), where C_{(u,a) b}
+    = L T_b splits into the anchor's left factors and the tail letters of
+    b.  Row k of the action of sigma(L) lies on the anchor, with coordinate
+    z_k, so entry (i, b) = sum_k (e_i sigma(T_b))_k z_k.
     """
     if module._gram is not None:
         return module._gram
     f = module.field
     m = module.dim
-    syms = label_symmetrizers(module.engine, module.label)
+    eng = module.engine
+    anchor = module.anchor_index
+    syms = label_symmetrizers(eng, module.label)
+    z = {}
+    for k, row in enumerate(module.factors_matrix(sigma_factors(
+            left_factors(eng, module.label, module.anchor, syms)))):
+        for j, c in row.items():
+            if j != anchor and not f.raw_is_zero(c):
+                raise CellularError("form value leaks off the anchor")
+        if anchor in row:
+            z[k] = row[anchor]
     cols = []
     for b in module.basis:
-        # the action of sigma(C_{(u,a) b}) = C_{b (u,a)}
-        a = module.factors_matrix(sigma_factors(cellular_factors(
-            module.engine, module.label, module.anchor, b, syms)))
         col = []
-        for i in range(m):
-            row = a[i]
+        for row in module.factors_matrix([[(f.one, right_letters(b)[::-1])]]):
+            val = f.raw_from_int(0)
             for k, c in row.items():
-                if k != module.anchor_index and not f.raw_is_zero(c):
-                    raise CellularError("form value leaks off the anchor")
-            col.append(row.get(module.anchor_index, f.raw_from_int(0)))
+                if k in z:
+                    val = f.raw_add(val, f.raw_mul(c, z[k]))
+            col.append(val)
         cols.append(col)
     gram = [[f.normalize(cols[j][i]) for j in range(m)] for i in range(m)]
     module._gram = gram

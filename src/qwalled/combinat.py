@@ -22,12 +22,13 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if p)
+        parts = tuple(int(p) for p in parts)
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise CombinatError("parts must be weakly decreasing: %r" % (parts,))
         if any(p < 0 for p in parts):
             raise CombinatError("parts must be positive")
-        object.__setattr__(self, "parts", parts)
+        # weakly decreasing and non-negative: the zeros trail
+        object.__setattr__(self, "parts", tuple(p for p in parts if p))
 
     def __setattr__(self, *a):
         raise AttributeError("Partition is immutable")

@@ -2,8 +2,9 @@
 
 The algebra on generators e_1, g_1..g_{r-1}, g*_1..g*_{s-1} is realized by
 closure: starting from the identity, right multiplication by generator
-tokens is explored breadth first, defining relations are imposed as exact
-linear dependencies, and dependent words are eliminated.  The surviving
+tokens is explored breadth first, the defining relations
+(defining_identities, as lhs - rhs) are imposed as exact linear
+dependencies, and dependent words are eliminated.  The surviving
 words form the normal basis; its size must come out to
 layer_dimension(r, s, layer): (r+s)! for the full algebra, and
 |D^f| (r-f)! (s-f)! for a block.
@@ -120,18 +121,18 @@ class AlgebraEngine:
         self.tokens = [E_TOK] + [g_tok(i) for i in range(1, r)] \
             + [gs_tok(j) for j in range(1, s)]
         self.is_block = layer < top
-        self.relations = self._defining_relations()
+        self.relations = [_relation(f, lhs, rhs)
+                          for _, lhs, rhs in defining_identities(self)]
         self._root_relations = []
         if self.is_block:
-            self.relations.append(
-                self.expand_letters(self._layer_letters(layer)))
+            self.relations.append(_relation(
+                f, [(f.one, self._layer_letters(layer))], []))
         if self.is_block and layer > 0:
-            # root * (x_f - rho^f) = 0, x_f = e^f g_1 ... g_f
+            # at the root state: x_f = rho^f, x_f = e^f g_1 ... g_f
             x_f = self.ecap_letters(layer) \
                 + word_letters(g_tok, range(1, layer + 1))
-            self._root_relations.append(
-                self.expand_letters(x_f)
-                + [(f.raw_neg(f.raw_pow(f.rho, layer)), ())])
+            self._root_relations.append(_relation(
+                f, [(f.one, x_f)], [(f.raw_pow(f.rho, layer), [])]))
         # data derived from the engine lives exactly as long as the engine:
         # sigma images of basis vectors, the cellular coordinate system
         # (cellular.cellular_data) and the cell modules by label
@@ -152,84 +153,6 @@ class AlgebraEngine:
         while letters[-1][0] != E_TOK:
             letters.pop()
         return letters
-
-    # -- presentation ------------------------------------------------------
-
-    def expand_letters(self, letters):
-        """Expand (token, power) letters into [(raw coeff, token word)]."""
-        f = self.field
-        combos = [(f.one, ())]
-        for tok, p in letters:
-            if p == 1:
-                combos = [(c, w + (tok,)) for c, w in combos]
-            elif p == -1 and tok != E_TOK:
-                mqd = f.raw_neg(f.qdiff)
-                new = []
-                for c, w in combos:
-                    new.append((c, w + (tok,)))
-                    new.append((f.raw_mul(c, mqd), w))
-                combos = new
-            else:
-                raise EngineError("bad letter power for %r" % (tok,))
-        return combos
-
-    def _defining_relations(self):
-        f = self.field
-        one = f.one
-        neg = f.raw_neg
-        qd = f.qdiff
-        rho = f.rho
-        delta = f.delta()
-        r, s = self.r, self.s
-        E = E_TOK
-        rels = []
-
-        def quadratic(t):
-            return [(one, (t, t)), (neg(qd), (t,)), (neg(one), ())]
-
-        def commute(a, b):
-            return [(one, (a, b)), (neg(one), (b, a))]
-
-        def braid(a, b):
-            return [(one, (a, b, a)), (neg(one), (b, a, b))]
-
-        for i in range(1, r):
-            rels.append(quadratic(g_tok(i)))
-        for i in range(1, r):
-            for j in range(i + 2, r):
-                rels.append(commute(g_tok(i), g_tok(j)))
-        for i in range(1, r - 1):
-            rels.append(braid(g_tok(i), g_tok(i + 1)))
-        for i in range(2, r):
-            rels.append(commute(g_tok(i), E))
-        if r >= 2:
-            rels.append([(one, (E, g_tok(1), E)), (neg(rho), (E,))])
-        rels.append([(one, (E, E)), (neg(delta), (E,))])
-        for i in range(1, r):
-            for j in range(1, s):
-                rels.append(commute(g_tok(i), gs_tok(j)))
-        for j in range(1, s):
-            rels.append(quadratic(gs_tok(j)))
-        for i in range(1, s):
-            for j in range(i + 2, s):
-                rels.append(commute(gs_tok(i), gs_tok(j)))
-        for j in range(1, s - 1):
-            rels.append(braid(gs_tok(j), gs_tok(j + 1)))
-        for j in range(2, s):
-            rels.append(commute(gs_tok(j), E))
-        if s >= 2:
-            rels.append([(one, (E, gs_tok(1), E)), (neg(rho), (E,))])
-        if r >= 2 and s >= 2:
-            g1, s1 = (g_tok(1), 1), (gs_tok(1), 1)
-            g1i = (g_tok(1), -1)
-            e = (E, 1)
-            lhs = self.expand_letters([e, g1i, s1, e, g1])
-            rhs = self.expand_letters([e, g1i, s1, e, s1])
-            rels.append(lhs + [(neg(c), w) for c, w in rhs])
-            lhs = self.expand_letters([g1, e, g1i, s1, e])
-            rhs = self.expand_letters([s1, e, g1i, s1, e])
-            rels.append(lhs + [(neg(c), w) for c, w in rhs])
-        return rels
 
     # -- closure -----------------------------------------------------------
 
@@ -395,6 +318,73 @@ class AlgebraEngine:
         return [x for i in range(1, f + 1) for x in self.e_ij_letters(i, i)]
 
 
+def defining_identities(engine):
+    """The defining relations of B_{r,s} as (name, lhs, rhs) identities,
+    each side one factor of (raw coeff, letters) terms, in a fixed order."""
+    f = engine.field
+    one = f.one
+    e = [(E_TOK, 1)]
+    out = []
+
+    def rel(name, lhs, rhs, c=one):
+        out.append((name, [(one, lhs)], [(c, rhs)]))
+
+    def strand_rels(names, tok, n):
+        """The relations of g_1..g_{n-1} (or the g*) among themselves and
+        with e_1: g^2 = (q - q^{-1}) g + 1, far commutation, braid,
+        commutation with e_1 and e_1 g_1 e_1 = rho e_1."""
+        x = {i: [(tok(i), 1)] for i in range(1, n)}
+        for i in range(1, n):
+            out.append(("def.%s[%d]" % (names[0], i), [(one, x[i] + x[i])],
+                        [(f.qdiff, x[i]), (one, [])]))
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                rel("def.%s[%d,%d]" % (names[1], i, j),
+                    x[i] + x[j], x[j] + x[i])
+        for i in range(1, n - 1):
+            rel("def.%s[%d]" % (names[2], i), x[i] + x[i + 1] + x[i],
+                x[i + 1] + x[i] + x[i + 1])
+        for i in range(2, n):
+            rel("def.%s[%d]" % (names[3], i), x[i] + e, e + x[i])
+        if n >= 2:
+            rel("def.%s" % names[4], e + x[1] + e, e, f.rho)
+
+    r, s = engine.r, engine.s
+    strand_rels("abcde", g_tok, r)
+    rel("def.f", e + e, e, f.delta())
+    for i in range(1, r):
+        for j in range(1, s):
+            rel("def.g[%d,%d]" % (i, j), [(g_tok(i), 1), (gs_tok(j), 1)],
+                [(gs_tok(j), 1), (g_tok(i), 1)])
+    strand_rels("hijkl", gs_tok, s)
+    if r >= 2 and s >= 2:
+        g1, s1 = (g_tok(1), 1), (gs_tok(1), 1)
+        mid = [(g_tok(1), -1), s1]
+        rel("def.m", e + mid + e + [g1], e + mid + e + [s1])
+        rel("def.n", [g1] + e + mid + e, [s1] + e + mid + e)
+    return out
+
+
+def _relation(field, lhs, rhs):
+    """lhs - rhs of two factors as [(raw coeff, token word)], with g^{-1}
+    expanded as g - (q - q^{-1})."""
+    mqd = field.raw_neg(field.qdiff)
+    terms = lhs + [(field.raw_neg(c), letters) for c, letters in rhs]
+    out = []
+    for c, letters in terms:
+        combos = [(c, ())]
+        for tok, p in letters:
+            if p == 1:
+                combos = [(cw, w + (tok,)) for cw, w in combos]
+            elif p == -1 and tok != E_TOK:
+                combos = [x for cw, w in combos for x in (
+                    (cw, w + (tok,)), (field.raw_mul(cw, mqd), w))]
+            else:
+                raise EngineError("bad letter power for %r" % (tok,))
+        out += combos
+    return out
+
+
 def act(owner, vec, letters):
     """vec times a product of (token, power) letters, power +-1, through
     owner.act_table {(basis index, token): row}.  The owner is an engine or
@@ -496,18 +486,17 @@ def central_element(engine, r=None, s=None):
 
 
 def verify_relations(engine):
-    """Evaluate the defining relations and the derived e_i identities, each
-    side a list of factors acting on the identity.
+    """Evaluate the defining identities and the derived e_i identities,
+    each side a list of factors acting on the identity.
 
     Returns a list of (name, ok) pairs; every pair should be (..., True).
     """
     eng = engine
     f = eng.field
     r, s = eng.r, eng.s
-    one, q, rho, delta = f.one, f.q, f.rho, f.delta()
-    q_inv, rho_inv = f.raw_div(one, q), f.raw_div(one, rho)
+    one, rho, delta = f.one, f.rho, f.delta()
+    rho_inv = f.raw_div(one, rho)
     unit = {0: one}
-    zero = [[]]  # one factor with no terms: the empty sum
     report = []
 
     def check(name, lhs, rhs):
@@ -519,49 +508,13 @@ def verify_relations(engine):
         """c times the product of letter lists, as one factor."""
         return [[(c, [x for part in parts for x in part])]]
 
-    def quadratic(t):
-        """(t - q)(t + q^{-1}) as two factors."""
-        return [[(one, t), (f.raw_neg(q), [])], [(one, t), (q_inv, [])]]
+    for name, lhs, rhs in defining_identities(eng):
+        check(name, [lhs], [rhs])
 
     g = {i: [(g_tok(i), 1)] for i in range(1, r)}
     gi = {i: [(g_tok(i), -1)] for i in range(1, r)}
     gs = {j: [(gs_tok(j), 1)] for j in range(1, s)}
     gsi = {j: [(gs_tok(j), -1)] for j in range(1, s)}
-    e1 = [(E_TOK, 1)]
-
-    for i in range(1, r):
-        check("def.a[%d]" % i, quadratic(g[i]), zero)
-    for i in range(1, r):
-        for j in range(i + 2, r):
-            check("def.b[%d,%d]" % (i, j), w(g[i], g[j]), w(g[j], g[i]))
-    for i in range(1, r - 1):
-        check("def.c[%d]" % i,
-              w(g[i], g[i + 1], g[i]), w(g[i + 1], g[i], g[i + 1]))
-    for i in range(2, r):
-        check("def.d[%d]" % i, w(g[i], e1), w(e1, g[i]))
-    if r >= 2:
-        check("def.e", w(e1, g[1], e1), w(e1, c=rho))
-    check("def.f", w(e1, e1), w(e1, c=delta))
-    for i in range(1, r):
-        for j in range(1, s):
-            check("def.g[%d,%d]" % (i, j), w(g[i], gs[j]), w(gs[j], g[i]))
-    for j in range(1, s):
-        check("def.h[%d]" % j, quadratic(gs[j]), zero)
-    for i in range(1, s):
-        for j in range(i + 2, s):
-            check("def.i[%d,%d]" % (i, j), w(gs[i], gs[j]), w(gs[j], gs[i]))
-    for j in range(1, s - 1):
-        check("def.j[%d]" % j,
-              w(gs[j], gs[j + 1], gs[j]), w(gs[j + 1], gs[j], gs[j + 1]))
-    for j in range(2, s):
-        check("def.k[%d]" % j, w(gs[j], e1), w(e1, gs[j]))
-    if s >= 2:
-        check("def.l", w(e1, gs[1], e1), w(e1, c=rho))
-    if r >= 2 and s >= 2:
-        check("def.m", w(e1, gi[1], gs[1], e1, g[1]),
-              w(e1, gi[1], gs[1], e1, gs[1]))
-        check("def.n", w(g[1], e1, gi[1], gs[1], e1),
-              w(gs[1], e1, gi[1], gs[1], e1))
 
     m = min(r, s)
     e = {i: eng.e_ij_letters(i, i) for i in range(1, m + 1)}

@@ -687,15 +687,8 @@ class _FunctionField(Field):
         """The reduced (numerator, denominator) of a raw value as Laurent
         terms dicts: polynomials with no common factor, the denominator's
         leading coefficient (q before rho, lexicographically) positive."""
-        v = self.normalize(a)
-        if v.__class__ is _Frac:
-            return v.num, v.den
-        n, i, j = v
-        if not n:
-            return {}, _POLY_ONE
-        u, w = _shift(n)
-        return ({(a + u, b + w): c for (a, b), c in n.items()},
-                _den_terms(u, w, i, j))
+        v = _lift(self.normalize(a))
+        return v.num, v.den
 
     def to_text(self, a):
         num, den = self.to_laurent_fraction(a)

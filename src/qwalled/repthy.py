@@ -28,8 +28,8 @@ from .engine import (
 from .groundfield import FieldError, GenericField, vanishes_under
 from .linalg import same_vector
 from .cellular import (
+    CellLabel,
     _label_text,
-    cell_label,
     cell_labels,
     cell_module,
     gram_determinant,
@@ -200,21 +200,13 @@ def branching_sections(label):
     first, second = label.shape.components
     out = []
     for p in nodes_removable(first):
-        out.append(("remove", p,
-                    cell_label_any(label.f,
-                                   Bipartition(first.remove_node(p), second))))
+        out.append(("remove", p, CellLabel(
+            label.f, Bipartition(first.remove_node(p), second))))
     if label.f >= 1:
         for p in nodes_addable(second):
-            out.append(("add", p,
-                        cell_label_any(label.f - 1,
-                                       Bipartition(first, second.add_node(p)))))
+            out.append(("add", p, CellLabel(
+                label.f - 1, Bipartition(first, second.add_node(p)))))
     return out
-
-
-def cell_label_any(f, shape):
-    """A cell label without fixing (r, s); sizes are implied."""
-    n1, n2 = shape.size
-    return cell_label(f + n1, f + n2, f, shape)
 
 
 # A section generator is a factor: C_anchor times it is the generator's class

@@ -25,12 +25,13 @@ from qwalled.cellular import (
     cell_labels,
     cell_module,
     cellular_data,
-    cellular_factors,
     gram_determinant,
     gram_matrix,
     label_symmetrizers,
+    left_factors,
     module_dimension,
     radical_rank,
+    right_letters,
     sigma_factors,
     validate_cell_datum,
 )
@@ -64,8 +65,9 @@ def test_two_evaluators_agree(r, s, field):
         mod = cell_module(eng, label)
         syms = label_symmetrizers(eng, label)
         for b in mod.basis:
-            factors = sigma_factors(cellular_factors(
-                eng, label, anchor_label(label), b, syms))
+            factors = sigma_factors(
+                left_factors(eng, label, anchor_label(label), syms)
+                + [[(field.one, right_letters(b))]])
             assert same_matrix(
                 field, mod.factors_matrix(factors),
                 module_matrix(mod, evaluate_factors(eng, factors, one)))
@@ -190,15 +192,24 @@ def test_gram_generic_nondegenerate(b21, b22, b32):
 
 
 def test_gram_choice_independence(b22):
-    for lab in cell_labels(2, 2):
-        mod = cell_module(b22, lab)
-        gram = gram_matrix(mod)
-        for anchor in basis_labels(2, 2, lab)[:3]:
-            other = CellModule(b22, lab, anchor)
-            gram2 = gram_matrix(other)
-            for i in range(mod.dim):
-                for j in range(mod.dim):
-                    assert gram[i][j] == gram2[i][j]
+    # the form does not depend on the anchor; a block holds only the anchors
+    # whose coset rep is the identity, one per label at (3, 3) and up to two
+    # at (4, 3)
+    def same_forms(eng, anchors):
+        for lab in cellular_data(eng).labels:
+            gram = gram_matrix(cell_module(eng, lab))
+            for anchor in anchors(lab):
+                assert gram_matrix(CellModule(eng, lab, anchor)) == gram
+
+    def identity_rep(eng):
+        return lambda lab: [b for b in basis_labels(eng.r, eng.s, lab)
+                            if b.rep == anchor_label(lab).rep][:3]
+
+    same_forms(b22, lambda lab: basis_labels(2, 2, lab)[:3])
+    for eng in (build_engine(3, 2, PrimeField(13, 2, 6)),
+                build_engine(3, 3, GEN, layer=1),
+                build_engine(4, 3, PrimeField(13, 2, 6), layer=1)):
+        same_forms(eng, identity_rep(eng))
 
 
 def test_radical_specialized():

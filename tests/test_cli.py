@@ -89,6 +89,19 @@ def test_gram_bad_shape(capsys):
     assert "error" in err
 
 
+def test_gram_shape_parts_are_checked_as_given(capsys):
+    # a zero part before a positive one is refused, naming the parts as
+    # given; trailing zeros are dropped
+    base = ["gram", "--r", "2", "--s", "1", "1"]
+    for shape, parts in (("0,1/-", "(0, 1)"), ("1,0,2/-", "(1, 0, 2)")):
+        code, out, err = run_cli(capsys, *base, shape)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert parts in err
+    code, out, _ = run_cli(capsys, *base, "1,0/-")
+    assert code == EXIT_OK and out == run_cli(capsys, *base, "1/-")[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["gram", "--r", "4", "--s", "3", "--field", "gfp:13,2,6",
      "--max-total", "7", "5", "1/-"],

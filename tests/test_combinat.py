@@ -55,6 +55,12 @@ def test_partition_basics():
     assert p.size == 7
     with pytest.raises(CombinatError):
         Partition((1, 2))
+    # the order is checked on the parts as given; trailing zeros go
+    assert Partition((2, 1, 0, 0)).parts == (2, 1)
+    for parts in ((0, 1), (1, 0, 2)):
+        with pytest.raises(CombinatError) as exc:
+            Partition(parts)
+        assert repr(parts) in str(exc.value)
 
 
 def test_partitions_count():
