@@ -19,6 +19,7 @@ from .combinat import (
     labels,
     perm_inverse,
     reduced_word,
+    s_range_word,
     std_tableau_pairs,
     t_row,
 )
@@ -50,8 +51,7 @@ class CellBasisLabel(namedtuple("CellBasisLabel", "tab rep")):
 
 def cell_label(r, s, f, shape):
     """Validated label constructor."""
-    if not isinstance(shape, Bipartition):
-        shape = Bipartition(*shape)
+    shape = Bipartition(*shape)
     if not 0 <= f <= min(r, s):
         raise CellularError("layer %d out of range for (%d, %d)" % (f, r, s))
     if shape.size != (r - f, s - f):
@@ -71,6 +71,16 @@ def basis_labels(r, s, label):
     pairs = std_tableau_pairs(label.shape, offset=label.f)
     return [CellBasisLabel((t1, t2), rep)
             for (t1, t2) in pairs for rep in reps]
+
+
+def coset_letters(rep):
+    """The word of g_d for a coset rep d, leftmost factor first:
+    g_{f,i_f} g*_{f,j_f} ... g_{1,i_1} g*_{1,j_1}, as letters."""
+    out = []
+    for k in range(rep.f, 0, -1):
+        out += word_letters(g_tok, s_range_word(k, rep.i_list[k - 1]))
+        out += word_letters(gs_tok, s_range_word(k, rep.j_list[k - 1]))
+    return out
 
 
 def anchor_label(label):
@@ -113,7 +123,7 @@ def left_factors(engine, label, left, syms):
     """The factors of C_{(s,e)(t,d)} that depend on the left index only:
     the head word sigma(g_e) e^f sigma(g_{d(s1)} g*_{d(s2)}) and syms =
     label_symmetrizers(engine, label), the two factors of n_lam."""
-    head = [(tok, 1) for tok in reversed(left.rep.word_pairs())]
+    head = coset_letters(left.rep)[::-1]
     head += engine.ecap_letters(label.f)
     for tok, tab in zip((g_tok, gs_tok), left.tab):
         head += word_letters(tok, reduced_word(perm_inverse(d_perm(tab))))
@@ -126,7 +136,7 @@ def right_letters(right):
     tail = []
     for tok, tab in zip((g_tok, gs_tok), right.tab):
         tail += word_letters(tok, reduced_word(d_perm(tab)))
-    tail += [(tok, 1) for tok in right.rep.word_pairs()]
+    tail += coset_letters(right.rep)
     return tail
 
 
@@ -399,6 +409,6 @@ def validate_cell_datum(engine, alternate_anchors=None):
 
 def _label_text(label):
     return {"f": label.f,
-            "first": list(label.shape.first.parts),
-            "second": list(label.shape.second.parts)}
+            "first": list(label.shape.first),
+            "second": list(label.shape.second)}
 

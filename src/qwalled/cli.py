@@ -213,9 +213,7 @@ def emit(config, report, csv_rows=None, csv_columns=None, text_lines=None):
         for row in csv_rows:
             lines.append(_csv_line(row.get(col, "") for col in csv_columns))
         return "\n".join(lines)
-    if text_lines is not None:
-        return "\n".join(text_lines)
-    return json.dumps(report, sort_keys=True, indent=2)
+    return "\n".join(text_lines)
 
 
 def _report(config, field=None, **items):
@@ -230,7 +228,7 @@ def _report(config, field=None, **items):
 
 def _shape_text(label):
     def part(p):
-        return ",".join(str(x) for x in p.parts) or "-"
+        return ",".join(str(x) for x in p) or "-"
     return "%s/%s" % (part(label.shape.first), part(label.shape.second))
 
 

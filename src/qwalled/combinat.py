@@ -6,7 +6,6 @@ so that no re-indexing is needed when they meet the generators g_{f+1}, ...
 """
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 
 class CombinatError(Exception):
@@ -16,48 +15,38 @@ class CombinatError(Exception):
 # ---------------------------------------------------------------------------
 # partitions
 
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers; lam[i] is 0 past the
+    last part."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(int(p) for p in parts)
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise CombinatError("parts must be weakly decreasing: %r" % (parts,))
         if any(p < 0 for p in parts):
             raise CombinatError("parts must be positive")
         # weakly decreasing and non-negative: the zeros trail
-        object.__setattr__(self, "parts", tuple(p for p in parts if p))
+        return super().__new__(cls, (p for p in parts if p))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self):
+        return tuple(self)
 
     @property
     def size(self):
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
+        return sum(self)
 
     def __getitem__(self, i):
-        return self.parts[i] if i < len(self.parts) else 0
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return tuple.__getitem__(self, i) if i < len(self) else 0
 
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
 
     def partial_sums(self, length=None):
         if length is None:
-            length = len(self.parts)
+            length = len(self)
         sums, acc = [], 0
         for i in range(length):
             acc += self[i]
@@ -65,36 +54,21 @@ class Partition:
         return tuple(sums)
 
     def remove_node(self, node):
-        row = node.row
-        if self[row - 1] != node.col or not self.is_removable(node):
+        if node not in nodes_removable(self):
             raise CombinatError("%r is not removable from %r" % (node, self))
-        parts = list(self.parts)
-        parts[row - 1] -= 1
+        parts = list(self)
+        parts[node.row - 1] -= 1
         return Partition(parts)
 
     def add_node(self, node):
-        row = node.row
-        parts = list(self.parts) + [0]
-        if parts[row - 1] + 1 != node.col or not self.is_addable(node):
+        if node not in nodes_addable(self):
             raise CombinatError("%r is not addable to %r" % (node, self))
-        parts[row - 1] += 1
+        parts = list(self) + [0]
+        parts[node.row - 1] += 1
         return Partition(parts)
 
-    def is_removable(self, node):
-        i = node.row
-        return (1 <= i <= len(self.parts) and node.col == self[i - 1]
-                and self[i - 1] - 1 >= self[i])
-
-    def is_addable(self, node):
-        i = node.row
-        if not (1 <= i <= len(self.parts) + 1):
-            return False
-        prev = self[i - 2] if i >= 2 else None
-        return node.col == self[i - 1] + 1 and (i == 1 or prev >= self[i - 1] + 1)
-
     def boxes(self):
-        return [(i + 1, j + 1)
-                for i, p in enumerate(self.parts) for j in range(p)]
+        return [(i + 1, j + 1) for i, p in enumerate(self) for j in range(p)]
 
 
 def partitions(n):
@@ -130,36 +104,17 @@ def dominance_cmp(a, b):
 # ---------------------------------------------------------------------------
 # bipartitions and cell labels
 
-class Bipartition:
+class Bipartition(namedtuple("Bipartition", "first second")):
     """A pair (lambda^(1), lambda^(2)) of partitions."""
 
-    __slots__ = ("first", "second")
+    __slots__ = ()
 
-    def __init__(self, first, second):
-        if not isinstance(first, Partition):
-            first = Partition(first)
-        if not isinstance(second, Partition):
-            second = Partition(second)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Bipartition is immutable")
-
-    @property
-    def components(self):
-        return (self.first, self.second)
+    def __new__(cls, first, second):
+        return super().__new__(cls, Partition(first), Partition(second))
 
     @property
     def size(self):
         return (self.first.size, self.second.size)
-
-    def __eq__(self, other):
-        return (isinstance(other, Bipartition)
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __repr__(self):
         return "Bipartition(%r, %r)" % (self.first.parts, self.second.parts)
@@ -217,19 +172,14 @@ def labels(r, s):
 # ---------------------------------------------------------------------------
 # nodes
 
-class Node(namedtuple("Node", "row col side", defaults=(1,))):
-    __slots__ = ()
-
-    @property
-    def residue(self):
-        return self.col - self.row
+Node = namedtuple("Node", "row col")
 
 
 def nodes_removable(lam):
     """Removable nodes, ordered so that removal produces dominance-
     decreasing results (row index descending)."""
     out = []
-    for i in range(len(lam.parts), 0, -1):
+    for i in range(len(lam), 0, -1):
         if lam[i - 1] - 1 >= lam[i]:
             out.append(Node(i, lam[i - 1]))
     return out
@@ -239,58 +189,33 @@ def nodes_addable(lam):
     """Addable nodes, ordered so that addition produces dominance-
     decreasing results (row index ascending)."""
     out = [Node(1, lam[0] + 1)]
-    for i in range(2, len(lam.parts) + 2):
+    for i in range(2, len(lam) + 2):
         if lam[i - 2] >= lam[i - 1] + 1:
             out.append(Node(i, lam[i - 1] + 1))
     return out
 
 
-def content_scalar(node, field):
-    """The content scalar attached to a node; side selects the component."""
-    f = field
-    k = node.residue
-    if node.side == 1:
-        return f.raw_div(f.raw_sub(f.one, f.raw_pow(f.q, 2 * k)), f.qdiff)
-    if node.side == 2:
-        return f.raw_div(f.raw_sub(f.one, f.raw_pow(f.q, -2 * k)),
-                         f.raw_neg(f.qdiff))
-    raise CombinatError("side must be 1 or 2")
-
-
 # ---------------------------------------------------------------------------
 # tableaux
 
-class StdTableau:
+class StdTableau(namedtuple("StdTableau", "rows offset")):
     """A standard tableau with entries offset+1, ..., offset+n."""
 
-    __slots__ = ("rows", "offset")
+    __slots__ = ()
 
-    def __init__(self, rows, offset=0):
+    def __new__(cls, rows, offset=0):
         rows = tuple(tuple(row) for row in rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "offset", offset)
         n = sum(len(row) for row in rows)
         entries = sorted(x for row in rows for x in row)
         if entries != list(range(offset + 1, offset + n + 1)):
             raise CombinatError("entries must be offset+1..offset+n")
-        if not self._is_standard():
+        rows_ok = all(a < b for row in rows for a, b in zip(row, row[1:]))
+        cols_ok = all(len(upper) >= len(lower)
+                      and all(a < b for a, b in zip(upper, lower))
+                      for upper, lower in zip(rows, rows[1:]))
+        if not (rows_ok and cols_ok):
             raise CombinatError("tableau is not standard")
-
-    def __setattr__(self, *a):
-        raise AttributeError("StdTableau is immutable")
-
-    def _is_standard(self):
-        rows = self.rows
-        for row in rows:
-            if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-                return False
-        for i in range(len(rows) - 1):
-            if len(rows[i]) < len(rows[i + 1]):
-                return False
-            for j in range(len(rows[i + 1])):
-                if rows[i][j] >= rows[i + 1][j]:
-                    return False
-        return True
+        return super().__new__(cls, rows, offset)
 
     @property
     def shape(self):
@@ -300,13 +225,6 @@ class StdTableau:
     def size(self):
         return sum(len(row) for row in self.rows)
 
-    def __eq__(self, other):
-        return (isinstance(other, StdTableau)
-                and (self.rows, self.offset) == (other.rows, other.offset))
-
-    def __hash__(self):
-        return hash((self.rows, self.offset))
-
     def __repr__(self):
         return "StdTableau(%r, offset=%d)" % (self.rows, self.offset)
 
@@ -314,7 +232,7 @@ class StdTableau:
 def t_row(lam, offset=0):
     """The row-reading tableau t^lambda."""
     rows, k = [], offset
-    for p in lam.parts:
+    for p in lam:
         rows.append(tuple(range(k + 1, k + p + 1)))
         k += p
     return StdTableau(rows, offset)
@@ -330,14 +248,14 @@ def std_tableaux(lam, offset=0):
             out.append(StdTableau(shape_rows, offset))
             return
         value = offset + filled + 1
-        for i in range(len(lam.parts)):
+        for i in range(len(lam)):
             row_len = len(shape_rows[i])
-            if row_len < lam.parts[i] and (i == 0
-                                           or len(shape_rows[i - 1]) > row_len):
+            if row_len < lam[i] and (
+                    i == 0 or len(shape_rows[i - 1]) > row_len):
                 new_rows = list(shape_rows)
                 new_rows[i] = shape_rows[i] + (value,)
                 rec(tuple(new_rows), filled + 1)
-    rec(tuple(() for _ in lam.parts), 0)
+    rec(tuple(() for _ in lam), 0)
     return out
 
 
@@ -347,20 +265,17 @@ def std_tableau_pairs(bip, offset=0):
             for t2 in std_tableaux(bip.second, offset)]
 
 
-@lru_cache(maxsize=None)
-def _count_std(parts):
-    lam = Partition(parts)
-    if lam.size == 0:
-        return 1
-    return sum(_count_std(lam.remove_node(p).parts)
-               for p in nodes_removable(lam))
-
-
 def count_std(lam):
-    """|Std(lambda)| via the removal recursion."""
+    """|Std(lambda)| by the hook length formula; for a bipartition, the
+    product over its components."""
     if isinstance(lam, Bipartition):
-        return _count_std(lam.first.parts) * _count_std(lam.second.parts)
-    return _count_std(lam.parts)
+        return count_std(lam.first) * count_std(lam.second)
+    hooks = 1
+    for i, p in enumerate(lam):
+        for j in range(p):
+            # arm p - j - 1, leg (column length of j) - i - 1, and the box
+            hooks *= p - j + sum(1 for x in lam if x > j) - i - 1
+    return math.factorial(lam.size) // hooks
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +341,13 @@ def s_range_word(i, j):
     return []
 
 
-class CosetRep:
+class CosetRep(namedtuple("CosetRep", "i_list j_list")):
     """Indices (i_1 < ... < i_f; j_1, ..., j_f with j_k >= k) encoding
     d = s_{f,i_f} s*_{f,j_f} ... s_{1,i_1} s*_{1,j_1}."""
 
-    __slots__ = ("i_list", "j_list")
+    __slots__ = ()
 
-    def __init__(self, i_list, j_list):
+    def __new__(cls, i_list, j_list):
         i_list = tuple(i_list)
         j_list = tuple(j_list)
         if len(i_list) != len(j_list):
@@ -441,31 +356,11 @@ class CosetRep:
             raise CombinatError("i indices must be strictly increasing")
         if any(j_list[k] < k + 1 for k in range(len(j_list))):
             raise CombinatError("j_k >= k required")
-        object.__setattr__(self, "i_list", i_list)
-        object.__setattr__(self, "j_list", j_list)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CosetRep is immutable")
+        return super().__new__(cls, i_list, j_list)
 
     @property
     def f(self):
         return len(self.i_list)
-
-    def word_pairs(self):
-        """The word of g_d as a list of ('g', i) / ('gs', j) tokens,
-        leftmost factor first: g_{f,i_f} g*_{f,j_f} ... g_{1,i_1} g*_{1,j_1}."""
-        out = []
-        for k in range(self.f, 0, -1):
-            out.extend(("g", i) for i in s_range_word(k, self.i_list[k - 1]))
-            out.extend(("gs", j) for j in s_range_word(k, self.j_list[k - 1]))
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, CosetRep)
-                and (self.i_list, self.j_list) == (other.i_list, other.j_list))
-
-    def __hash__(self):
-        return hash((self.i_list, self.j_list))
 
     def __repr__(self):
         return "CosetRep(%r, %r)" % (self.i_list, self.j_list)
@@ -495,8 +390,8 @@ def e_restricted(bip, e):
     final part against 0).  Always true at e = infinity."""
     if e == math.inf:
         return True
-    for lam in bip.components:
-        for i in range(len(lam.parts)):
+    for lam in bip:
+        for i in range(len(lam)):
             if lam[i] - lam[i + 1] >= e:
                 return False
     return True

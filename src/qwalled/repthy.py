@@ -9,15 +9,12 @@ from collections import namedtuple
 
 from .combinat import (
     Bipartition,
-    Node,
     e_restricted,
-    content_scalar,
     nodes_addable,
     nodes_removable,
     s_range_word,
 )
 from .engine import (
-    build_engine,
     central_element,
     evaluate_factors,
     g_tok,
@@ -25,14 +22,13 @@ from .engine import (
     inv_letters,
     word_letters,
 )
-from .groundfield import FieldError, GenericField, vanishes_under
+from .groundfield import GenericField, vanishes_under
 from .linalg import same_vector
 from .cellular import (
     CellLabel,
     _label_text,
     cell_labels,
     cell_module,
-    gram_determinant,
     gram_determinant_fraction,
     module_dimension,
 )
@@ -68,14 +64,18 @@ class SemisimplicityVerdict(namedtuple("SemisimplicityVerdict",
 
 def central_scalar(label, field):
     """f*delta - rho^{-1} sum of first-component content scalars - rho *
-    sum of second-component content scalars."""
+    sum of second-component content scalars.  A box of content k = j - i
+    has the scalar (1 - q^{2k}) / (q - q^{-1}) in the first component and
+    (1 - q^{-2k}) / (q^{-1} - q) in the second."""
     f = field
     out = f.raw_mul(f.delta(), f.raw_from_int(label.f))
-    for side, lam in enumerate(label.shape.components, start=1):
+    sides = ((label.shape.first, 1, f.qdiff, f.raw_div(f.one, f.rho)),
+             (label.shape.second, -1, f.raw_neg(f.qdiff), f.rho))
+    for lam, sign, qdiff, weight in sides:
         total = f.raw_from_int(0)
         for i, j in lam.boxes():
-            total = f.raw_add(total, content_scalar(Node(i, j, side), f))
-        weight = f.raw_div(f.one, f.rho) if side == 1 else f.rho
+            total = f.raw_add(total, f.raw_div(
+                f.raw_sub(f.one, f.raw_pow(f.q, 2 * sign * (j - i))), qdiff))
         out = f.raw_sub(out, f.raw_mul(weight, total))
     return out
 
@@ -139,25 +139,15 @@ def gram_singular_labels(generic, field):
 
     The determinants are taken once over the generic field, on the engine
     generic; at the field's point a determinant vanishes exactly when its
-    reduced numerator does.  For labels whose denominator vanishes there
-    the field's engine is built once and the determinant computed on it.
+    reduced numerator does.  A reduced denominator vanishes only where
+    q^2 = 1, which Field.delta() refuses; vanishes_under raises FieldError
+    there.
     """
     if not isinstance(generic.field, GenericField):
         raise RepError("needs an engine over the generic field")
-    eng = None
-    out = []
-    for lab in cell_labels(generic.r, generic.s):
-        fraction = gram_determinant_fraction(cell_module(generic, lab))
-        try:
-            singular = vanishes_under(fraction, field)
-        except FieldError:
-            if eng is None:
-                eng = build_engine(generic.r, generic.s, field)
-            singular = field.raw_is_zero(
-                gram_determinant(cell_module(eng, lab)))
-        if singular:
-            out.append(lab)
-    return out
+    return [lab for lab in cell_labels(generic.r, generic.s)
+            if vanishes_under(
+                gram_determinant_fraction(cell_module(generic, lab)), field)]
 
 
 def semisimplicity(r, s, field, mode="closed_form", generic=None):
@@ -197,7 +187,7 @@ def branching_sections(label):
     first component; sections of the second kind (only for f >= 1) drop
     the layer and add a node to the second component.
     """
-    first, second = label.shape.components
+    first, second = label.shape
     out = []
     for p in nodes_removable(first):
         out.append(("remove", p, CellLabel(

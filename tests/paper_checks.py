@@ -1,7 +1,7 @@
 """Constructions that more than one test file checks the paper with, and
 that the package itself never needs."""
 
-from qwalled.cellular import cellular_data
+from qwalled.cellular import cellular_data, coset_letters
 from qwalled.combinat import perm_identity, perm_length, reduced_word
 from qwalled.engine import act, g_tok, gs_tok
 from qwalled.hecke import HeckeAlgebra
@@ -28,7 +28,7 @@ def perm_from_word(word, n):
 
 def perm_pair(rep, r, s):
     """The element of S_r x S_s that a coset representative stands for."""
-    word = rep.word_pairs()
+    word = [tok for tok, _ in coset_letters(rep)]
     return (perm_from_word([i for kind, i in word if kind == "g"], r),
             perm_from_word([j for kind, j in word if kind == "gs"], s))
 

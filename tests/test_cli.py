@@ -265,6 +265,29 @@ def test_closed_stdout_exits_quietly():
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("argv", [["dims", "--r", "3", "--s", "2"],
+                                  ["branch", "--r", "3", "--s", "2",
+                                   "1", "1,1/1"]])
+def test_output_is_independent_of_the_hash_seed(argv):
+    # labels, tableaux and coset reps are tuples keyed into dicts; no
+    # output may depend on the order that string hashing gives them
+    import os
+    import subprocess
+    import sys
+
+    import qwalled
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalled.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwalled.cli", *argv],
+            capture_output=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert proc.returncode == EXIT_OK and proc.stderr == b""
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]
+
+
 def test_cache_roundtrip(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     code, out1, _ = run_cli(capsys, "dims", "--r", "2", "--s", "1",
@@ -310,7 +333,6 @@ def test_csv_refused_before_any_work(capsys, monkeypatch, argv):
 
 def test_gram_side_reuses_cached_engine(tmp_path, capsys, monkeypatch):
     import qwalled.cli
-    import qwalled.repthy
     cache = str(tmp_path / "cache")
     code, _, _ = run_cli(capsys, "dims", "--r", "2", "--s", "1",
                          "--cache-dir", cache)
@@ -322,7 +344,6 @@ def test_gram_side_reuses_cached_engine(tmp_path, capsys, monkeypatch):
         raise AssertionError("closure on a warm cache")
 
     monkeypatch.setattr(qwalled.cli, "build_engine", counting_build)
-    monkeypatch.setattr(qwalled.repthy, "build_engine", counting_build)
     for mode in ("gram", "both"):
         code, out, _ = run_cli(capsys, "semisimple", "--r", "2", "--s", "1",
                                "--cache-dir", cache, "--mode", mode)

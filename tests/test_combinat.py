@@ -17,7 +17,6 @@ from qwalled.combinat import (
     bip_dominance_cmp,
     coset_count,
     coset_reps,
-    content_scalar,
     count_std,
     d_perm,
     dominance_cmp,
@@ -35,9 +34,6 @@ from qwalled.combinat import (
     std_tableaux,
     t_row,
 )
-from qwalled.groundfield import GenericField
-
-GEN = GenericField()
 
 
 @st.composite
@@ -164,20 +160,6 @@ def test_add_remove_inverse(lam):
     for p in nodes_addable(lam):
         grown = lam.add_node(p)
         assert grown.remove_node(Node(p.row, p.col)) == lam
-
-
-def test_content_scalar():
-    f = GEN
-    assert f.raw_is_zero(content_scalar(Node(1, 1, side=1), f))
-    assert f.raw_is_zero(content_scalar(Node(2, 2, side=2), f))
-    assert f.raw_eq(content_scalar(Node(1, 2, side=1), f), f.raw_neg(f.q))
-    assert f.raw_eq(content_scalar(Node(1, 2, side=2), f),
-                    f.raw_neg(f.raw_pow(f.q, -1)))
-    # side 1 at general k: (1 - q^{2k}) / (q - q^{-1})
-    k = 3
-    expect = f.raw_div(f.raw_sub(f.one, f.raw_pow(f.q, 2 * k)),
-                       f.raw_sub(f.q, f.raw_pow(f.q, -1)))
-    assert f.raw_eq(content_scalar(Node(1, 1 + k, side=1), f), expect)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""The README's library tour runs against the current API."""
+"""The README's library tour and command examples run against the current
+API and CLI."""
 
 import contextlib
 import io
 import pathlib
 import re
+import shlex
+
+from qwalled.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +20,14 @@ def test_library_tour_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "<README library tour>", "exec"), {})
     assert out.getvalue().count("\n") >= 7
+
+
+def test_command_examples_run(capsys):
+    examples = [shlex.split(line, comments=True)
+                for block in re.findall(r"```sh\n(.*?)```", README.read_text(),
+                                        re.S)
+                for line in block.splitlines() if line.startswith("qwalled ")]
+    assert len(examples) >= 9
+    for argv in examples:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from paper_checks import module_matrix, module_row, product, same_matrix
 from qwalled.combinat import Bipartition, nodes_removable
 from qwalled.cellular import (
+    CellLabel,
     cell_label,
     cell_labels,
     cell_module,
@@ -66,6 +67,30 @@ def test_central_scalar_examples():
     assert GEN.raw_is_zero(central_scalar(lab(1, 1, 0, (1,), (1,)), GEN))
     assert GEN.raw_eq(central_scalar(lab(2, 1, 0, (2,), (1,)), GEN),
                       GEN.raw_div(GEN.q, GEN.rho))
+
+
+def test_central_scalar_box_contents():
+    # removing one box from a label moves its central scalar by -rho^{-1}
+    # (first component) or -rho (second) times the box's content scalar
+    f = GEN
+
+    def box_scalar(shape, smaller):
+        diff = f.raw_sub(central_scalar(CellLabel(0, Bipartition(*shape)), f),
+                         central_scalar(CellLabel(0, Bipartition(*smaller)),
+                                        f))
+        weight = f.rho if shape[1] == smaller[1] else f.raw_div(f.one, f.rho)
+        return f.raw_neg(f.raw_mul(weight, diff))
+
+    assert f.raw_is_zero(box_scalar(((1,), ()), ((), ())))
+    assert f.raw_is_zero(box_scalar(((), (2, 2)), ((), (2, 1))))
+    assert f.raw_eq(box_scalar(((2,), ()), ((1,), ())), f.raw_neg(f.q))
+    assert f.raw_eq(box_scalar(((), (2,)), ((), (1,))),
+                    f.raw_neg(f.raw_pow(f.q, -1)))
+    # first component at content k: (1 - q^{2k}) / (q - q^{-1})
+    k = 3
+    expect = f.raw_div(f.raw_sub(f.one, f.raw_pow(f.q, 2 * k)),
+                       f.raw_sub(f.q, f.raw_pow(f.q, -1)))
+    assert f.raw_eq(box_scalar(((1 + k,), ()), ((k,), ())), expect)
 
 
 def test_central_character_verifies_action():
@@ -214,33 +239,17 @@ def test_gram_singular_labels_fallback():
 
 
 def test_gram_singular_labels_blocked_transfer(monkeypatch):
-    # a label whose determinant's denominator vanishes at the point is
-    # decided on the field's engine, which is closed once for all such
-    # labels
-    import qwalled.repthy
+    # at q = 1 the denominator of the f = 1 determinant at (2, 1) vanishes:
+    # the FieldError of vanishes_under propagates, and no engine is closed
+    import qwalled.engine
     generic = engine(2, 1, GEN)
-    field = OneVarField(1)
-    expected = gram_singular_labels(generic, field)
-    blocked = [gram_determinant_fraction(cell_module(generic, label))
-               for label in (lab(2, 1, 1, (1,), ()), lab(2, 1, 0, (2,), (1,)))]
-    vanishes = qwalled.repthy.vanishes_under
 
-    def blocking_vanishes(fraction, target):
-        if any(fraction is b for b in blocked):
-            raise FieldError("blocked")
-        return vanishes(fraction, target)
+    def no_closure(self):
+        raise AssertionError("closure")
 
-    builds = []
-
-    def counting_build(*args):
-        builds.append(args)
-        return build_engine(*args)
-
-    monkeypatch.setattr(qwalled.repthy, "vanishes_under", blocking_vanishes)
-    monkeypatch.setattr(qwalled.repthy, "build_engine", counting_build)
-    got = gram_singular_labels(generic, field)
-    assert got == expected == [lab(2, 1, 1, (1,), ())]
-    assert builds == [(2, 1, field)]
+    monkeypatch.setattr(qwalled.engine.AlgebraEngine, "_build", no_closure)
+    with pytest.raises(FieldError, match="denominator vanishes"):
+        gram_singular_labels(generic, PrimeField(13, 1, 6))
 
 
 @st.composite
@@ -387,9 +396,8 @@ def _detected_hom_is_explained(r, s, source, target, field):
                     == target.shape.second):
                 pairs.append((p1, p2))
     rho2 = field.raw_mul(field.rho, field.rho)
-    return any(field.raw_eq(rho2, field.raw_pow(field.q,
-                                                2 * (p1.residue + p2.residue)))
-               for p1, p2 in pairs)
+    return any(field.raw_eq(rho2, field.raw_pow(
+        field.q, 2 * (p1.col - p1.row + p2.col - p2.row))) for p1, p2 in pairs)
 
 
 def _hom_dimension(engine, source, target):
