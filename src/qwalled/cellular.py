@@ -25,7 +25,7 @@ from .combinat import (
 )
 from .engine import act, evaluate_factors, g_tok, gs_tok, word_letters
 from .hecke import HeckeAlgebra
-from .linalg import Echelon, determinant, matrix_rank, same_vector
+from .linalg import Echelon, determinant, matrix_rank
 
 
 class CellularError(Exception):
@@ -294,7 +294,7 @@ def cell_module(engine, label):
 
 
 def gram_matrix(module):
-    """The Gram matrix of the invariant form, as normalized raw entries.
+    """The Gram matrix of the invariant form, as raw entries.
 
     Entry (i, b) is the coefficient of C_{(u,a)(u,a)} in the product
     C_{(u,a) i} C_{b (u,a)} modulo the higher ideal: the anchor coordinate
@@ -306,7 +306,6 @@ def gram_matrix(module):
     if module._gram is not None:
         return module._gram
     f = module.field
-    m = module.dim
     eng = module.engine
     anchor = module.anchor_index
     syms = label_symmetrizers(eng, module.label)
@@ -328,14 +327,13 @@ def gram_matrix(module):
                     val = f.raw_add(val, f.raw_mul(c, z[k]))
             col.append(val)
         cols.append(col)
-    gram = [[f.normalize(cols[j][i]) for j in range(m)] for i in range(m)]
+    gram = [list(row) for row in zip(*cols)]
     module._gram = gram
     return gram
 
 
 def gram_determinant(module):
     if module._det is None:
-        # determinant returns a normalized value
         module._det = determinant(module.field, gram_matrix(module))
     return module._det
 
@@ -378,7 +376,7 @@ def validate_cell_datum(engine, alternate_anchors=None):
               "triangular": True, "failures": []}
     for label, left, right, vec in data.items:
         mate = data.items[data.index[(label, right, left)]][3]
-        if not same_vector(engine.field, sigma(engine, vec), mate):
+        if sigma(engine, vec) != mate:
             report["involution"] = False
             report["failures"].append(("involution", label, left, right))
     for label in data.labels:
@@ -395,8 +393,7 @@ def validate_cell_datum(engine, alternate_anchors=None):
                 continue
             if reference is None:
                 reference = mod.act_table
-            elif not all(same_vector(engine.field, row, mod.act_table[key])
-                         for key, row in reference.items()):
+            elif mod.act_table != reference:
                 report["triangular"] = False
                 report["failures"].append(("left-index", label, anchor))
     report["ok"] = (report["basis"] and report["involution"]

@@ -10,9 +10,8 @@ Four coefficient fields are supported:
 A scalar is a raw value of its field -- an int mod p, a Fraction, or one
 of the values below -- and the field is its only API: the raw_* methods
 compute with raw values, and a field holds q, rho, one and qdiff =
-q - q^{-1} as raw values.  The functions that read a value's normal form
-(to_text, to_laurent_fraction, parse, transfer_from_generic) normalize it
-themselves.
+q - q^{-1} as raw values.  Every raw value is canonical when it is made,
+so equal scalars are equal Python objects and == is their equality.
 
 All arithmetic is exact.  Generic and one-variable values that lie in the
 ring R = Z[q^{+-1}, rho^{+-1}, (q - 1)^{-1}, (q + 1)^{-1}] -- every closure
@@ -21,28 +20,28 @@ gcd: a raw value (N, i, j) is N / ((q - 1)^i (q + 1)^j), N a dict
 {(a, b): int} of Laurent terms c q^a rho^b (b = 0 over Q(q)).  In canonical
 form i is 0 or N(1, rho) != 0, and j is 0 or N(-1, rho) != 0; a factor
 q -+ 1 is tested by evaluating N at q = +-1 and removed by synthetic
-division, so equal values have equal tuples.  A product takes the product
-of the numerators and adds exponents, sums first bring both operands to common exponents, and
-a quotient is native when the divisor, stripped of its factors q -+ 1, is
-+-q^a rho^b.  Any other quotient falls back to a polynomial fraction
-(``_Frac``: numerator and denominator dicts over Z[q, rho] with exponents
->= 0), counted in ``fallbacks``; operations with a fallback operand lift
-the other one, and normalizing a fraction reduces it and returns it to the
-native form when its denominator is a unit of R.  Fractions are reduced by a
+division.  A product takes the product of the numerators and adds
+exponents, sums first bring both operands to common exponents, and a
+quotient is native when the divisor is a unit of R: stripped of its factors
+q -+ 1, it is +-q^a rho^b.  Any other quotient falls back to a polynomial
+fraction (``_Frac``: numerator and denominator dicts over Z[q, rho] with
+exponents >= 0), counted in ``fallbacks``; operations with a fallback
+operand lift the other one.  Every fraction is reduced as it is made, by a
 native heuristic gcd (``heugcd``, the GCDHEU that sympy uses over
 Z[q, rho]), which raises FieldError in the rare case that its evaluation
-points run out.  No module imports sympy; the tests use it as their
-reference.  Text ("num / den", reduced, the denominator's lex-leading
-coefficient positive) is written and read natively.
+points run out; its denominator gets a positive leading coefficient, and a
+fraction whose denominator is a unit of R becomes an (N, i, j) value.  No
+module imports sympy; the tests use it as their reference.  Text
+("num / den", the denominator's lex-leading coefficient positive) is
+written and read natively.
 
 Laurent data (a terms dict {(a, b): c} of nonzero integers, as read from
 text by ``laurent_from_text`` or taken from a generic value by
 ``to_laurent_fraction``) become field values in one pass through
-``Field.raw_from_laurent``: each term is evaluated at the field's q and rho
-directly, with no intermediate field elements, and the result needs at most
-one normalization.  Parsing, engine cache loads and the generic-to-field
-transfer all go through it, so loading a cached engine costs far less than
-the closure it replaces.
+``Field.raw_from_laurent``; the function fields evaluate each term at their
+q and rho directly, with no intermediate field elements.  Parsing, engine
+cache loads and the generic-to-field transfer all go through it, so loading
+a cached engine costs far less than the closure it replaces.
 
 Sparse vectors are dicts from keys to nonzero raw values.  Every
 accumulate loop goes through one in-place kernel per field,
@@ -56,6 +55,7 @@ is never passed as u.  ``PrimeField`` overrides the kernel with one integer
 import math
 import operator
 
+from collections import namedtuple
 from math import gcd as _int_gcd
 
 
@@ -164,9 +164,6 @@ class Field:
     def raw_is_zero(self, a):
         return not a
 
-    def raw_eq(self, a, b):
-        return a == b
-
     def raw_is_unit(self, a):
         """Whether dividing by a stays in the field's native values."""
         return not self.raw_is_zero(a)
@@ -180,12 +177,13 @@ class Field:
         raise NotImplementedError
 
     def raw_from_laurent(self, terms):
-        """The canonical raw value of a Laurent terms dict at the field's q
-        and rho."""
-        raise NotImplementedError
-
-    def normalize(self, v):
-        return v
+        """The raw value of a Laurent terms dict at the field's q and rho."""
+        add, mul, power = self.raw_add, self.raw_mul, self.raw_pow
+        out = self.raw_from_int(0)
+        for (a, b), c in terms.items():
+            out = add(out, mul(self.raw_from_int(c),
+                               mul(power(self.q, a), power(self.rho, b))))
+        return out
 
     def vec_iaxpy(self, u, c, v):
         """u += c * v in place, deleting keys that cancel; returns u.
@@ -224,13 +222,13 @@ class Field:
 
     def quantum_characteristic(self):
         """Least e >= 1 with 1 + q^2 + ... + q^(2(e-1)) = 0, else math.inf."""
-        raise NotImplementedError
+        return math.inf
 
     def to_text(self, a):
         raise NotImplementedError
 
     def parse(self, text):
-        """The normalized raw value written by to_text."""
+        """The raw value written by to_text."""
         raise NotImplementedError
 
 
@@ -371,30 +369,19 @@ def _linear_factors(x):
     return x, a, b
 
 
-def _unit_monomial(x):
-    """(u, v, c) when x = c q^u rho^v with c = +-1, else None."""
-    if len(x) == 1:
-        ((u, v), c), = x.items()
-        if c in (1, -1):
-            return u, v, c
-    return None
-
-
-def _div(x, y):
-    """x / y for y != 0, or None when the quotient is not in R."""
-    n2, a, b = _linear_factors(y[0])
-    unit = _unit_monomial(n2)
-    if unit is None:
+def _inverse(y):
+    """1 / y when y != 0 is a unit of R, else None."""
+    n, a, b = _linear_factors(y[0])
+    if len(n) != 1:
         return None
-    u, v, c = unit
-    n1, i1, j1 = x
-    if not n1:
-        return _ZERO
-    n = {(e - u, f - v): c * d for (e, f), d in n1.items()}
-    # x / y = n (q - 1)^di (q + 1)^dj
-    di, dj = y[1] - i1 - a, y[2] - j1 - b
-    n = _times_linear(_times_linear(n, 1, max(di, 0)), -1, max(dj, 0))
-    return _strip(n, max(-di, 0), max(-dj, 0))
+    ((u, v), c), = n.items()
+    if c not in (1, -1):
+        return None
+    # 1 / y = c q^-u rho^-v (q - 1)^di (q + 1)^dj
+    di, dj = y[1] - a, y[2] - b
+    n = _times_linear(_times_linear({(-u, -v): c}, 1, max(di, 0)),
+                      -1, max(dj, 0))
+    return (n, max(-di, 0), max(-dj, 0))
 
 
 # -- polynomials of Z[q, rho] and their heuristic gcd -----------------------
@@ -481,6 +468,16 @@ def _primitive(f):
     return f if g == 1 else {m: v // g for m, v in f.items()}
 
 
+def _gcd_candidates(f, g, h, cff, cfg, x):
+    """The candidates for gcd(f, g) from the images h = gcd(f(x), g(x)),
+    cff = f(x) / h and cfg = g(x) / h, each built only when asked for: h
+    interpolated, then f and g over their interpolated cofactors (None when
+    that division leaves a remainder)."""
+    yield _primitive(_interpolate(h, x))
+    yield _exact_quo(f, _interpolate(cff, x))
+    yield _exact_quo(g, _interpolate(cfg, x))
+
+
 def heugcd(f, g):
     """(h, f / h, g / h) with h = gcd(f, g), for nonzero polynomials f and
     g in the same variables.
@@ -509,92 +506,61 @@ def heugcd(f, g):
                 h, cff, cfg = {(): h}, {(): a // h}, {(): b // h}
             else:
                 h, cff, cfg = heugcd(ff, gg)
-            # three candidates: h itself, or f resp. g over its cofactor
-            h = _primitive(_interpolate(h, x))
-            cff_ = _exact_quo(f, h)
-            if cff_ is not None:
-                cfg_ = _exact_quo(g, h)
-                if cfg_ is not None:
-                    return _scaled(h, content), cff_, cfg_
-            cff = _interpolate(cff, x)
-            h = _exact_quo(f, cff)
-            if h is not None:
-                cfg_ = _exact_quo(g, h)
-                if cfg_ is not None:
-                    return _scaled(h, content), cff, cfg_
-            cfg = _interpolate(cfg, x)
-            h = _exact_quo(g, cfg)
-            if h is not None:
-                cff_ = _exact_quo(f, h)
-                if cff_ is not None:
-                    return _scaled(h, content), cff_, cfg
+            # a candidate that divides f and g is the gcd
+            for cand in _gcd_candidates(f, g, h, cff, cfg, x):
+                quo_f = cand and _exact_quo(f, cand)
+                quo_g = quo_f and _exact_quo(g, cand)
+                if quo_g:
+                    return _scaled(cand, content), quo_f, quo_g
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
     raise FieldError("heuristic gcd failed at %d evaluation points"
                      % HEU_GCD_MAX)
 
 
-class _Frac:
-    """A quotient num / den of two polynomials of Z[q, rho], not
-    necessarily reduced.
-
-    The raw arithmetic layer postpones gcd cancellation; values are reduced
-    by normalize, which callers apply where a value must be canonical, and
-    when they grow past a size threshold.  normal marks a value that
-    normalize returned, so normalizing it again costs nothing.  num == {}
-    exactly characterizes the zero value, so zero testing never needs a
-    reduction.  Neither dict is mutated once it is part of a _Frac.
-    """
-
-    __slots__ = ("num", "den", "normal")
-
-    def __init__(self, num, den, normal=False):
-        self.num = num
-        self.den = den
-        self.normal = normal
-
-    def __repr__(self):
-        return "_Frac(%s, %s)" % (self.num, self.den)
-
+# A value outside R: num / den for polynomials of Z[q, rho] with no common
+# factor, den with a positive leading coefficient and not a unit of R.
+# Neither dict is mutated once it is part of a _Frac.
+_Frac = namedtuple("_Frac", "num den")
 
 _POLY_ONE = {(0, 0): 1}
 
 
 def _lift(x):
-    """A raw value as a _Frac."""
+    """A raw value as a (numerator, denominator) pair of polynomials with no
+    common factor; a pair is not a raw value."""
     if x.__class__ is _Frac:
-        return x
+        return x.num, x.den
     n, i, j = x
     if not n:
-        return _Frac({}, _POLY_ONE)
+        return {}, _POLY_ONE
     u, v = _shift(n)
-    return _Frac({(a + u, b + v): c for (a, b), c in n.items()},
-                 _den_terms(u, v, i, j))
+    return ({(a + u, b + v): c for (a, b), c in n.items()},
+            _den_terms(u, v, i, j))
 
 
-def _demote(frac):
-    """The normal form of a reduced _Frac: (N, i, j) when its denominator
-    is a unit of R, else the _Frac marked normal."""
-    den, i, j = _linear_factors(frac.den)
-    unit = _unit_monomial(den)
-    if unit is None:
-        return _Frac(frac.num, frac.den, True)
-    u, v, c = unit
-    return ({(a - u, b - v): c * d for (a, b), d in frac.num.items()}, i, j)
+def _reduced(num, den):
+    """The raw value num / den, for polynomials num and den != 0."""
+    if not num:
+        return _ZERO
+    _, num, den = heugcd(num, den)
+    if den[max(den)] < 0:
+        num = {m: -c for m, c in num.items()}
+        den = {m: -c for m, c in den.items()}
+    inv = _inverse((den, 0, 0))
+    if inv is None:
+        return _Frac(num, den)
+    return _mul((num, 0, 0), inv)
 
 
 class _FunctionField(Field):
     """Q(q, rho) or Q(q), with the values of R kept natively.
 
     A raw value of R is a tuple (N, i, j) standing for
-    N / ((q - 1)^i (q + 1)^j), N a numerator dict.  In canonical form i is 0
-    or N(1, rho) != 0, and j is 0 or N(-1, rho) != 0, so equal values have
-    equal tuples.  Any other value is a _Frac; an operation with a _Frac
-    operand lifts the other operand, and normalize turns a reduced _Frac
-    whose denominator is a unit of R back into a tuple.
+    N / ((q - 1)^i (q + 1)^j), N a numerator dict, in canonical form.  Any
+    other value is a reduced _Frac; an operation with a _Frac operand lifts
+    the other operand and reduces its result.  A _Frac, a pair, never
+    equals a tuple of R, a triple.
     """
-
-    # reduce a _Frac lazily once numerator or denominator gets this many terms
-    _reduce_len = 24
 
     def raw_from_int(self, n):
         return ({(0, 0): n}, 0, 0) if n else _ZERO
@@ -604,40 +570,31 @@ class _FunctionField(Field):
         return (dict(terms), 0, 0) if terms else _ZERO
 
     def raw_is_zero(self, a):
-        return not (a[0] if a.__class__ is tuple else a.num)
+        return not a[0]
 
     def raw_is_unit(self, a):
         return (a.__class__ is tuple and bool(a[0])
-                and _unit_monomial(_linear_factors(a[0])[0]) is not None)
+                and _inverse(a) is not None)
 
     def raw_size(self, a):
         if a.__class__ is tuple:
             return len(a[0])
         return len(a.num) + len(a.den)
 
-    def raw_eq(self, a, b):
-        if a.__class__ is tuple and b.__class__ is tuple:
-            return a == b
-        a, b = _lift(a), _lift(b)
-        if a.den == b.den:
-            return a.num == b.num
-        return _terms_mul(a.num, b.den) == _terms_mul(b.num, a.den)
-
     def raw_neg(self, a):
         if a.__class__ is tuple:
             n, i, j = a
             return ({k: -c for k, c in n.items()}, i, j)
-        return _Frac({k: -c for k, c in a.num.items()}, a.den, a.normal)
+        return _Frac({k: -c for k, c in a.num.items()}, a.den)
 
     def raw_add(self, a, b):
         if a.__class__ is tuple and b.__class__ is tuple:
             return _add(a, b)
-        a, b = _lift(a), _lift(b)
-        if a.den == b.den:
-            return self._maybe_reduce(_Frac(_terms_add(a.num, b.num), a.den))
-        return self._maybe_reduce(_Frac(
-            _terms_add(_terms_mul(a.num, b.den), _terms_mul(b.num, a.den)),
-            _terms_mul(a.den, b.den)))
+        (n1, d1), (n2, d2) = _lift(a), _lift(b)
+        if d1 == d2:
+            return _reduced(_terms_add(n1, n2), d1)
+        return _reduced(_terms_add(_terms_mul(n1, d2), _terms_mul(n2, d1)),
+                        _terms_mul(d1, d2))
 
     def raw_sub(self, a, b):
         return self.raw_add(a, self.raw_neg(b))
@@ -645,53 +602,29 @@ class _FunctionField(Field):
     def raw_mul(self, a, b):
         if a.__class__ is tuple and b.__class__ is tuple:
             return _mul(a, b)
-        a, b = _lift(a), _lift(b)
-        return self._maybe_reduce(
-            _Frac(_terms_mul(a.num, b.num), _terms_mul(a.den, b.den)))
+        (n1, d1), (n2, d2) = _lift(a), _lift(b)
+        return _reduced(_terms_mul(n1, n2), _terms_mul(d1, d2))
 
     def raw_div(self, a, b):
         global fallbacks
         if self.raw_is_zero(b):
             raise FieldError("division by zero")
         if a.__class__ is tuple and b.__class__ is tuple:
-            v = _div(a, b)
-            if v is not None:
-                return v
+            inv = _inverse(b)
+            if inv is not None:
+                return _mul(a, inv)
             fallbacks += 1
-        a, b = _lift(a), _lift(b)
-        return self._maybe_reduce(
-            _Frac(_terms_mul(a.num, b.den), _terms_mul(a.den, b.num)))
-
-    def _maybe_reduce(self, v):
-        if len(v.den) > 1 and (len(v.num) > self._reduce_len
-                               or len(v.den) > self._reduce_len):
-            return self.normalize(v)
-        return v
-
-    def reduce_raw(self, v):
-        """Return the canonical reduced form of a _Frac."""
-        if not v.num:
-            return _Frac({}, _POLY_ONE)
-        _, num, den = heugcd(v.num, v.den)
-        if den[max(den)] < 0:
-            num = {m: -c for m, c in num.items()}
-            den = {m: -c for m, c in den.items()}
-        return _Frac(num, den)
-
-    def normalize(self, v):
-        if v.__class__ is tuple or v.normal:
-            return v
-        return _demote(self.reduce_raw(v))
+        (n1, d1), (n2, d2) = _lift(a), _lift(b)
+        return _reduced(_terms_mul(n1, d2), _terms_mul(d1, n2))
 
     def to_laurent_fraction(self, a):
-        """The reduced (numerator, denominator) of a raw value as Laurent
-        terms dicts: polynomials with no common factor, the denominator's
-        leading coefficient (q before rho, lexicographically) positive."""
-        v = _lift(self.normalize(a))
-        return v.num, v.den
+        """The (numerator, denominator) of a raw value as Laurent terms
+        dicts: polynomials with no common factor, the denominator's leading
+        coefficient (q before rho, lexicographically) positive."""
+        return _lift(a)
 
     def to_text(self, a):
-        num, den = self.to_laurent_fraction(a)
+        num, den = _lift(a)
         if den == _POLY_ONE:
             return laurent_text(num)
         return "%s / %s" % (laurent_text(num), laurent_text(den))
@@ -703,11 +636,8 @@ class _FunctionField(Field):
         num = self.raw_from_laurent(laurent_from_text(parts[0]))
         if len(parts) == 1:
             return num
-        den = self.raw_from_laurent(laurent_from_text(parts[1]))
-        return self.normalize(self.raw_div(num, den))
-
-    def quantum_characteristic(self):
-        return math.inf
+        return self.raw_div(num, self.raw_from_laurent(
+            laurent_from_text(parts[1])))
 
 
 class GenericField(_FunctionField):
@@ -799,14 +729,6 @@ class RationalField(Field):
     def raw_from_int(self, n):
         return self._fraction(n)
 
-    def raw_from_laurent(self, terms):
-        q, rho = self.q, self.rho
-        return sum((c * q ** a * rho ** b for (a, b), c in terms.items()),
-                   self._fraction(0))
-
-    def quantum_characteristic(self):
-        return math.inf
-
     def to_text(self, a):
         if a.denominator == 1:
             return str(a.numerator)
@@ -897,11 +819,6 @@ class PrimeField(Field):
                 u.pop(k, None)
         return u
 
-    def raw_from_laurent(self, terms):
-        p, q, rho = self.p, self.q, self.rho
-        return sum(c * pow(q, a, p) * pow(rho, b, p)
-                   for (a, b), c in terms.items()) % p
-
     def quantum_characteristic(self):
         qq = (self.q * self.q) % self.p
         if qq == 1:
@@ -927,14 +844,13 @@ class PrimeField(Field):
 
 def transfer_from_generic(value, field):
     """Map a raw value of the generic field into another field by
-    evaluating q and rho; the result is normalized.
+    evaluating q and rho.
 
     Valid whenever the reduced denominator does not vanish in the target
     field; values of the base ring Z[q^{+-1}, rho^{+-1}, (q-q^{-1})^{-1}]
     always transfer.
     """
-    fraction = GenericField().to_laurent_fraction(value)
-    return field.normalize(field.raw_div(*_specialize(fraction, field)))
+    return field.raw_div(*_specialize(_lift(value), field))
 
 
 def vanishes_under(fraction, field):

@@ -10,9 +10,10 @@ combinations it stores are never mutated once stored.
 
 ``Echelon`` scales each pivot row to leading coefficient 1 (a scaled row is
 the kernel applied to an empty accumulator), and ``determinant`` is
-Gaussian elimination that normalizes every entry and takes a pivot that is
-a unit (``raw_is_unit``) when its column has one, so that over Q(q, rho)
-the elimination stays in R where it can; neither is fraction-free.
+Gaussian elimination that takes a pivot that is a unit (``raw_is_unit``)
+when its column has one, so that over Q(q, rho) the elimination stays in R
+where it can; neither is fraction-free.  Raw values are canonical, so ==
+is the equality of scalars and of vectors.
 """
 
 
@@ -24,13 +25,13 @@ class Echelon:
     """Incremental row echelon form with optional combination tracking.
 
     Each inserted vector is reduced against the stored pivot rows; a nonzero
-    residue becomes a new pivot row normalized to leading coefficient 1.
+    residue becomes a new pivot row scaled to leading coefficient 1.
     Pivot keys must be mutually comparable.
     """
 
     def __init__(self, field, track=False):
         self.field = field
-        self.rows = {}  # pivot key -> normalized row
+        self.rows = {}  # pivot key -> row with leading coefficient 1
         self.track = track
         self.combos = {} if track else None  # pivot key -> combo over tags
 
@@ -38,47 +39,40 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec, combo=None):
-        """Reduce vec against the pivots; returns (residue, combo).
-
-        combo, when given, is carried along so that it stays a valid
-        expression of the residue in terms of the tagged input vectors.
-        Neither argument is mutated.
-        """
+    def _eliminate(self, vec):
+        """(residue, {pivot key: coefficient}): vec less the coefficient
+        times each pivot row, eliminated in key order until the leading key
+        of the residue has no pivot row.  vec is not mutated."""
         f = self.field
-        iaxpy = f.vec_iaxpy
+        iaxpy, neg = f.vec_iaxpy, f.raw_neg
         vec = {k: c for k, c in vec.items() if not f.raw_is_zero(c)}
-        track = combo is not None and self.track
-        if track:
-            combo = dict(combo)
         rows = self.rows
+        coeffs = {}
         while vec:
             piv = min(vec)
             row = rows.get(piv)
             if row is None:
                 break
-            c = f.raw_neg(vec[piv])
-            iaxpy(vec, c, row)
-            if track:
-                iaxpy(combo, c, self.combos[piv])
-        return vec, combo
+            c = coeffs[piv] = vec[piv]
+            iaxpy(vec, neg(c), row)
+        return vec, coeffs
 
     def insert(self, vec, tag=None):
         """Insert a vector; returns True if it enlarged the span.  A
         tracking echelon needs the tag that its combos name vec by."""
         f = self.field
-        combo = None
-        if self.track:
-            if tag is None:
-                raise LinAlgError("a tracking echelon needs a tag")
-            combo = {tag: f.raw_from_int(1)}
-        res, combo = self.reduce(vec, combo)
+        if self.track and tag is None:
+            raise LinAlgError("a tracking echelon needs a tag")
+        res, coeffs = self._eliminate(vec)
         if not res:
             return False
         piv = min(res)
-        inv = f.raw_div(f.raw_from_int(1), res[piv])
+        inv = f.raw_div(f.one, res[piv])
         self.rows[piv] = f.vec_iaxpy({}, inv, res)
         if self.track:
+            combo = {tag: f.one}
+            for key, c in coeffs.items():
+                f.vec_iaxpy(combo, f.raw_neg(c), self.combos[key])
             self.combos[piv] = f.vec_iaxpy({}, inv, combo)
         return True
 
@@ -87,27 +81,10 @@ class Echelon:
 
         Raises LinAlgError if vec lies outside the span.
         """
-        f = self.field
-        iaxpy = f.vec_iaxpy
-        vec = {k: c for k, c in vec.items() if not f.raw_is_zero(c)}
-        rows = self.rows
-        out = {}
-        while vec:
-            piv = min(vec)
-            row = rows.get(piv)
-            if row is None:
-                raise LinAlgError("vector outside the span")
-            c = vec[piv]
-            out[piv] = c
-            iaxpy(vec, f.raw_neg(c), row)
-        return out
-
-
-def same_vector(field, u, v):
-    """Whether u - v cancels to the empty vector; exact also for values
-    that are not in normal form.  Equal raw values are equal scalars, so
-    equal dicts need no arithmetic."""
-    return u == v or not field.vec_iaxpy(dict(u), field.raw_from_int(-1), v)
+        res, coeffs = self._eliminate(vec)
+        if res:
+            raise LinAlgError("vector outside the span")
+        return coeffs
 
 
 def matrix_rank(field, matrix):
@@ -119,10 +96,10 @@ def matrix_rank(field, matrix):
 
 
 def determinant(field, matrix):
-    """Determinant of a square matrix of raw field values, normalized.
+    """Determinant of a square matrix of raw field values.
 
-    Ordinary Gaussian elimination with a normalization pass per entry;
-    matrices here stay small enough that fraction growth is not a concern.
+    Ordinary Gaussian elimination; matrices here stay small enough that
+    fraction growth is not a concern.
     """
     n = len(matrix)
     for row in matrix:
@@ -143,12 +120,11 @@ def determinant(field, matrix):
             m[col], m[piv] = m[piv], m[col]
             det = f.raw_neg(det)
         lead = m[col][col]
-        det = f.normalize(f.raw_mul(det, lead))
+        det = f.raw_mul(det, lead)
         for i in range(col + 1, n):
             if f.raw_is_zero(m[i][col]):
                 continue
             c = f.raw_neg(f.raw_div(m[i][col], lead))
             for j in range(col, n):
-                m[i][j] = f.normalize(
-                    f.raw_add(m[i][j], f.raw_mul(c, m[col][j])))
+                m[i][j] = f.raw_add(m[i][j], f.raw_mul(c, m[col][j]))
     return det

@@ -23,7 +23,6 @@ from .engine import (
     word_letters,
 )
 from .groundfield import GenericField, vanishes_under
-from .linalg import same_vector
 from .cellular import (
     CellLabel,
     _label_text,
@@ -87,7 +86,7 @@ def central_character(engine, label):
     scalar = central_scalar(label, f)
     mat = cell_module(engine, label).factors_matrix([central_element(engine)])
     for i, row in enumerate(mat):
-        if not same_vector(f, row, f.vec_iaxpy({}, scalar, {i: f.one})):
+        if row != f.vec_iaxpy({}, scalar, {i: f.one}):
             raise RepError("central element is not scalar %s on %r"
                            % (f.to_text(scalar), label))
     return CentralCharacter(label, scalar)
@@ -129,7 +128,7 @@ def _closed_form_verdict(r, s, field):
         return SemisimplicityVerdict(ok, "delta-zero exceptional list")
     rho2 = field.raw_mul(field.rho, field.rho)
     for a in range(-(r + s - 2), r + s - 1):
-        if field.raw_eq(rho2, field.raw_pow(field.q, 2 * a)):
+        if rho2 == field.raw_pow(field.q, 2 * a):
             return SemisimplicityVerdict(False, "rho-power coincidence")
     return SemisimplicityVerdict(True, "generic")
 
@@ -257,7 +256,7 @@ def branching_check(engine, label):
             [central_element(engine, r - 1, s)])):
         if i in row:
             trace = field.raw_add(trace, row[i])
-    trace_ok = field.raw_eq(trace, expected_trace)
+    trace_ok = trace == expected_trace
     gens = [(_y_alpha if kind == "remove" else _z_beta)(engine, label, node)
             for kind, node, _ in sections]
     anchor = {mod.anchor_index: field.one}

@@ -5,7 +5,6 @@ from qwalled.cellular import cellular_data, coset_letters
 from qwalled.combinat import perm_identity, perm_length, reduced_word
 from qwalled.engine import act, g_tok, gs_tok
 from qwalled.hecke import HeckeAlgebra
-from qwalled.linalg import same_vector
 
 
 def perm_mul(u, v):
@@ -69,9 +68,3 @@ def module_row(mod, b, x):
 def module_matrix(mod, x):
     """The action matrix of the engine element x, row by row module_row."""
     return [module_row(mod, b, x) for b in mod.basis]
-
-
-def same_matrix(field, a, b):
-    """Equality of two matrices of sparse rows over the field."""
-    return len(a) == len(b) and all(
-        same_vector(field, ra, rb) for ra, rb in zip(a, b))

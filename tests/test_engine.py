@@ -34,7 +34,7 @@ from qwalled.groundfield import (
     RationalField,
     transfer_from_generic,
 )
-from qwalled.linalg import Echelon, same_vector
+from qwalled.linalg import Echelon
 
 GEN = GenericField()
 E = [(E_TOK, 1)]
@@ -57,10 +57,6 @@ def scale(eng, x, c):
     return eng.field.vec_iaxpy({}, c, x)
 
 
-def same(eng, x, y):
-    return same_vector(eng.field, x, y)
-
-
 @pytest.fixture(scope="module")
 def b22():
     return build_engine(2, 2, GEN)
@@ -81,8 +77,8 @@ def test_dim_11_basis_by_hand():
     eng = build_engine(1, 1, GEN)
     # basis {1, e_1}: e_1 is independent of 1 and e_1^2 = delta e_1
     one, e1 = {0: GEN.one}, ev(eng, E)
-    assert e1 and not same(eng, e1, one)
-    assert same(eng, ev(eng, E, e1), scale(eng, e1, GEN.delta()))
+    assert e1 and e1 != one
+    assert ev(eng, E, e1) == scale(eng, e1, GEN.delta())
 
 
 def test_dimension_is_factorial(b22, b32):
@@ -92,13 +88,13 @@ def test_dimension_is_factorial(b22, b32):
 
 def test_multiply_examples(b22):
     one, e1 = {0: GEN.one}, ev(b22, E)
-    assert same(b22, product(b22, e1, e1), scale(b22, e1, GEN.delta()))
-    assert same(b22, ev(b22, E + G(1) + E), scale(b22, e1, GEN.rho))
-    assert same(b22, ev(b22, G(1) + G(1, -1)), one)
-    assert same(b22, ev(b22, GS(1) + GS(1, -1)), one)
+    assert product(b22, e1, e1) == scale(b22, e1, GEN.delta())
+    assert ev(b22, E + G(1) + E) == scale(b22, e1, GEN.rho)
+    assert ev(b22, G(1) + G(1, -1)) == one
+    assert ev(b22, GS(1) + GS(1, -1)) == one
     x = ev(b22, G(1) + E)
-    assert same(b22, product(b22, x, one), x)
-    assert same(b22, product(b22, one, x), x)
+    assert product(b22, x, one) == x
+    assert product(b22, one, x) == x
 
 
 def test_associativity(b32):
@@ -112,51 +108,50 @@ def test_associativity(b32):
 
     for _ in range(20):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
-        assert same(b32, product(b32, product(b32, x, y), z),
-                    product(b32, x, product(b32, y, z)))
+        assert product(b32, product(b32, x, y), z) \
+            == product(b32, x, product(b32, y, z))
 
 
 def test_sigma_properties(b22):
     for letters in (G(1), GS(1), E):
         x = ev(b22, letters)
-        assert same(b22, sigma(b22, x), x)
-    assert same(b22, sigma(b22, ev(b22, G(1) + GS(1) + E)),
-                ev(b22, E + GS(1) + G(1)))
+        assert sigma(b22, x) == x
+    assert sigma(b22, ev(b22, G(1) + GS(1) + E)) == ev(b22, E + GS(1) + G(1))
     e12 = ev(b22, b22.e_ij_letters(1, 1) + b22.e_ij_letters(2, 2))
-    assert same(b22, sigma(b22, e12), e12)
+    assert sigma(b22, e12) == e12
     rng = random.Random(23)
     for _ in range(50):
         x = {rng.randrange(b22.dim): GEN.raw_from_int(rng.randrange(1, 4))
              for _ in range(3)}
-        assert same(b22, sigma(b22, sigma(b22, x)), x)
+        assert sigma(b22, sigma(b22, x)) == x
     for _ in range(10):
         x = {rng.randrange(b22.dim): GEN.one}
         y = {rng.randrange(b22.dim): GEN.one}
-        assert same(b22, sigma(b22, product(b22, x, y)),
-                    product(b22, sigma(b22, y), sigma(b22, x)))
+        assert sigma(b22, product(b22, x, y)) \
+            == product(b22, sigma(b22, y), sigma(b22, x))
 
 
 def test_special_elements(b22):
     one = {0: GEN.one}
-    assert same(b22, evaluate_factors(
-        b22, [[(GEN.one, b22.e_ij_letters(1, 1))]], one), ev(b22, E))
+    assert evaluate_factors(
+        b22, [[(GEN.one, b22.e_ij_letters(1, 1))]], one) == ev(b22, E)
     # rho^{-1} e_1 g*_1 and rho^{-1} e_1 g_1
     rho_inv = GEN.raw_div(GEN.one, GEN.rho)
     et = scale(b22, ev(b22, E + GS(1)), rho_inv)
     f21 = scale(b22, ev(b22, E + G(1)), rho_inv)
-    assert same(b22, product(b22, et, et), et)
-    assert same(b22, product(b22, f21, f21), f21)
+    assert product(b22, et, et) == et
+    assert product(b22, f21, f21) == f21
     e1, e2 = b22.e_ij_letters(1, 1), b22.e_ij_letters(2, 2)
-    assert same(b22, ev(b22, e1 + e2), ev(b22, e2 + e1))
-    assert same(b22, ev(b22, e1), ev(b22, E))
-    assert same(b22, ev(b22, e1 + e2), ev(b22, e1 + G(1) + GS(1, -1) + e1))
+    assert ev(b22, e1 + e2) == ev(b22, e2 + e1)
+    assert ev(b22, e1) == ev(b22, E)
+    assert ev(b22, e1 + e2) == ev(b22, e1 + G(1) + GS(1, -1) + e1)
 
     def g_d(rep):
         return ev(b22, coset_letters(rep))
     for f in (0, 1, 2):
         for rep in coset_reps(2, 2, f):
             assert g_d(rep)
-    assert same(b22, g_d(coset_reps(2, 2, 0)[0]), one)
+    assert g_d(coset_reps(2, 2, 0)[0]) == one
 
 
 def test_central_element(b22, b32):
@@ -165,11 +160,11 @@ def test_central_element(b22, b32):
         gens = [G(i) for i in range(1, eng.r)] \
             + [GS(j) for j in range(1, eng.s)] + [E]
         for gen in gens:
-            assert same(eng, ev(eng, gen, c), product(eng, ev(eng, gen), c))
-        assert same(eng, sigma(eng, c), c)
+            assert ev(eng, gen, c) == product(eng, ev(eng, gen), c)
+        assert sigma(eng, c) == c
     e11 = build_engine(1, 1, GEN)
-    assert same(e11, evaluate_factors(e11, [central_element(e11)],
-                                      {0: GEN.one}), ev(e11, E))
+    assert evaluate_factors(e11, [central_element(e11)],
+                            {0: GEN.one}) == ev(e11, E)
 
 
 def test_verify_relations(b22, b32):
@@ -270,7 +265,8 @@ def test_e1_sandwich_span(b22, b32):
                         new.append(y)
             frontier = new
         assert left.rank == right.rank
-        assert not any(right.reduce(v)[0] for v in left.rows.values())
+        for v in left.rows.values():
+            right.express(v)
 
 
 def test_dim_b_e1(b22, b32):
@@ -303,11 +299,7 @@ def test_json_load_matches_closure(spec):
     assert engine_to_json(loaded) == js
     f = eng.field
     assert loaded.field == f
-    assert loaded.act_table.keys() == eng.act_table.keys()
-    for key, row in eng.act_table.items():
-        other = loaded.act_table[key]
-        assert other.keys() == row.keys()
-        assert all(f.raw_eq(c, other[k]) for k, c in row.items())
+    assert loaded.act_table == eng.act_table
 
 
 def test_json_load_parses_each_text_once(b32, monkeypatch):
@@ -396,10 +388,9 @@ def test_layer_generator_is_e_power():
     eng = build_engine(3, 3, "gfp:13,2,6")
     e = [eng.e_ij_letters(i, i) for i in (1, 2, 3)]
     gens = [ev(eng, eng._layer_letters(f)) for f in (0, 1, 2)]
-    assert same(eng, gens[0], ev(eng, e[0]))
-    assert same(eng, gens[1], ev(eng, e[0] + e[1]))
-    assert same(eng, ev(eng, G(1) + GS(1, -1), gens[2]),
-                ev(eng, e[0] + e[1] + e[2]))
+    assert gens[0] == ev(eng, e[0])
+    assert gens[1] == ev(eng, e[0] + e[1])
+    assert ev(eng, G(1) + GS(1, -1), gens[2]) == ev(eng, e[0] + e[1] + e[2])
 
 
 @pytest.mark.parametrize("spec", ["generic", "delta-zero"])
@@ -410,8 +401,8 @@ def test_root_relation_identity(spec):
     for f in (1, 2):
         ef = ev(eng, eng.ecap_letters(f))
         x_f = ev(eng, [(g_tok(k), 1) for k in range(1, f + 1)], ef)
-        assert same(eng, ev(eng, eng.ecap_letters(f), x_f),
-                    scale(eng, ef, eng.field.raw_pow(eng.field.rho, f)))
+        assert ev(eng, eng.ecap_letters(f), x_f) \
+            == scale(eng, ef, eng.field.raw_pow(eng.field.rho, f))
         assert (not ev(eng, eng.ecap_letters(f), ef)) \
             == (spec == "delta-zero")
 
@@ -426,9 +417,9 @@ def test_layer_zero_block_is_an_algebra():
     # and sigma acts on it
     quo = build_engine(2, 2, GEN, layer=0)
     g1 = ev(quo, G(1))
-    assert same(quo, product(quo, g1, g1), quo.field.vec_iaxpy(
-        scale(quo, g1, quo.field.qdiff), GEN.one, {0: GEN.one}))
-    assert same(quo, sigma(quo, g1), g1)
+    assert product(quo, g1, g1) == quo.field.vec_iaxpy(
+        scale(quo, g1, quo.field.qdiff), GEN.one, {0: GEN.one})
+    assert sigma(quo, g1) == g1
 
 
 def test_block_refuses_sigma(block22):
@@ -553,5 +544,5 @@ def test_transfer_commutes_with_products(b22, b22_images, data):
     x, y = data.draw(small_elements(b22)), data.draw(small_elements(b22))
     for eng in b22_images:
         assert eng.basis_words == b22.basis_words
-        assert same(eng, _transferred(product(b22, x, y), eng), product(
-            eng, _transferred(x, eng), _transferred(y, eng)))
+        assert _transferred(product(b22, x, y), eng) == product(
+            eng, _transferred(x, eng), _transferred(y, eng))

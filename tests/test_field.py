@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
@@ -87,27 +87,27 @@ def test_laurent_text_roundtrip(p):
 
 def test_inverse_pair():
     q = GEN.q
-    assert GEN.raw_eq(GEN.raw_mul(q, inv(GEN, q)), GEN.one)
+    assert GEN.raw_mul(q, inv(GEN, q)) == GEN.one
 
 
 def test_delta_as_division():
     q, rho = GEN.q, GEN.rho
     d = GEN.raw_div(GEN.raw_sub(rho, inv(GEN, rho)),
                     GEN.raw_sub(q, inv(GEN, q)))
-    assert GEN.raw_eq(d, GEN.delta())
+    assert d == GEN.delta()
     # with rho -> q^n the same quotient is the quantum integer [n]
     for n in (1, 2, 3):
         f = OneVarField(n)
         qn = f.raw_pow(f.q, n)
         quantum_int = f.raw_div(f.raw_sub(qn, inv(f, qn)),
                                 f.raw_sub(f.q, inv(f, f.q)))
-        assert f.raw_eq(f.delta(), quantum_int)
+        assert f.delta() == quantum_int
 
 
 def test_delta_rational_oracle():
     f = RationalField(2, 4)
     # (4 - 1/4) / (2 - 1/2) = 5/2
-    assert f.raw_eq(f.delta(), f.parse("5/2"))
+    assert f.delta() == f.parse("5/2")
     assert f.to_text(f.delta()) == "5 / 2"
 
 
@@ -133,7 +133,7 @@ def test_delta_zero_iff_rho_squared_one():
     assert not _delta_is_zero(RationalField(3, 2))
     p = PrimeField(11, 2, 1)
     assert _delta_is_zero(p)
-    assert p.raw_eq((p.rho * p.rho) % 11, 1)
+    assert (p.rho * p.rho) % 11 == 1
     assert not _delta_is_zero(PrimeField(11, 2, 3))
 
 
@@ -231,16 +231,15 @@ def test_field_axioms(field):
     f = field
     elems = random_elements(f, rng, 12)
     for a in elems:
-        assert f.raw_eq(f.raw_add(a, f.raw_from_int(0)), a)
-        assert f.raw_eq(f.raw_mul(a, f.one), a)
+        assert f.raw_add(a, f.raw_from_int(0)) == a
+        assert f.raw_mul(a, f.one) == a
         if not f.raw_is_zero(a):
-            assert f.raw_eq(f.raw_mul(a, inv(f, a)), f.one)
-            assert f.raw_eq(f.raw_mul(f.raw_pow(a, 3), f.raw_pow(a, -3)),
-                            f.one)
+            assert f.raw_mul(a, inv(f, a)) == f.one
+            assert f.raw_mul(f.raw_pow(a, 3), f.raw_pow(a, -3)) == f.one
     for a, b in zip(elems, elems[1:]):
-        assert f.raw_eq(f.raw_add(a, b), f.raw_add(b, a))
-        assert f.raw_eq(f.raw_mul(a, b), f.raw_mul(b, a))
-        assert f.raw_eq(f.raw_sub(f.raw_add(a, b), b), a)
+        assert f.raw_add(a, b) == f.raw_add(b, a)
+        assert f.raw_mul(a, b) == f.raw_mul(b, a)
+        assert f.raw_sub(f.raw_add(a, b), b) == a
 
 
 @pytest.mark.parametrize("field", [GEN, OneVarField(2)], ids=repr)
@@ -268,10 +267,8 @@ def test_specialization_homomorphism():
 
     elems = random_elements(GEN, rng, 8)
     for a, b in zip(elems, elems[1:]):
-        assert spec.raw_eq(image(GEN.raw_mul(a, b)),
-                           spec.raw_mul(image(a), image(b)))
-        assert spec.raw_eq(image(GEN.raw_add(a, b)),
-                           spec.raw_add(image(a), image(b)))
+        assert image(GEN.raw_mul(a, b)) == spec.raw_mul(image(a), image(b))
+        assert image(GEN.raw_add(a, b)) == spec.raw_add(image(a), image(b))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +283,11 @@ ZQR = ring("q,rho", ZZ)[0]
 def _sympy_poly(terms):
     """A dict {(a, b): c} with a, b >= 0 as a polynomial of ZQR."""
     return ZQR.from_dict({m: ZZ(c) for m, c in terms.items()})
+
+
+def _terms(poly):
+    """A polynomial of ZQR as a dict {(a, b): c}."""
+    return {m: int(c) for m, c in poly.terms()}
 
 
 def _mul(*factors):
@@ -334,10 +336,10 @@ def r_values(draw, field):
 def _ref_text(num, den):
     """The canonical text of num / den, reduced by sympy's cancel."""
     num, den = num.cancel(den)
-    top = laurent_text({m: int(c) for m, c in num.terms()})
+    top = laurent_text(_terms(num))
     if den == 1:
         return top
-    bottom = laurent_text({m: int(c) for m, c in den.terms()})
+    bottom = laurent_text(_terms(den))
     return "%s / %s" % (top, bottom)
 
 
@@ -369,12 +371,11 @@ def test_r_values_match_sympy_reference(field, data):
         assert field.to_text(raw) == text
         back = field.parse(text)
         assert type(back) is tuple and back == raw
-    assert field.raw_eq(x, y) == (_ref_text(xn, xd) == _ref_text(yn, yd))
-    assert field.raw_eq(x, groundfield._lift(x))
+    assert (x == y) == (_ref_text(xn, xd) == _ref_text(yn, yd))
     if field.raw_is_zero(y):
         return
     before = groundfield.fallbacks
-    quo = field.normalize(field.raw_div(x, y))
+    quo = field.raw_div(x, y)
     assert field.to_text(quo) == _ref_text(xn * yd, xd * yn)
     assert (type(quo) is tuple) == _ref_in_r(xn * yd, xd * yn)
     # only a divisor that is not a unit of R takes the fallback
@@ -382,9 +383,8 @@ def test_r_values_match_sympy_reference(field, data):
     assert field.raw_is_unit(y) == unit
     assert groundfield.fallbacks == before + (not unit)
     # a non-unit over itself falls back and comes back as the tuple one
-    assert field.normalize(field.raw_div(y, y)) == field.one
-    assert field.raw_eq(field.raw_mul(groundfield._lift(y),
-                                      field.raw_div(x, y)), x)
+    assert field.raw_div(y, y) == field.one
+    assert field.raw_mul(y, quo) == x
 
 
 def test_fallback_outside_r():
@@ -396,11 +396,9 @@ def test_fallback_outside_r():
     assert GEN.to_text(d_inv) \
         == "-1*rho^1 + 1*q^2*rho^1 / -1*q^1 + 1*q^1*rho^2"
     q, rho = GEN.q, GEN.rho
-    assert GEN.raw_eq(d_inv, GEN.raw_div(GEN.raw_sub(q, inv(GEN, q)),
-                                         GEN.raw_sub(rho, inv(GEN, rho))))
-    product = GEN.raw_mul(d_inv, GEN.delta())
-    assert GEN.raw_eq(product, GEN.one)
-    assert type(GEN.normalize(product)) is tuple
+    assert d_inv == GEN.raw_div(GEN.raw_sub(q, inv(GEN, q)),
+                                GEN.raw_sub(rho, inv(GEN, rho)))
+    assert GEN.raw_mul(d_inv, GEN.delta()) == GEN.one
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +429,14 @@ def common_factors(draw, field):
 
 @st.composite
 def fractions_outside_r(draw, field):
-    """(an unreduced _Frac, its sympy numerator and denominator):
-    n h / (d h) with h a common factor of both."""
+    """(the raw value n h / (d h), made by raw_div, with h a common factor
+    of both, and its unreduced sympy numerator and denominator); a value
+    outside R for most draws."""
     h = draw(common_factors(field))
     num = _mul(draw(polys(field)), h)
     den = _mul(draw(polys(field)), h)
-    return (groundfield._Frac(num, den),
+    return (field.raw_div(field.raw_from_laurent(num),
+                          field.raw_from_laurent(den)),
             (_sympy_poly(num), _sympy_poly(den)))
 
 
@@ -452,7 +452,17 @@ def test_fractions_match_sympy_cancel(field, data):
                      (field.raw_mul(x, y), (xn * yn, xd * yd)),
                      (field.raw_div(x, y), (xn * yd, xd * yn))]:
         assert field.to_text(raw) == _ref_text(*ref)
-        assert field.raw_eq(field.normalize(raw), raw)
+
+
+@pytest.mark.parametrize("field", R_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fractions_are_canonical_when_made(field, data):
+    # a value outside R is one Python object whichever way it is made
+    x, y = (data.draw(fractions_outside_r(field))[0] for _ in range(2))
+    assume(type(x) is not tuple and type(y) is not tuple)
+    assert field.raw_div(field.raw_mul(x, y), y) == x
+    assert field.parse(field.to_text(x)) == x
 
 
 TRANSFER_TARGETS = [OneVarField(2), OneVarField(-1, -1), RationalField(2, 4),
@@ -469,27 +479,23 @@ def _outcome(fn, *args):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_boundary_functions_normalize(data):
-    # an unreduced fraction and its reduction are one value: every function
-    # that reads a value's normal form normalizes its argument itself
-    x, _ = data.draw(fractions_outside_r(GEN))
-    reduced = GEN.reduce_raw(x)
-    assert GEN.to_text(x) == GEN.to_text(reduced)
+def test_boundary_functions_read_reduced_fractions(data):
+    # a value is reduced when it is made: its Laurent fraction is sympy's
+    # reduction, and a transfer agrees with evaluating the unreduced n h and
+    # d h wherever d h does not vanish
+    x, (xn, xd) = data.draw(fractions_outside_r(GEN))
     fraction = GEN.to_laurent_fraction(x)
-    assert fraction == GEN.to_laurent_fraction(reduced)
+    assert fraction == tuple(_terms(p) for p in xn.cancel(xd))
     for field in TRANSFER_TARGETS:
         vanishes = _outcome(vanishes_under, fraction, field)
-        assert vanishes == _outcome(
-            vanishes_under, GEN.to_laurent_fraction(reduced), field)
         moved = _outcome(transfer_from_generic, x, field)
-        again = _outcome(transfer_from_generic, reduced, field)
         if moved is FieldError:
-            assert again is FieldError and vanishes is FieldError
+            assert vanishes is FieldError
             continue
-        assert field.normalize(moved) is moved
-        assert field.normalize(again) is again
-        assert field.to_text(moved) == field.to_text(again)
         assert field.raw_is_zero(moved) == vanishes
+        num, den = (field.raw_from_laurent(_terms(p)) for p in (xn, xd))
+        if not field.raw_is_zero(den):
+            assert moved == field.raw_div(num, den)
 
 
 @settings(max_examples=80, deadline=None)
@@ -526,23 +532,25 @@ def test_heugcd_out_of_points_raises(monkeypatch):
     monkeypatch.setattr(groundfield, "HEU_GCD_MAX", 0)
     with pytest.raises(FieldError):
         groundfield.heugcd(f, g)
-    x = groundfield._Frac({(1, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): 1})
+    # a quotient by a non-unit of R is reduced as it is made
+    x = GEN.raw_from_laurent({(1, 0): 1, (0, 0): 1})
+    y = GEN.raw_from_laurent({(1, 1): 1, (0, 0): 1})
     with pytest.raises(FieldError):
-        GEN.normalize(x)
+        GEN.raw_div(x, y)
 
 
 # ---------------------------------------------------------------------------
 # evaluation of Laurent data
 
 def _term_by_term(field, terms):
-    """Reference evaluation through raw products and powers, normalized."""
+    """Reference evaluation through raw products and powers."""
     f = field
     out = f.raw_from_int(0)
     for (a, b), c in terms.items():
         out = f.raw_add(out, f.raw_mul(
             f.raw_from_int(c),
             f.raw_mul(f.raw_pow(f.q, a), f.raw_pow(f.rho, b))))
-    return f.normalize(out)
+    return out
 
 
 def _same_raw(x, y):
@@ -601,8 +609,7 @@ def test_vec_iaxpy_matches_term_by_term(field, data):
     assert out is u
     assert v == v_before
     assert not any(field.raw_is_zero(x) for x in out.values())
-    assert out.keys() == expect.keys()
-    assert all(field.raw_eq(x, expect[k]) for k, x in out.items())
+    assert out == expect
     if kind == "cancel":
         assert out == {}
 
@@ -617,7 +624,7 @@ def test_text_roundtrip(field):
     for e in random_elements(field, rng, 10):
         text = field.to_text(e)
         back = field.parse(text)
-        assert field.raw_eq(back, e)
+        assert back == e
         assert field.to_text(back) == text
 
 
