@@ -152,8 +152,8 @@ def sigma_factors(factors):
 class _CellData:
     """The cellular basis elements of the engine, with a tracked coordinate
     echelon: every element for the full algebra, and for the block of
-    layer f < min(r, s) those of layer f whose left index has the identity
-    coset rep, the elements of e^f B (at f = 0 that is every index).
+    layer f those of layer f whose left index has the identity coset rep,
+    the elements of e^f B (at f = 0 that is every index).
 
     C_{(s,e)(t,d)} is the head element of the left index (s, e), evaluated
     once per left index from left_factors, times the tail letters of the
@@ -239,7 +239,7 @@ class CellModule:
     def __init__(self, engine, label, anchor=None):
         data = cellular_data(engine)
         if label not in data.by_label:
-            raise CellularError("label %r not valid for (%d, %d) at layer %d"
+            raise CellularError("label %r not valid for (%d, %d) at layer %s"
                                 % (label, engine.r, engine.s, engine.layer))
         self.engine = engine
         self.label = label

@@ -58,8 +58,9 @@ EXIT_BROKEN_PIPE = 141
 
 DEFAULT_MAX_TOTAL = 6
 
-# gram closes the layer block e^f B/J_{f+1} for labels up to this layer
-GRAM_QUOTIENT_MAX_LAYER = 1
+# labels up to this layer take their cell modules from a block; at (4, 3),
+# f = 3 over Q(q) the block had not closed in 60 s, the algebra takes 29 s
+GRAM_QUOTIENT_MAX_LAYER = 2
 
 # the commands whose reports have no table, and so no csv output
 NO_CSV = ("cellular", "semisimple")
@@ -111,15 +112,20 @@ def _cache_path(config, field):
     return os.path.join(config.cache_dir, name)
 
 
+def _digest(text):
+    """The first line of a cache file: the CRC-32 of the engine JSON.  It
+    catches damage, not forgery: the file holds its own digest."""
+    import zlib
+    return "%08x" % zlib.crc32(text.encode())
+
+
 def _read_cache(path, config, field):
     """The cached engine, or None when the file is missing, fails its
-    SHA-256, cannot be decoded, or holds an engine for another key."""
-    # only cache calls pay for hashlib
-    import hashlib
+    CRC-32, cannot be decoded, or holds an engine for another key."""
     try:
         with open(path) as handle:
             digest, _, text = handle.read().partition("\n")
-        if hashlib.sha256(text.encode()).hexdigest() != digest:
+        if _digest(text) != digest:
             return None
         engine = engine_from_json(text)
     except (OSError, ValueError, LookupError, TypeError, EngineError,
@@ -143,8 +149,7 @@ def _check_size(config):
 
 def load_engine(config, field, layer=None):
     """The (r, s) engine over the field, through the cache when there is
-    one; with a layer below min(r, s), the layer block, closed afresh and
-    never cached."""
+    one; with a layer, the layer block, closed afresh and never cached."""
     _check_size(config)
     if layer is not None:
         return build_engine(config.r, config.s, field, layer=layer)
@@ -173,29 +178,30 @@ def _cache_error(path, reason):
 
 
 def _write_cache(path, cache_dir, engine):
-    import hashlib
     import tempfile
     # a rename is atomic, so no reader ever sees a partial file
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         text = engine_to_json(engine)
         with os.fdopen(fd, "w") as handle:
-            # the first line is the SHA-256 of the engine JSON after it
-            handle.write(hashlib.sha256(text.encode()).hexdigest())
-            handle.write("\n" + text)
+            handle.write(_digest(text) + "\n" + text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def generic_engine(config):
-    """The (r, s) engine over the generic field, loaded at most once per
-    run: every field of a spec and every point of a sweep shares it, and
-    its cell modules keep their Gram determinants."""
-    if config.generic is None:
-        config.generic = load_engine(config, GenericField())
-    return config.generic
+def layer_engine(config, field, f):
+    """The engine holding the cell modules of layer f: the block e^f
+    B/J_{f+1} up to GRAM_QUOTIENT_MAX_LAYER (the top layer at r = s has
+    none), else the full algebra.  Loaded once per run and field, so the
+    fields of a spec and the points of a sweep share their Gram data."""
+    layer = f if f <= GRAM_QUOTIENT_MAX_LAYER \
+        and not f == config.r == config.s else None
+    key = (field.spec_string(), layer)
+    if key not in config.engines:
+        config.engines[key] = load_engine(config, field, layer)
+    return config.engines[key]
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +293,7 @@ def cmd_cellular(config, field):
 
 def cmd_gram(config, field):
     label = _config_label(config)
-    # C(f, lambda) and its form need only the block e^f B/J_{f+1}; closing
-    # it beats closing (or loading) the full algebra at f <= 1, but the
-    # closure grows with f: the f = 3 block at (4, 4) creates 171,650 states
-    block = label.f <= GRAM_QUOTIENT_MAX_LAYER \
-        and label.f < min(config.r, config.s)
-    engine = load_engine(config, field, label.f if block else None)
-    module = cell_module(engine, label)
+    module = cell_module(layer_engine(config, field, label.f), label)
     entries = [[field.to_text(e) for e in row] for row in gram_matrix(module)]
     det = gram_determinant(module)
     report = _report(config, field, label=_label_text(label), dim=module.dim,
@@ -348,9 +348,11 @@ def cmd_simples(config, field):
 
 def cmd_semisimple(config, field):
     # Gram determinants are taken over the generic field, then evaluated
-    # in the field; the engine is loaded only when the Gram side runs
-    verdict = semisimplicity(config.r, config.s, field, mode=config.mode,
-                             generic=lambda: generic_engine(config))
+    # in the field; the engines are loaded only when the Gram side runs
+    generic = GenericField()
+    verdict = semisimplicity(
+        config.r, config.s, field, mode=config.mode,
+        generic=lambda f: layer_engine(config, generic, f))
     report = _report(config, field, mode=config.mode,
                      semisimple=verdict.verdict,
                      reason=verdict.reason,
@@ -389,14 +391,15 @@ def cmd_sweep(config):
     elif not 0 <= amax <= EXPONENT_MAX:
         raise UsageError("--amax must be between 0 and %d" % EXPONENT_MAX)
     rows = []
+    generic = GenericField()
     for a in range(-amax, amax + 1):
         for sign in (1, -1):
             point = OneVarField(a, sign)
             # Gram determinants are taken over the generic field once,
             # then evaluated at each point
-            verdict = semisimplicity(config.r, config.s, point,
-                                     mode=config.mode,
-                                     generic=lambda: generic_engine(config))
+            verdict = semisimplicity(
+                config.r, config.s, point, mode=config.mode,
+                generic=lambda f: layer_engine(config, generic, f))
             rows.append({
                 "a": a,
                 "rho": ("q^%d" % a) if sign > 0 else ("-q^%d" % a),
@@ -481,8 +484,8 @@ def build_parser():
 
 def run(config):
     """Execute one subcommand; returns (exit_code, output string).  config
-    is the namespace of build_parser, plus the attribute generic: the
-    generic engine, once a command of this run has loaded it."""
+    is the namespace of build_parser, plus the attribute engines: the
+    engines of this run by (field spec, layer), kept by layer_engine."""
     if config.r < 1 or config.s < 1:
         raise UsageError("r and s must be positive")
     if config.format == "csv" and config.command in NO_CSV:
@@ -510,7 +513,7 @@ def run(config):
 
 def main(argv=None):
     config = build_parser().parse_args(argv)
-    config.generic = None
+    config.engines = {}
     try:
         code, output = run(config)
     except UsageError as exc:

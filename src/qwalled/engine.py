@@ -5,25 +5,23 @@ closure: starting from the identity, right multiplication by generator
 tokens is explored breadth first, the defining relations
 (defining_identities, as lhs - rhs) are imposed as exact linear
 dependencies, and dependent words are eliminated.  The surviving
-words form the normal basis; its size must come out to
-layer_dimension(r, s, layer): (r+s)! for the full algebra, and
-|D^f| (r-f)! (s-f)! for a block.
+words form the normal basis; its size must come out to (r+s)! for the
+full algebra, and to layer_dimension(r, s, f) for the block of layer f.
 
 Token kinds are ("e",), ("g", i) and ("gs", j); inverses are expanded via
 g^{-1} = g - (q - q^{-1}) and never appear as tokens.
 
-An engine at layer f < min(r, s) closes the layer block e^f B/J_{f+1},
-a right module holding the cell modules C(f, lambda) and their Gram forms;
-J_{f+1} = B e^{f+1} B is spanned by the cellular basis elements of layer
-> f.  It is B/((x_f - rho^f) B + J_{f+1}), x_f = e^f g_1 ... g_f: as
-x_f e^f = rho^f e^f, x_f/rho^f is an idempotent fixing e^f.  The layer
-relation, a generator of J_{f+1}, holds at every state: e_1 at f = 0,
-e_1 g_1 g*_1^{-1} e_1 = e_1 e_2 (tool.d.1) at f = 1, and e^{k+1} =
-e^k g_k g*_k^{-1} e_k up to a unit in general.  The root relation
-root (x_f - rho^f) = 0 holds at the identity state only, where it is
-evaluated first; at f = 0 it is trivial and the block is the algebra
-H_r (x) H_s.  A block of layer f >= 1 is a right module, not an algebra:
-sigma refuses it.
+An engine at layer f closes the layer block e^f B/J_{f+1}, a right module
+holding the cell modules C(f, lambda) and their Gram forms; J_{f+1} =
+B e^{f+1} B is spanned by the cellular basis elements of layer > f (0 at
+the top layer f = min(r, s)).  It is B/((x_f - rho^f) B + J_{f+1}), x_f =
+e^f g_1 ... g_f (the g* at the top when r < s): as x_f e^f = rho^f e^f,
+x_f/rho^f is an idempotent fixing e^f.  Below the top, the layer relation
+e^{f+1} (ecap_letters, trailing units dropped) holds at every state.  The
+root relation root (x_f - rho^f) = 0 holds at the identity state only,
+where it is evaluated first; at f = 0 it is trivial and the block is the
+algebra H_r (x) H_s.  The top layer at r = s, with neither g_f nor g*_f,
+has no block.  A block of layer f >= 1 is a right module: sigma refuses it.
 
 A vector is a dict {basis index: raw value}; the identity is {0: one}.
 act applies letters to a vector through an act_table, and
@@ -90,16 +88,13 @@ def inv_letters(letters):
 class AlgebraEngine:
     """Normal-form model of the algebra, or of one of its layer blocks.
 
-    layer (default min(r, s), the full algebra) is the layer f whose
-    cellular basis elements survive: below min(r, s) the engine closes the
-    block e^f B/J_{f+1}.  Its dimension is verified against layer_dimension
-    after closure.
+    layer None (the default) is the full algebra; a layer f closes the
+    block e^f B/J_{f+1}.  The dimension is verified after closure.
     """
 
     def __init__(self, r, s, field, layer=None, max_states=None):
         self._setup(r, s, field, layer)
-        self._max_states = max_states or max(
-            200, 50 * layer_dimension(r, s, self.layer))
+        self._max_states = max_states
         self._build()
 
     def _setup(self, r, s, field, layer=None):
@@ -107,11 +102,9 @@ class AlgebraEngine:
         if r < 1 or s < 1:
             raise EngineError("r and s must be positive")
         top = min(r, s)
-        if layer is None:
-            layer = top
-        if not 0 <= layer <= top:
-            raise EngineError("layer %r out of range for (%d, %d)"
-                              % (layer, r, s))
+        if layer is not None and not 0 <= layer <= top - (r == s):
+            raise EngineError("layer %r has no block in (%d, %d); the top "
+                              "layer has none when r = s" % (layer, r, s))
         self.r = r
         self.s = s
         self.layer = layer
@@ -119,17 +112,18 @@ class AlgebraEngine:
         f = field
         self.tokens = [E_TOK] + [g_tok(i) for i in range(1, r)] \
             + [gs_tok(j) for j in range(1, s)]
-        self.is_block = layer < top
+        self.is_block = layer is not None
         self.relations = [_relation(f, lhs, rhs)
                           for _, lhs, rhs in defining_identities(self)]
         self._root_relations = []
-        if self.is_block:
+        if self.is_block and layer < top:
             self.relations.append(_relation(
                 f, [(f.one, self._layer_letters(layer))], []))
         if self.is_block and layer > 0:
-            # at the root state: x_f = rho^f, x_f = e^f g_1 ... g_f
-            x_f = self.ecap_letters(layer) \
-                + word_letters(g_tok, range(1, layer + 1))
+            # at the root state: x_f = rho^f, x_f = e^f g_1 ... g_f, with
+            # the g* when f = r < s
+            x_f = self.ecap_letters(layer) + word_letters(
+                gs_tok if layer == r else g_tok, range(1, layer + 1))
             self._root_relations.append(_relation(
                 f, [(f.one, x_f)], [(f.raw_pow(f.rho, layer), [])]))
         # data derived from the engine lives exactly as long as the engine:
@@ -141,14 +135,9 @@ class AlgebraEngine:
         self._modules = {}
 
     def _layer_letters(self, f):
-        """Letters of a generator of J_{f+1} = B e^{f+1} B: e^1 = e_1 and
-        e^{k+1} = e^k g_k g*_k^{-1} e_k (tool.d.1), with the trailing
-        invertible letters dropped, since a unit factor leaves the ideal
-        unchanged."""
-        letters = [(E_TOK, 1)]
-        for k in range(1, f + 1):
-            letters += [(g_tok(k), 1), (gs_tok(k), -1)] \
-                + self.e_ij_letters(k, k)
+        """Letters of a generator of J_{f+1} = B e^{f+1} B: e^{f+1} without
+        its trailing units, which leave the ideal unchanged."""
+        letters = self.ecap_letters(f + 1)
         while letters[-1][0] != E_TOK:
             letters.pop()
         return letters
@@ -156,6 +145,9 @@ class AlgebraEngine:
     # -- closure -----------------------------------------------------------
 
     def _build(self):
+        expected = math.factorial(self.r + self.s) if self.layer is None \
+            else layer_dimension(self.r, self.s, self.layer)
+        max_states = self._max_states or max(200, 50 * expected)
         one = self.field.one
         self._defs = [None]
         self._subst = {}
@@ -176,13 +168,11 @@ class AlgebraEngine:
                 continue
             for tok in self.tokens:
                 self._act_vec(st, tok)
-            if len(self._defs) > self._max_states:
-                raise EngineError("closure exceeded %d states"
-                                  % self._max_states)
+            if len(self._defs) > max_states:
+                raise EngineError("closure exceeded %d states" % max_states)
         alive = [st for st in range(len(self._defs))
                  if st not in self._subst]
         self.dim = len(alive)
-        expected = layer_dimension(self.r, self.s, self.layer)
         if self.dim != expected:
             raise EngineError("closure dimension %d, expected %d"
                               % (self.dim, expected))
@@ -313,8 +303,14 @@ class AlgebraEngine:
         return inv_letters(g) + gs + [(E_TOK, 1)] + g + inv_letters(gs)
 
     def ecap_letters(self, f):
-        """Letters of e^f = e_{1,1} ... e_{f,f}."""
-        return [x for i in range(1, f + 1) for x in self.e_ij_letters(i, i)]
+        """Letters of e^f = e_{1,1} ... e_{f,f} by tool.d.1: e^1 = e_1 and
+        e^{k+1} = e^k g_k g*_k^{-1} e_{k,k}, half the words of the plain
+        product once the inverses are expanded; e^0 is the empty word."""
+        letters = [(E_TOK, 1)] if f else []
+        for k in range(1, f):
+            letters += [(g_tok(k), 1), (gs_tok(k), -1)] \
+                + self.e_ij_letters(k, k)
+        return letters
 
 
 def defining_identities(engine):
@@ -416,15 +412,13 @@ def evaluate_factors(owner, factors, vec):
 
 
 def layer_dimension(r, s, f):
-    """(r+s)! at f = min(r, s), else dim e^f B/J_{f+1}: |D^f| (r-f)! (s-f)!"""
-    if f == min(r, s):
-        return math.factorial(r + s)
+    """dim e^f B/J_{f+1} = |D^f| (r-f)! (s-f)!, J_{f+1} = 0 at f = min(r, s)"""
     return coset_count(r, s, f) * math.factorial(r - f) * math.factorial(s - f)
 
 
 def build_engine(r, s, field_tag, layer=None, **kwargs):
-    """Build the algebra engine (or its block at a layer below min(r, s))
-    over a field or field-spec string."""
+    """Build the algebra engine (or its block at a layer) over a field or
+    field-spec string."""
     field = field_tag
     if isinstance(field_tag, str):
         fields = fields_from_spec(field_tag)

@@ -133,27 +133,32 @@ def _closed_form_verdict(r, s, field):
     return SemisimplicityVerdict(True, "generic")
 
 
-def gram_singular_labels(generic, field):
-    """Labels whose Gram matrix is singular over the field.
+def gram_singular_labels(r, s, generic, field):
+    """Labels of B_{r,s} whose Gram matrix is singular over the field.
 
-    The determinants are taken once over the generic field, on the engine
-    generic; at the field's point a determinant vanishes exactly when its
-    reduced numerator does.  A reduced denominator vanishes only where
-    q^2 = 1, which Field.delta() refuses; vanishes_under raises FieldError
-    there.
+    generic(f) is an (r, s) engine over the generic field holding the cell
+    modules of layer f, where the determinants are taken once; at the
+    field's point one vanishes exactly when its reduced numerator does.  A
+    reduced denominator vanishes only where q^2 = 1, which Field.delta()
+    refuses; vanishes_under raises FieldError there.
     """
-    if not isinstance(generic.field, GenericField):
-        raise RepError("needs an engine over the generic field")
-    return [lab for lab in cell_labels(generic.r, generic.s)
-            if vanishes_under(
-                gram_determinant_fraction(cell_module(generic, lab)), field)]
+    out = []
+    for lab in cell_labels(r, s):
+        eng = generic(lab.f)
+        if not isinstance(eng.field, GenericField) or (eng.r, eng.s) != (r, s):
+            raise RepError("needs the (%d, %d) engines over the generic field"
+                           % (r, s))
+        if vanishes_under(gram_determinant_fraction(cell_module(eng, lab)),
+                          field):
+            out.append(lab)
+    return out
 
 
 def semisimplicity(r, s, field, mode="closed_form", generic=None):
     """The semisimplicity verdict, by closed form, by Gram determinants,
-    or by both with an integrity comparison.  generic is the (r, s) engine
-    over the generic field, or a function that returns it; the Gram side
-    needs it, and a function is called only when the Gram side runs."""
+    or by both with an integrity comparison.  generic maps a layer to its
+    engine over the generic field, as gram_singular_labels takes it; only
+    the Gram side needs it, and calls it only when it runs."""
     if mode not in ("closed_form", "gram", "both"):
         raise RepError("unknown mode %r" % (mode,))
     closed = _closed_form_verdict(r, s, field)
@@ -161,12 +166,10 @@ def semisimplicity(r, s, field, mode="closed_form", generic=None):
             closed.reason == "quantum characteristic too small"):
         # no Gram work below the quantum characteristic bound
         return closed
-    if callable(generic):
-        generic = generic()
-    if generic is None or (generic.r, generic.s) != (r, s):
-        raise RepError("mode %r needs the (%d, %d) generic engine"
+    if generic is None:
+        raise RepError("mode %r needs the (%d, %d) generic engines"
                        % (mode, r, s))
-    witnesses = tuple(gram_singular_labels(generic, field))
+    witnesses = tuple(gram_singular_labels(r, s, generic, field))
     gram_verdict = not witnesses
     if mode == "both" and gram_verdict != closed.verdict:
         raise RepError(

@@ -437,14 +437,18 @@ def test_quotient_cellular_labels():
 
 @pytest.mark.parametrize("r,s,spec", [
     (r, s, spec)
-    for r, s in [(2, 2), (3, 2), (2, 3), (3, 3)]
-    for spec in ["gfp:13,2,6", "q-power:0:neg", "generic"]
-    if spec != "generic" or r + s <= 5])
+    for r, s in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)]
+    for spec in ["gfp:13,2,6", "q-power:0:neg", "generic", "delta-zero"]
+    if spec not in ("generic", "delta-zero") or r + s <= 5]
+    + [(4, 3, "gfp:13,2,6")])
 def test_layer_quotient_gram_matches_full_engine(r, s, spec):
-    # C(f, lambda) and its form live in B/J_{f+1}: the quotient at the
-    # label's layer gives the Gram matrix and determinant of the full engine
+    # C(f, lambda) and its form live in the block e^f B/J_{f+1}: the block
+    # of the label's layer gives the Gram matrix and determinant of the full
+    # engine, at every layer f <= 2, the top layer included when r != s
     full = build_engine(r, s, spec)
-    for f in range(min(r, s)):
+    for f in range(min(r, s, 2) + 1):
+        if f == r == s:
+            continue
         quo = build_engine(r, s, spec, layer=f)
         for label in cell_labels(r, s):
             if label.f != f:

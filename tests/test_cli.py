@@ -136,7 +136,9 @@ def _counting_builds(monkeypatch):
 
 def test_gram_closes_one_layer_quotient(capsys, monkeypatch):
     # at f = 1 the Gram form needs only the block e_1 B/J_2, of dimension
-    # |D^1| 2! 2! = 9 * 4 = 36 at (3, 3); f = 2 closes the full algebra
+    # |D^1| 2! 2! = 9 * 4 = 36 at (3, 3); the top layer of (3, 2) closes
+    # the block e^2 B of dimension |D^2| = 6, but the top layer at r = s
+    # has no block and closes the full algebra
     built = _counting_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "gram", "--r", "3", "--s", "3",
                            "--field", "gfp:13,2,6", "1", "2/2")
@@ -145,7 +147,11 @@ def test_gram_closes_one_layer_quotient(capsys, monkeypatch):
     built.clear()
     code, out, _ = run_cli(capsys, "gram", "--r", "3", "--s", "2",
                            "--field", "gfp:13,2,6", "2", "1/-")
-    assert code == EXIT_OK and built == [(2, 120)]
+    assert code == EXIT_OK and built == [(2, 6)]
+    built.clear()
+    code, out, _ = run_cli(capsys, "gram", "--r", "2", "--s", "2",
+                           "--field", "gfp:13,2,6", "2", "/")
+    assert code == EXIT_OK and built == [(None, 24)]
 
 
 def test_gram_quotient_is_size_guarded_and_not_cached(tmp_path, capsys,
@@ -299,9 +305,9 @@ def test_cache_roundtrip(tmp_path, capsys):
                             "--cache-dir", cache)
     assert code == EXIT_OK and out1 == out2
     # a cached engine is also good enough for matrix work
-    code, out, _ = run_cli(capsys, "gram", "--r", "2", "--s", "1",
-                           "--cache-dir", cache, "1", "1/-")
-    assert code == EXIT_OK and json.loads(out)["dim"] == 2
+    code, out, _ = run_cli(capsys, "central", "--r", "2", "--s", "1",
+                           "--cache-dir", cache)
+    assert code == EXIT_OK and json.loads(out)["ok"]
 
 
 def test_text_and_csv_formats(capsys):
@@ -332,33 +338,48 @@ def test_csv_refused_before_any_work(capsys, monkeypatch, argv):
 
 
 def test_gram_side_reuses_cached_engine(tmp_path, capsys, monkeypatch):
+    # at (2, 1) every layer has a block, so the Gram side of semisimple and
+    # sweep closes the two generic blocks once per run and leaves the cache
+    # alone; dims still reuses the cached algebra
     import qwalled.cli
     cache = str(tmp_path / "cache")
-    code, _, _ = run_cli(capsys, "dims", "--r", "2", "--s", "1",
-                         "--cache-dir", cache)
+    code, dims, _ = run_cli(capsys, "dims", "--r", "2", "--s", "1",
+                            "--cache-dir", cache)
     assert code == EXIT_OK
+    written = _only_cache_file(tmp_path / "cache").read_text()
+    build = qwalled.cli.build_engine
     builds = []
 
-    def counting_build(*args, **kwargs):
-        builds.append(args)
+    def blocks_only(r, s, field, layer=None):
+        assert layer is not None, "closure of the full algebra"
+        builds.append((field.spec_string(), layer))
+        return build(r, s, field, layer=layer)
+
+    monkeypatch.setattr(qwalled.cli, "build_engine", blocks_only)
+    runs = [["semisimple", "--mode", "gram"],
+            ["semisimple", "--mode", "both"],
+            # over another field the Gram side still needs only the
+            # generic blocks
+            ["semisimple", "--field", "gfp:13,2,6", "--mode", "gram"],
+            ["sweep", "--amax", "1"]]
+    outs = []
+    for argv in runs:
+        builds.clear()
+        code, out, _ = run_cli(capsys, argv[0], "--r", "2", "--s", "1",
+                               "--cache-dir", cache, *argv[1:])
+        assert code == EXIT_OK
+        assert sorted(builds) == [("generic", 0), ("generic", 1)]
+        outs.append(json.loads(out))
+    assert outs[0]["semisimple"] and outs[1]["semisimple"]
+    assert outs[2]["witnesses"] and len(outs[3]["points"]) == 6
+    assert _only_cache_file(tmp_path / "cache").read_text() == written
+
+    def no_closure(*args, **kwargs):
         raise AssertionError("closure on a warm cache")
 
-    monkeypatch.setattr(qwalled.cli, "build_engine", counting_build)
-    for mode in ("gram", "both"):
-        code, out, _ = run_cli(capsys, "semisimple", "--r", "2", "--s", "1",
-                               "--cache-dir", cache, "--mode", mode)
-        assert code == EXIT_OK and json.loads(out)["semisimple"]
-    # over another field the Gram side still needs only the generic engine
-    code, out, _ = run_cli(capsys, "semisimple", "--r", "2", "--s", "1",
-                           "--field", "gfp:13,2,6", "--cache-dir", cache,
-                           "--mode", "gram")
-    assert code == EXIT_OK and json.loads(out)["witnesses"]
-    # sweep takes its generic determinants from the cached engine
-    code, out, _ = run_cli(capsys, "sweep", "--r", "2", "--s", "1",
-                           "--cache-dir", cache, "--amax", "1")
-    assert code == EXIT_OK and len(json.loads(out)["points"]) == 6
-    assert builds == []
-    assert len(list((tmp_path / "cache").iterdir())) == 1
+    monkeypatch.setattr(qwalled.cli, "build_engine", no_closure)
+    assert run_cli(capsys, "dims", "--r", "2", "--s", "1",
+                   "--cache-dir", cache)[:2] == (EXIT_OK, dims)
 
 
 def test_sweep_reports_verification_failure(capsys, monkeypatch):
@@ -396,6 +417,34 @@ def test_simples_size_guard(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["semisimple", "--r", "4", "--s", "3", "--mode", "gram"],
+    ["sweep", "--r", "4", "--s", "3"],
+])
+def test_gram_side_size_guard(argv, capsys, monkeypatch):
+    # the Gram side loads one engine per layer, and each load checks
+    # --max-total before its closure
+    import qwalled.cli
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure before the size guard")
+    monkeypatch.setattr(qwalled.cli, "build_engine", no_closure)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "max-total" in err and err.count("\n") == 1
+
+
+def test_sweep_closes_blocks_not_the_algebra(capsys, monkeypatch):
+    # at (3, 2) the nine generic Gram determinants come from the blocks of
+    # dimensions 12, 12 and 6, each closed once for all 22 points; the
+    # 120-dim algebra is never closed
+    built = _counting_builds(monkeypatch)
+    code, _, _ = run_cli(capsys, "sweep", "--r", "3", "--s", "2",
+                         "--amax", "5")
+    assert code == EXIT_OK
+    assert sorted(built) == [(0, 12), (1, 12), (2, 6)]
+
+
 def test_sweep_size_guard(capsys):
     code, _, err = run_cli(capsys, "sweep", "--r", "4", "--s", "4")
     assert code == EXIT_USAGE and "max-total" in err
@@ -429,7 +478,7 @@ def _only_cache_file(cache):
 
 
 def test_truncated_cache_is_rebuilt(tmp_path, capsys):
-    argv = ["gram", "--r", "2", "--s", "1", "1", "1/-"]
+    argv = ["relations", "--r", "2", "--s", "1"]
     code, cold, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     cache = tmp_path / "cache"
@@ -459,7 +508,7 @@ def test_cache_for_another_key_is_rebuilt(tmp_path, capsys):
 
 def test_edited_cache_is_rebuilt(tmp_path, capsys):
     # a coefficient edited in place leaves valid JSON for the right key;
-    # only the SHA-256 on the first line tells the file is not what was
+    # only the CRC-32 on the first line tells the file is not what was
     # written
     from qwalled.engine import engine_from_json
     argv = ["relations", "--r", "2", "--s", "2"]
@@ -481,14 +530,36 @@ def test_edited_cache_is_rebuilt(tmp_path, capsys):
     assert path.read_text() == written
 
 
+def test_flipped_digit_in_cache_is_rebuilt(tmp_path, capsys):
+    # one digit of one coefficient changed in the file's text, as a bad
+    # disk or copy might: the CRC-32 no longer matches, so the engine is
+    # rebuilt and written back
+    import re
+    argv = ["relations", "--r", "2", "--s", "1", "--field", "gfp:13,2,6"]
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    cache = tmp_path / "cache"
+    run_cli(capsys, *argv, "--cache-dir", str(cache))
+    path = _only_cache_file(cache)
+    written = path.read_text()
+    digit = re.search(r'\[\d+,\d+,"(\d)', written).start(1)
+    flipped = str((int(written[digit]) + 1) % 10)
+    path.write_text(written[:digit] + flipped + written[digit + 1:])
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
+    assert code == EXIT_OK and out == cold and err == ""
+    assert path.read_text() == written
+
+
 def test_cli_never_imports_sympy(tmp_path):
     # values of R need no gcd, and the fractions that leave R are reduced
     # by the native heuristic gcd: importing the CLI, a GF(p) call, a
     # generic closure and the generic Gram determinants whose columns hold
     # no unit of R all leave sympy unloaded.  Start-up loads no standard
     # module that only some calls use: fractions waits for a rational
-    # field and hashlib and tempfile for the engine cache.  The child runs
-    # with -S, so that no site hook preloads any of them.
+    # field and tempfile for the engine cache.  The cache's CRC-32 comes
+    # from zlib, which every call loads anyway (argparse imports shutil),
+    # and no call loads hashlib.  The child runs with -S, so that no site
+    # hook preloads any of them.
     import os
     import subprocess
     import sys
@@ -499,7 +570,7 @@ def test_cli_never_imports_sympy(tmp_path):
         "import contextlib, io, sys",
         "import qwalled.cli",
         "LAZY = ('dataclasses', 'inspect', 'fractions', 'decimal',",
-        "        'hashlib', 'tempfile', 'sympy')",
+        "        'tempfile', 'hashlib', 'sympy')",
         "def call(argv):",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert qwalled.cli.main(argv) == 0, argv",
@@ -520,10 +591,10 @@ def test_cli_never_imports_sympy(tmp_path):
         "    assert call(argv) == [], argv",
         "assert 'fractions' in call(['gram', '--r', '2', '--s', '1',",
         "                            '--field', 'rational:2,3', '1', '1/-'])",
-        "assert 'hashlib' not in sys.modules",
-        "assert {'hashlib', 'tempfile'} <= set(call(",
-        "    ['dims', '--r', '2', '--s', '1', '--field', 'gfp:13,2,6',",
-        "     '--cache-dir', sys.argv[1]]))",
+        "assert 'zlib' in sys.modules",
+        "cached = call(['dims', '--r', '2', '--s', '1', '--field',",
+        "               'gfp:13,2,6', '--cache-dir', sys.argv[1]])",
+        "assert 'tempfile' in cached and 'hashlib' not in cached, cached",
     ])
     proc = subprocess.run([sys.executable, "-S", "-c", script,
                            str(tmp_path / "cache")],
@@ -535,24 +606,27 @@ def test_cli_never_imports_sympy(tmp_path):
 
 @pytest.mark.parametrize("spec,mode,fields,closures", [
     ("rho2:1", "both", 2, 1),
+    ("generic", "gram", 1, 1),
     ("gfp:5,2,2", "gram", 1, 0),
 ])
 def test_semisimple_closes_the_generic_engine_at_most_once(
         spec, mode, fields, closures, capsys, monkeypatch):
-    # both fields of rho2:1 share one generic engine; GF(5) with q = 2 stops
-    # below the quantum characteristic bound and needs no engine
+    # the Gram side closes the generic blocks of layers 0, 1 and 2 once,
+    # shared by both fields of rho2:1, and never the 120-dim algebra; GF(5)
+    # with q = 2 stops below the quantum characteristic bound and needs no
+    # engine
     import qwalled.cli
     built = []
     build = qwalled.cli.build_engine
 
-    def counting(r, s, field):
-        built.append(field.spec_string())
-        return build(r, s, field)
+    def counting(r, s, field, layer=None):
+        built.append((field.spec_string(), layer))
+        return build(r, s, field, layer=layer)
     monkeypatch.setattr(qwalled.cli, "build_engine", counting)
     code, out, _ = run_cli(capsys, "semisimple", "--r", "3", "--s", "2",
                            "--field", spec, "--mode", mode)
     assert code == EXIT_OK
-    assert built == ["generic"] * closures
+    assert sorted(built) == [("generic", f) for f in (0, 1, 2)] * closures
     assert len(out.splitlines()) == fields
 
 

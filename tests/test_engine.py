@@ -350,11 +350,15 @@ def test_errors(b22):
 
 
 def test_dimension_mismatch(monkeypatch):
+    # a block is checked against layer_dimension(r, s, f); the full
+    # algebra against (r+s)! alone
     import qwalled.engine
     monkeypatch.setattr(qwalled.engine, "layer_dimension",
                         lambda r, s, f: 7)
-    with pytest.raises(EngineError, match="closure dimension 6, expected 7"):
-        AlgebraEngine(2, 1, GEN)
+    with pytest.raises(EngineError, match="closure dimension 2, expected 7"):
+        AlgebraEngine(2, 1, GEN, layer=1)
+    full = AlgebraEngine(2, 1, GEN)
+    assert full.dim == 6 and full.layer is None and not full.is_block
 
 
 def test_quotient_closure():
@@ -368,29 +372,47 @@ def test_quotient_closure():
 @pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3),
                                  (3, 3), (4, 2)])
 def test_layer_quotient_dimensions(r, s):
-    # below the top the engine is the block e^f B/J_{f+1}, of dimension
-    # |D^f| (r-f)! (s-f)!; (r+s)! at f = min(r, s)
+    # the engine of layer f is the block e^f B/J_{f+1}, of dimension
+    # |D^f| (r-f)! (s-f)!; at the top layer f = min(r, s), J_{f+1} = 0 and
+    # the block is e^f B, which has no presentation here when r = s
     top = min(r, s)
-    assert layer_dimension(r, s, top) == math.factorial(r + s)
     field = PrimeField(13, 2, 6)
-    for f in range(top):
-        if r + s <= 5 or f <= 1:
+    for f in range(top + 1):
+        assert layer_dimension(r, s, f) == coset_count(r, s, f) \
+            * math.factorial(r - f) * math.factorial(s - f)
+        if f == top and r == s:
+            with pytest.raises(EngineError, match="no block"):
+                build_engine(r, s, field, layer=f)
+        elif r + s <= 6:
             quo = build_engine(r, s, field, layer=f)
-            assert quo.layer == f
-            assert quo.dim == layer_dimension(r, s, f) \
-                == coset_count(r, s, f) * math.factorial(r - f) \
-                * math.factorial(s - f)
+            assert quo.layer == f and quo.is_block
+            assert quo.dim == layer_dimension(r, s, f)
 
 
-def test_layer_generator_is_e_power():
+@pytest.fixture(scope="module")
+def b33p():
+    return build_engine(3, 3, "gfp:13,2,6")
+
+
+def test_layer_generator_is_e_power(b33p):
     # the generator of J_{f+1} is e^{f+1} up to a unit on the right:
     # e_1, e_1 e_2, and e_1 e_2 e_3 (g_1 g*_1^{-1})^{-1}
-    eng = build_engine(3, 3, "gfp:13,2,6")
+    eng = b33p
     e = [eng.e_ij_letters(i, i) for i in (1, 2, 3)]
     gens = [ev(eng, eng._layer_letters(f)) for f in (0, 1, 2)]
     assert gens[0] == ev(eng, e[0])
     assert gens[1] == ev(eng, e[0] + e[1])
     assert ev(eng, G(1) + GS(1, -1), gens[2]) == ev(eng, e[0] + e[1] + e[2])
+
+
+def test_ecap_letters_is_e_power(b33p):
+    # the word of e^f by tool.d.1 is the product e_{1,1} ... e_{f,f}
+    eng = b33p
+    e = [eng.e_ij_letters(i, i) for i in (1, 2, 3)]
+    assert eng.ecap_letters(0) == []
+    for f in (1, 2, 3):
+        assert ev(eng, eng.ecap_letters(f)) \
+            == ev(eng, [x for word in e[:f] for x in word])
 
 
 @pytest.mark.parametrize("spec", ["generic", "delta-zero"])

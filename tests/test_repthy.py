@@ -199,7 +199,7 @@ def test_semisimplicity_grid_both_modes():
             for sign in (1, -1):
                 field = OneVarField(a, sign)
                 v = semisimplicity(r, s, field, mode="both",
-                                   generic=engine(r, s, GEN))
+                                   generic=lambda f: engine(r, s, GEN))
                 assert isinstance(v, SemisimplicityVerdict)
                 if field.raw_is_zero(field.delta()):
                     expected = (r, s) in {(1, 2), (2, 1), (1, 3), (3, 1)}
@@ -215,7 +215,7 @@ def test_semisimplicity_grid_32():
         for sign in (1, -1):
             field = OneVarField(a, sign)
             v = semisimplicity(3, 2, field, mode="both",
-                               generic=engine(3, 2, GEN))
+                               generic=lambda f: engine(3, 2, GEN))
             if field.raw_is_zero(field.delta()):
                 assert not v.verdict
             else:
@@ -224,16 +224,25 @@ def test_semisimplicity_grid_32():
 
 def test_semisimplicity_witness_example():
     v = semisimplicity(2, 1, OneVarField(1), mode="gram",
-                       generic=engine(2, 1, GEN))
+                       generic=lambda f: engine(2, 1, GEN))
     assert v.witnesses == (lab(2, 1, 1, (1,), ()),)
 
 
 def test_gram_singular_labels_fallback():
     # rational points exercise the generic-transfer path with exact values
     field = RationalField(2, 2)  # rho = q, inside the coincidence band
-    bad = gram_singular_labels(engine(2, 1, GEN), field)
+    bad = gram_singular_labels(2, 1, lambda f: engine(2, 1, GEN), field)
     assert bad == [lab(2, 1, 1, (1,), ())]
-    assert gram_singular_labels(engine(2, 1, GEN), GEN) == []
+    assert gram_singular_labels(2, 1, lambda f: engine(2, 1, GEN), GEN) == []
+
+
+def test_gram_singular_labels_needs_generic_engines():
+    # the engine of each layer must be over Q(q, rho) and of the same (r, s)
+    for wrong in (engine(2, 1, PrimeField(13, 2, 6)), engine(1, 2, GEN)):
+        with pytest.raises(RepError, match="generic field"):
+            gram_singular_labels(2, 1, lambda f: wrong, GEN)
+    with pytest.raises(RepError, match="generic engines"):
+        semisimplicity(2, 1, GEN, mode="gram")
 
 
 def test_gram_singular_labels_blocked_transfer(monkeypatch):
@@ -247,7 +256,7 @@ def test_gram_singular_labels_blocked_transfer(monkeypatch):
 
     monkeypatch.setattr(qwalled.engine.AlgebraEngine, "_build", no_closure)
     with pytest.raises(FieldError, match="denominator vanishes"):
-        gram_singular_labels(generic, PrimeField(13, 1, 6))
+        gram_singular_labels(2, 1, lambda f: generic, PrimeField(13, 1, 6))
 
 
 @st.composite
