@@ -23,7 +23,7 @@ from .combinat import (
     std_tableau_pairs,
     t_row,
 )
-from .engine import act, evaluate_factors, g_tok, gs_tok, word_letters
+from .engine import act, evaluate_factors, g_tok, gs_tok
 from .hecke import HeckeAlgebra
 from .linalg import Echelon, determinant, matrix_rank
 
@@ -75,11 +75,11 @@ def basis_labels(r, s, label):
 
 def coset_letters(rep):
     """The word of g_d for a coset rep d, leftmost factor first:
-    g_{f,i_f} g*_{f,j_f} ... g_{1,i_1} g*_{1,j_1}, as letters."""
+    g_{f,i_f} g*_{f,j_f} ... g_{1,i_1} g*_{1,j_1}."""
     out = []
     for k in range(rep.f, 0, -1):
-        out += word_letters(g_tok, s_range_word(k, rep.i_list[k - 1]))
-        out += word_letters(gs_tok, s_range_word(k, rep.j_list[k - 1]))
+        out += [g_tok(i) for i in s_range_word(k, rep.i_list[k - 1])]
+        out += [gs_tok(j) for j in s_range_word(k, rep.j_list[k - 1])]
     return out
 
 
@@ -108,7 +108,7 @@ def symmetrizer_factor(engine, lam, offset, starred):
     strands or (starred) the g* strands."""
     alg = HeckeAlgebra(engine.s if starred else engine.r, engine.field)
     mk = gs_tok if starred else g_tok
-    return [(c, word_letters(mk, reduced_word(w)))
+    return [(c, [mk(i) for i in reduced_word(w)])
             for w, c in alg.n_sym(lam, offset).items()]
 
 
@@ -126,16 +126,16 @@ def left_factors(engine, label, left, syms):
     head = coset_letters(left.rep)[::-1]
     head += engine.ecap_letters(label.f)
     for tok, tab in zip((g_tok, gs_tok), left.tab):
-        head += word_letters(tok, reduced_word(perm_inverse(d_perm(tab))))
+        head += [tok(i) for i in reduced_word(perm_inverse(d_perm(tab)))]
     return [[(engine.field.one, head)], *syms]
 
 
 def right_letters(right):
     """The tail g_{d(t1)} g*_{d(t2)} g_d of C_{(s,e)(t,d)}, which depends on
-    the right index only, as letters."""
+    the right index only."""
     tail = []
     for tok, tab in zip((g_tok, gs_tok), right.tab):
-        tail += word_letters(tok, reduced_word(d_perm(tab)))
+        tail += [tok(i) for i in reduced_word(d_perm(tab))]
     tail += coset_letters(right.rep)
     return tail
 
@@ -166,7 +166,7 @@ class _CellData:
     def __init__(self, engine):
         self.engine = engine
         self.labels = [label for label in cell_labels(engine.r, engine.s)
-                       if not engine.is_block or label.f == engine.layer]
+                       if engine.layer in (None, label.f)]
         self.items = []
         self.index = {}
         self.by_label = {}
@@ -178,7 +178,7 @@ class _CellData:
             tails = [tuple(right_letters(right)) for right in bl]
             ident = anchor_label(label).rep
             for left in bl:
-                if engine.is_block and left.rep != ident:
+                if engine.layer is not None and left.rep != ident:
                     continue
                 memo = {(): evaluate_factors(
                     engine, left_factors(engine, label, left, syms),
@@ -257,7 +257,7 @@ class CellModule:
             x = data.items[data.index[(label, self.anchor, b)]][3]
             for tok in engine.tokens:
                 self.act_table[(i, tok)] = self._extract(
-                    data, act(engine, x, [(tok, 1)]))
+                    data, act(engine, x, [tok]))
         self._gram = None
         self._det = None
         self._det_fraction = None
@@ -366,7 +366,7 @@ def validate_cell_datum(engine, alternate_anchors=None):
     raises CellularError).
     """
     from .engine import sigma
-    if engine.is_block:
+    if engine.layer is not None:
         raise CellularError("the layer-%d block is not a cellular algebra"
                             % engine.layer)
     if alternate_anchors is not None and alternate_anchors < 1:
@@ -399,13 +399,4 @@ def validate_cell_datum(engine, alternate_anchors=None):
     report["ok"] = (report["basis"] and report["involution"]
                     and report["triangular"])
     return report
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-def _label_text(label):
-    return {"f": label.f,
-            "first": list(label.shape.first),
-            "second": list(label.shape.second)}
 

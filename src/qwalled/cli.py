@@ -32,7 +32,6 @@ from .groundfield import (
 )
 from .cellular import (
     CellularError,
-    _label_text,
     cell_label,
     cell_labels,
     cell_module,
@@ -128,8 +127,8 @@ def _read_cache(path, config, field):
         if _digest(text) != digest:
             return None
         engine = engine_from_json(text)
-    except (OSError, ValueError, LookupError, TypeError, EngineError,
-            FieldError):
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            EngineError, FieldError):
         return None
     key = (config.r, config.s, field.spec_string(),
            math.factorial(config.r + config.s))
@@ -147,12 +146,10 @@ def _check_size(config):
             % (config.r + config.s, config.max_total))
 
 
-def load_engine(config, field, layer=None):
-    """The (r, s) engine over the field, through the cache when there is
-    one; with a layer, the layer block, closed afresh and never cached."""
+def load_engine(config, field):
+    """The (r, s) algebra over the field, through the cache when there is
+    one."""
     _check_size(config)
-    if layer is not None:
-        return build_engine(config.r, config.s, field, layer=layer)
     if not config.cache_dir:
         return build_engine(config.r, config.s, field)
     path = _cache_path(config, field)
@@ -195,12 +192,15 @@ def layer_engine(config, field, f):
     """The engine holding the cell modules of layer f: the block e^f
     B/J_{f+1} up to GRAM_QUOTIENT_MAX_LAYER (the top layer at r = s has
     none), else the full algebra.  Loaded once per run and field, so the
-    fields of a spec and the points of a sweep share their Gram data."""
+    fields of a spec and the points of a sweep share their Gram data.  A
+    block is closed afresh and never cached."""
     layer = f if f <= GRAM_QUOTIENT_MAX_LAYER \
         and not f == config.r == config.s else None
     key = (field.spec_string(), layer)
     if key not in config.engines:
-        config.engines[key] = load_engine(config, field, layer)
+        _check_size(config)
+        config.engines[key] = load_engine(config, field) if layer is None \
+            else build_engine(config.r, config.s, field, layer=layer)
     return config.engines[key]
 
 
@@ -236,6 +236,12 @@ def _shape_text(label):
     def part(p):
         return ",".join(str(x) for x in p) or "-"
     return "%s/%s" % (part(label.shape.first), part(label.shape.second))
+
+
+def _label_text(label):
+    return {"f": label.f,
+            "first": list(label.shape.first),
+            "second": list(label.shape.second)}
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +321,7 @@ def cmd_central(config, field):
     ok = True
     for label in cell_labels(config.r, config.s):
         try:
-            cc = central_character(engine, label)
+            cc = central_character(cell_module(engine, label))
             verified = True
             scalar = cc.scalar
         except RepError:
@@ -368,18 +374,20 @@ def cmd_branch(config, field):
     label = _config_label(config)
     if config.r < 2:
         raise UsageError("branch needs r >= 2")
-    engine = load_engine(config, field)
-    result = branching_check(engine, label)
-    report = _report(config, field, **result)
-    rows = result["sections"]
+    result = branching_check(
+        cell_module(layer_engine(config, field, label.f), label))
+    sections = result["sections"]
     text = ["%s -> %d sections, dim %d" % (_shape_text(label),
-                                           len(rows), result["dim"])]
+                                           len(sections), result["dim"])]
     text += ["  %-7s f=%d %-12s dim %d" % (
-        r["kind"], r["label"]["f"],
-        "%s/%s" % (",".join(map(str, r["label"]["first"])) or "-",
-                   ",".join(map(str, r["label"]["second"])) or "-"),
-        r["dim"]) for r in rows]
+        sec["kind"], sec["label"].f, _shape_text(sec["label"]), sec["dim"])
+        for sec in sections]
     text.append("ok: %s" % result["ok"])
+    rows = [dict(sec, label=_label_text(sec["label"]),
+                 scalar=field.to_text(sec["scalar"])) for sec in sections]
+    report = _report(config, field, **dict(
+        result, label=_label_text(label), sections=rows,
+        trace=field.to_text(result["trace"])))
     return (EXIT_OK if result["ok"] else EXIT_FAILURE,
             emit(config, report, rows, ["kind", "dim", "scalar"], text))
 

@@ -8,8 +8,10 @@ dependencies, and dependent words are eliminated.  The surviving
 words form the normal basis; its size must come out to (r+s)! for the
 full algebra, and to layer_dimension(r, s, f) for the block of layer f.
 
-Token kinds are ("e",), ("g", i) and ("gs", j); inverses are expanded via
-g^{-1} = g - (q - q^{-1}) and never appear as tokens.
+A token is the text it is serialized as: "e", "g<i>" or "gs<j>", and the
+inverse tokens "g<i>^-1" and "gs<j>^-1", which only inv_letters makes.  A
+word is a list of tokens.  An inverse is expanded as g^{-1} = g - (q -
+q^{-1}), so no action table holds a row for one.
 
 An engine at layer f closes the layer block e^f B/J_{f+1}, a right module
 holding the cell modules C(f, lambda) and their Gram forms; J_{f+1} =
@@ -24,7 +26,7 @@ algebra H_r (x) H_s.  The top layer at r = s, with neither g_f nor g*_f,
 has no block.  A block of layer f >= 1 is a right module: sigma refuses it.
 
 A vector is a dict {basis index: raw value}; the identity is {0: one}.
-act applies letters to a vector through an act_table, and
+act applies a word to a vector through an act_table, and
 evaluate_factors applies a product of factors; both take an engine or a
 cell module, whose act_table has the same layout.
 
@@ -46,7 +48,8 @@ from .groundfield import fields_from_spec
 
 SCHEMA_VERSION = 1
 
-E_TOK = ("e",)
+E_TOK = "e"
+INV = "^-1"
 
 
 class EngineError(Exception):
@@ -54,35 +57,19 @@ class EngineError(Exception):
 
 
 def g_tok(i):
-    return ("g", i)
+    return "g%d" % i
 
 
 def gs_tok(j):
-    return ("gs", j)
-
-
-def word_letters(tok, indices):
-    """Letters of the word of tok(i), i over the indices."""
-    return [(tok(i), 1) for i in indices]
-
-
-def token_text(tok):
-    return tok[0] if tok == E_TOK else "%s%d" % (tok[0], tok[1])
-
-
-def token_from_text(text):
-    if text == "e":
-        return E_TOK
-    if text.startswith("gs"):
-        return gs_tok(int(text[2:]))
-    if text.startswith("g"):
-        return g_tok(int(text[1:]))
-    raise EngineError("bad token text %r" % text)
+    return "gs%d" % j
 
 
 def inv_letters(letters):
-    """Inverse of a product given as (token, power) letters."""
-    return [(tok, -p) for tok, p in reversed(letters)]
+    """The inverse of a word of g and g* tokens; e_1 has none."""
+    if E_TOK in letters:
+        raise EngineError("e_1 is not invertible")
+    return [tok.removesuffix(INV) if tok.endswith(INV) else tok + INV
+            for tok in reversed(letters)]
 
 
 class AlgebraEngine:
@@ -112,18 +99,18 @@ class AlgebraEngine:
         f = field
         self.tokens = [E_TOK] + [g_tok(i) for i in range(1, r)] \
             + [gs_tok(j) for j in range(1, s)]
-        self.is_block = layer is not None
         self.relations = [_relation(f, lhs, rhs)
                           for _, lhs, rhs in defining_identities(self)]
         self._root_relations = []
-        if self.is_block and layer < top:
+        if layer is not None and layer < top:
             self.relations.append(_relation(
                 f, [(f.one, self._layer_letters(layer))], []))
-        if self.is_block and layer > 0:
+        if layer:
             # at the root state: x_f = rho^f, x_f = e^f g_1 ... g_f, with
             # the g* when f = r < s
-            x_f = self.ecap_letters(layer) + word_letters(
-                gs_tok if layer == r else g_tok, range(1, layer + 1))
+            tok = gs_tok if layer == r else g_tok
+            x_f = self.ecap_letters(layer)
+            x_f += [tok(i) for i in range(1, layer + 1)]
             self._root_relations.append(_relation(
                 f, [(f.one, x_f)], [(f.raw_pow(f.rho, layer), [])]))
         # data derived from the engine lives exactly as long as the engine:
@@ -135,10 +122,10 @@ class AlgebraEngine:
         self._modules = {}
 
     def _layer_letters(self, f):
-        """Letters of a generator of J_{f+1} = B e^{f+1} B: e^{f+1} without
+        """The word of a generator of J_{f+1} = B e^{f+1} B: e^{f+1} without
         its trailing units, which leave the ideal unchanged."""
         letters = self.ecap_letters(f + 1)
-        while letters[-1][0] != E_TOK:
+        while letters[-1] != E_TOK:
             letters.pop()
         return letters
 
@@ -183,12 +170,12 @@ class AlgebraEngine:
             w = words.get(st)
             if w is None:
                 parent, tok = self._defs[st]
-                w = word_of(parent) + (tok,)
+                w = word_of(parent) + [tok]
                 words[st] = w
             return w
 
-        words[0] = ()
-        self.basis_words = tuple(word_of(st) for st in alive)
+        words[0] = []
+        self.basis_words = [word_of(st) for st in alive]
         self.act_table = {}
         for st in alive:
             for tok in self.tokens:
@@ -269,7 +256,7 @@ class AlgebraEngine:
         iaxpy = self.field.vec_iaxpy
         total = {}
         for coeff, word in rel:
-            iaxpy(total, coeff, self._eval_word(memo, word))
+            iaxpy(total, coeff, self._eval_word(memo, tuple(word)))
         return total
 
     def _impose(self, vec):
@@ -298,27 +285,27 @@ class AlgebraEngine:
     def e_ij_letters(self, i, j):
         if not (1 <= i <= self.r and 1 <= j <= self.s):
             raise EngineError("e_{i,j} index out of range")
-        g = word_letters(g_tok, s_range_word(1, i))
-        gs = word_letters(gs_tok, s_range_word(j, 1))
-        return inv_letters(g) + gs + [(E_TOK, 1)] + g + inv_letters(gs)
+        g = [g_tok(k) for k in s_range_word(1, i)]
+        gs = [gs_tok(k) for k in s_range_word(j, 1)]
+        return inv_letters(g) + gs + [E_TOK] + g + inv_letters(gs)
 
     def ecap_letters(self, f):
-        """Letters of e^f = e_{1,1} ... e_{f,f} by tool.d.1: e^1 = e_1 and
+        """The word of e^f = e_{1,1} ... e_{f,f} by tool.d.1: e^1 = e_1 and
         e^{k+1} = e^k g_k g*_k^{-1} e_{k,k}, half the words of the plain
         product once the inverses are expanded; e^0 is the empty word."""
-        letters = [(E_TOK, 1)] if f else []
+        letters = [E_TOK] if f else []
         for k in range(1, f):
-            letters += [(g_tok(k), 1), (gs_tok(k), -1)] \
+            letters += [g_tok(k)] + inv_letters([gs_tok(k)]) \
                 + self.e_ij_letters(k, k)
         return letters
 
 
 def defining_identities(engine):
     """The defining relations of B_{r,s} as (name, lhs, rhs) identities,
-    each side one factor of (raw coeff, letters) terms, in a fixed order."""
+    each side one factor of (raw coeff, word) terms, in a fixed order."""
     f = engine.field
     one = f.one
-    e = [(E_TOK, 1)]
+    e = [E_TOK]
     out = []
 
     def rel(name, lhs, rhs, c=one):
@@ -328,7 +315,7 @@ def defining_identities(engine):
         """The relations of g_1..g_{n-1} (or the g*) among themselves and
         with e_1: g^2 = (q - q^{-1}) g + 1, far commutation, braid,
         commutation with e_1 and e_1 g_1 e_1 = rho e_1."""
-        x = {i: [(tok(i), 1)] for i in range(1, n)}
+        x = {i: [tok(i)] for i in range(1, n)}
         for i in range(1, n):
             out.append(("def.%s[%d]" % (names[0], i), [(one, x[i] + x[i])],
                         [(f.qdiff, x[i]), (one, [])]))
@@ -349,64 +336,62 @@ def defining_identities(engine):
     rel("def.f", e + e, e, f.delta())
     for i in range(1, r):
         for j in range(1, s):
-            rel("def.g[%d,%d]" % (i, j), [(g_tok(i), 1), (gs_tok(j), 1)],
-                [(gs_tok(j), 1), (g_tok(i), 1)])
+            rel("def.g[%d,%d]" % (i, j), [g_tok(i), gs_tok(j)],
+                [gs_tok(j), g_tok(i)])
     strand_rels("hijkl", gs_tok, s)
     if r >= 2 and s >= 2:
-        g1, s1 = (g_tok(1), 1), (gs_tok(1), 1)
-        mid = [(g_tok(1), -1), s1]
+        g1, s1 = g_tok(1), gs_tok(1)
+        mid = inv_letters([g1]) + [s1]
         rel("def.m", e + mid + e + [g1], e + mid + e + [s1])
         rel("def.n", [g1] + e + mid + e, [s1] + e + mid + e)
     return out
 
 
 def _relation(field, lhs, rhs):
-    """lhs - rhs of two factors as [(raw coeff, token word)], with g^{-1}
-    expanded as g - (q - q^{-1})."""
+    """lhs - rhs of two factors as [(raw coeff, word)], with g^{-1}
+    expanded as g - (q - q^{-1}): no word of it holds an inverse token."""
     mqd = field.raw_neg(field.qdiff)
-    terms = lhs + [(field.raw_neg(c), letters) for c, letters in rhs]
+    terms = lhs + [(field.raw_neg(c), word) for c, word in rhs]
     out = []
-    for c, letters in terms:
-        combos = [(c, ())]
-        for tok, p in letters:
-            if p == 1:
-                combos = [(cw, w + (tok,)) for cw, w in combos]
-            elif p == -1 and tok != E_TOK:
-                combos = [x for cw, w in combos for x in (
-                    (cw, w + (tok,)), (field.raw_mul(cw, mqd), w))]
+    for c, word in terms:
+        combos = [(c, [])]
+        for tok in word:
+            base = tok.removesuffix(INV)
+            if base == tok:
+                combos = [(cw, w + [tok]) for cw, w in combos]
             else:
-                raise EngineError("bad letter power for %r" % (tok,))
+                combos = [x for cw, w in combos for x in (
+                    (cw, w + [base]), (field.raw_mul(cw, mqd), w))]
         out += combos
     return out
 
 
-def act(owner, vec, letters):
-    """vec times a product of (token, power) letters, power +-1, through
-    owner.act_table {(basis index, token): row}.  The owner is an engine or
-    a cell module; g^{-1} = g - (q - q^{-1}) adds -qdiff * vec."""
+def act(owner, vec, word):
+    """vec times a word through owner.act_table {(basis index, token):
+    row}.  The owner is an engine or a cell module; an inverse token g^-1 =
+    g - (q - q^{-1}) takes the row of g and adds -qdiff * vec."""
     field = owner.field
     iaxpy = field.vec_iaxpy
     table = owner.act_table
-    for tok, p in letters:
+    for tok in word:
+        base = tok.removesuffix(INV)
         out = {}
         for i, c in vec.items():
-            iaxpy(out, c, table[(i, tok)])
-        if p == -1 and tok != E_TOK:
+            iaxpy(out, c, table[(i, base)])
+        if base != tok:
             iaxpy(out, field.raw_neg(field.qdiff), vec)
-        elif p != 1:
-            raise EngineError("bad letter power for %r" % (tok,))
         vec = out
     return vec
 
 
 def evaluate_factors(owner, factors, vec):
-    """vec times the product of factors, each a list of (raw coeff,
-    letters) terms, through act."""
+    """vec times the product of factors, each a list of (raw coeff, word)
+    terms, through act."""
     iaxpy = owner.field.vec_iaxpy
     for factor in factors:
         out = {}
-        for c, letters in factor:
-            iaxpy(out, c, act(owner, vec, letters))
+        for c, word in factor:
+            iaxpy(out, c, act(owner, vec, word))
         vec = out
     return vec
 
@@ -431,7 +416,7 @@ def build_engine(r, s, field_tag, layer=None, **kwargs):
 
 def sigma(engine, vec):
     """The anti-involution fixing all generators, on an engine vector."""
-    if engine.is_block and engine.layer > 0:
+    if engine.layer:
         raise EngineError("sigma needs an algebra; the layer-%d block is a "
                           "right module" % engine.layer)
     one = engine.field.one
@@ -441,8 +426,7 @@ def sigma(engine, vec):
     for t, c in vec.items():
         v = cache.get(t)
         if v is None:
-            v = cache[t] = act(engine, {0: one}, [
-                (tok, 1) for tok in reversed(engine.basis_words[t])])
+            v = cache[t] = act(engine, {0: one}, engine.basis_words[t][::-1])
         iaxpy(out, c, v)
     return out
 
@@ -461,12 +445,12 @@ def central_element(engine, r=None, s=None):
     f = engine.field
 
     def g(i, j):
-        return word_letters(g_tok, s_range_word(i, j))
+        return [g_tok(k) for k in s_range_word(i, j)]
 
     def gs(i, j):
-        return word_letters(gs_tok, s_range_word(i, j))
+        return [gs_tok(k) for k in s_range_word(i, j)]
 
-    factor = [(f.one, inv_letters(g(1, i)) + gs(j, 1) + [(E_TOK, 1)]
+    factor = [(f.one, inv_letters(g(1, i)) + gs(j, 1) + [E_TOK]
                + gs(1, j) + inv_letters(g(i, 1)))
               for i in range(1, r + 1) for j in range(1, s + 1)]
     minus_rho_inv = f.raw_neg(f.raw_div(f.one, f.rho))
@@ -503,10 +487,10 @@ def verify_relations(engine):
     for name, lhs, rhs in defining_identities(eng):
         check(name, [lhs], [rhs])
 
-    g = {i: [(g_tok(i), 1)] for i in range(1, r)}
-    gi = {i: [(g_tok(i), -1)] for i in range(1, r)}
-    gs = {j: [(gs_tok(j), 1)] for j in range(1, s)}
-    gsi = {j: [(gs_tok(j), -1)] for j in range(1, s)}
+    g = {i: [g_tok(i)] for i in range(1, r)}
+    gi = {i: inv_letters(g[i]) for i in range(1, r)}
+    gs = {j: [gs_tok(j)] for j in range(1, s)}
+    gsi = {j: inv_letters(gs[j]) for j in range(1, s)}
 
     m = min(r, s)
     e = {i: eng.e_ij_letters(i, i) for i in range(1, m + 1)}
@@ -547,7 +531,7 @@ def verify_relations(engine):
 def engine_to_json(engine):
     """Serialize a full engine deterministically; a layer block has no
     serialized form, so no cache file holds one."""
-    if engine.is_block:
+    if engine.layer is not None:
         raise EngineError("a layer quotient is not serialized")
     field = engine.field
     data = {
@@ -556,8 +540,7 @@ def engine_to_json(engine):
         "s": engine.s,
         "field": field.spec_string(),
         "dim": engine.dim,
-        "basis_words": [[token_text(t) for t in w]
-                        for w in engine.basis_words],
+        "basis_words": engine.basis_words,
         "act": {},
     }
     for tok in engine.tokens:
@@ -566,7 +549,7 @@ def engine_to_json(engine):
             row = engine.act_table[(i, tok)]
             for k in sorted(row):
                 triplets.append([i, k, field.to_text(row[k])])
-        data["act"][token_text(tok)] = triplets
+        data["act"][tok] = triplets
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
@@ -582,20 +565,24 @@ def engine_from_json(text):
     field = fields[0]
     eng = AlgebraEngine.__new__(AlgebraEngine)
     eng._setup(data["r"], data["s"], field)
-    eng.dim = data["dim"]
-    eng.basis_words = tuple(
-        tuple(token_from_text(t) for t in w) for w in data["basis_words"])
+    dim = eng.dim = data["dim"]
+    words = eng.basis_words = data["basis_words"]
+    if data["act"].keys() != set(eng.tokens) or len(words) != dim \
+            or any(tok not in eng.tokens for w in words for tok in w):
+        raise EngineError("the export's tokens or basis words do not fit "
+                          "B_{%d,%d}" % (eng.r, eng.s))
     eng.act_table = {}
     # the tables hold few distinct scalars: parse each text once
     parsed = {}
-    for tok_text_, triplets in data["act"].items():
-        tok = token_from_text(tok_text_)
-        rows = {i: {} for i in range(eng.dim)}
+    for tok, triplets in data["act"].items():
+        rows = {i: {} for i in range(dim)}
         for i, k, val in triplets:
+            if not (0 <= i < dim and 0 <= k < dim):
+                raise EngineError("basis index out of range in the export")
             raw = parsed.get(val)
             if raw is None:
                 raw = parsed[val] = field.parse(val)
             rows[i][k] = raw
-        for i in range(eng.dim):
+        for i in range(dim):
             eng.act_table[(i, tok)] = rows[i]
     return eng

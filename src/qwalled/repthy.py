@@ -20,12 +20,10 @@ from .engine import (
     g_tok,
     gs_tok,
     inv_letters,
-    word_letters,
 )
 from .groundfield import GenericField, vanishes_under
 from .cellular import (
     CellLabel,
-    _label_text,
     cell_labels,
     cell_module,
     gram_determinant_fraction,
@@ -79,17 +77,17 @@ def central_scalar(label, field):
     return out
 
 
-def central_character(engine, label):
-    """The central scalar on C(f, lambda) of the engine's algebra, verified
-    against the action matrix of the central element."""
-    f = engine.field
-    scalar = central_scalar(label, f)
-    mat = cell_module(engine, label).factors_matrix([central_element(engine)])
+def central_character(module):
+    """The central scalar on the cell module C(f, lambda), verified against
+    the action matrix of the central element."""
+    f = module.field
+    scalar = central_scalar(module.label, f)
+    mat = module.factors_matrix([central_element(module.engine)])
     for i, row in enumerate(mat):
         if row != f.vec_iaxpy({}, scalar, {i: f.one}):
             raise RepError("central element is not scalar %s on %r"
-                           % (f.to_text(scalar), label))
-    return CentralCharacter(label, scalar)
+                           % (f.to_text(scalar), module.label))
+    return CentralCharacter(module.label, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +205,8 @@ def branching_sections(label):
 def _y_alpha(engine, label, node):
     """The row-removal section generator."""
     a_k = label.f + label.shape.first.partial_sums(node.row)[-1]
-    return [(engine.field.one,
-             word_letters(g_tok, s_range_word(a_k, engine.r)))]
+    word = [g_tok(i) for i in s_range_word(a_k, engine.r)]
+    return [(engine.field.one, word)]
 
 
 def _z_beta(engine, label, node):
@@ -222,21 +220,21 @@ def _z_beta(engine, label, node):
     minus_q = fld.raw_neg(fld.q)
     out = []
     for j in entries:
-        letters = word_letters(gs_tok, s_range_word(j, c_k))
-        letters += inv_letters(word_letters(gs_tok, s_range_word(f, c_k)))
-        letters += word_letters(g_tok, s_range_word(engine.r, f))
+        letters = [gs_tok(i) for i in s_range_word(j, c_k)]
+        letters += inv_letters([gs_tok(i) for i in s_range_word(f, c_k)])
+        letters += [g_tok(i) for i in s_range_word(engine.r, f)]
         out.append((fld.raw_pow(minus_q, j - c_k), letters[::-1]))
     return out
 
 
-def branching_check(engine, label):
+def branching_check(mod):
     """Dimension and central-trace verification of the restriction
-    filtration, plus non-vanishing of the explicit section generators."""
+    filtration of the cell module, plus non-vanishing of the explicit
+    section generators.  Sections carry their labels and the trace is raw."""
+    engine, label, field = mod.engine, mod.label, mod.field
     r, s = engine.r, engine.s
     if r < 2:
         raise RepError("needs r >= 2")
-    field = engine.field
-    mod = cell_module(engine, label)
     sections = branching_sections(label)
     section_rows = []
     total = 0
@@ -247,12 +245,8 @@ def branching_check(engine, label):
         total += dim
         expected_trace = field.raw_add(
             expected_trace, field.raw_mul(scalar, field.raw_from_int(dim)))
-        section_rows.append({
-            "kind": kind,
-            "label": _label_text(sec),
-            "dim": dim,
-            "scalar": field.to_text(scalar),
-        })
+        section_rows.append(
+            {"kind": kind, "label": sec, "dim": dim, "scalar": scalar})
     dim_ok = total == mod.dim
     trace = field.raw_from_int(0)
     for i, row in enumerate(mod.factors_matrix(
@@ -265,13 +259,10 @@ def branching_check(engine, label):
     anchor = {mod.anchor_index: field.one}
     generators_ok = all(evaluate_factors(mod, [gen], anchor) for gen in gens)
     return {
-        "r": r,
-        "s": s,
-        "label": _label_text(label),
         "sections": section_rows,
         "dim": mod.dim,
         "dim_ok": dim_ok,
-        "trace": field.to_text(trace),
+        "trace": trace,
         "trace_ok": trace_ok,
         "generators_nonzero": generators_ok,
         "ok": dim_ok and trace_ok and generators_ok,

@@ -27,9 +27,9 @@ def perm_from_word(word, n):
 
 def perm_pair(rep, r, s):
     """The element of S_r x S_s that a coset representative stands for."""
-    word = [tok for tok, _ in coset_letters(rep)]
-    return (perm_from_word([i for kind, i in word if kind == "g"], r),
-            perm_from_word([j for kind, j in word if kind == "gs"], s))
+    word = coset_letters(rep)
+    return (perm_from_word([int(t[1:]) for t in word if t[1] != "s"], r),
+            perm_from_word([int(t[2:]) for t in word if t[1] == "s"], s))
 
 
 def m_factor(engine, lam, offset, starred):
@@ -40,7 +40,7 @@ def m_factor(engine, lam, offset, starred):
     f = engine.field
     mk = gs_tok if starred else g_tok
     return [(f.raw_pow(f.q, perm_length(w)),
-             [(mk(i), 1) for i in reduced_word(w)])
+             [mk(i) for i in reduced_word(w)])
             for w in alg.young_subgroup(lam, offset)]
 
 
@@ -50,8 +50,7 @@ def product(engine, x, y):
     iaxpy = engine.field.vec_iaxpy
     out = {}
     for t, c in y.items():
-        iaxpy(out, c, act(engine, x, [(tok, 1)
-                                      for tok in engine.basis_words[t]]))
+        iaxpy(out, c, act(engine, x, engine.basis_words[t]))
     return out
 
 

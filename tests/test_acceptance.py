@@ -169,10 +169,10 @@ def test_criterion_05_central_element():
         toks = ([g_tok(i) for i in range(1, r)]
                 + [gs_tok(j) for j in range(1, s)] + [E_TOK])
         for tok in toks:
-            g = act(eng, one, [(tok, 1)])
-            ok = ok and act(eng, c, [(tok, 1)]) == product(eng, g, c)
+            g = act(eng, one, [tok])
+            ok = ok and act(eng, c, [tok]) == product(eng, g, c)
         for lab in cell_labels(r, s):
-            central_character(eng, lab)
+            central_character(cell_module(eng, lab))
     _verdict(5, "central element", ok)
 
 
@@ -252,7 +252,7 @@ def test_criterion_09_branching():
             continue
         eng = engine(r, s, GEN)
         for lab in cell_labels(r, s):
-            report = branching_check(eng, lab)
+            report = branching_check(cell_module(eng, lab))
             ok = (ok and report["ok"] and report["dim_ok"]
                   and report["trace_ok"] and report["generators_nonzero"])
     _verdict(9, "branching", ok)
@@ -270,7 +270,7 @@ def test_criterion_10_schur_truncation():
         corners += [g_tok(1)] if r >= 2 else []
         rho_inv = GEN.raw_div(GEN.one, GEN.rho)
         for tok in corners:
-            idem = act(eng, {0: rho_inv}, [(E_TOK, 1), (tok, 1)])
+            idem = act(eng, {0: rho_inv}, [E_TOK, tok])
             # the corner subspace B idem has dimension (r+s-1)!
             ok = ok and _rank(product(eng, {t: GEN.one}, idem)
                               for t in range(eng.dim)) \
@@ -323,7 +323,7 @@ def _witness_ok(eng, kind, on_locus):
     one = {0: field.one}
     v = module_row(mod, mod.anchor, evaluate_factors(eng, m, one))
     e1v = module_row(mod, mod.anchor, evaluate_factors(
-        eng, m + [[(field.one, [(E_TOK, 1)])]], one))
+        eng, m + [[(field.one, [E_TOK])]], one))
     return (bool(v) and set(e1v) <= {mod.anchor_index}
             and (not e1v) == field.raw_is_zero(scalar) == on_locus)
 

@@ -106,7 +106,7 @@ def test_basis_small_cases(b21):
     assert len(items) == 2
     by_f = {lab.f: vec for lab, _, _, vec in items}
     one = {0: GEN.one}
-    assert by_f[1] == act(e11, one, [(E_TOK, 1)])
+    assert by_f[1] == act(e11, one, [E_TOK])
     assert by_f[0] == one
 
     items = cellular_data(b21).items
@@ -519,7 +519,7 @@ def test_one_term_factor_keeps_its_coefficient():
     eng = build_engine(2, 1, "gfp:13,2,6")
     f = eng.field
     two = f.raw_from_int(2)
-    twice, once = [[(two, [(E_TOK, 1)])]], [[(f.one, [(E_TOK, 1)])]]
+    twice, once = [[(two, [E_TOK])]], [[(f.one, [E_TOK])]]
     one = {0: f.one}
     e1 = evaluate_factors(eng, once, one)
     assert e1 and evaluate_factors(eng, twice, one) == f.vec_iaxpy({}, two, e1)

@@ -211,6 +211,23 @@ def test_branch(capsys):
     assert data["ok"] and [s["dim"] for s in data["sections"]] == [1, 1]
 
 
+def test_branch_closes_one_layer_block(tmp_path, capsys, monkeypatch):
+    # the cell module of a layer-1 label comes from the 12-dim block e_1
+    # B/J_2 of B_{3,2}, as for gram; the cache is neither read nor written
+    import qwalled.cli
+
+    def no_cache(*args):
+        raise AssertionError("cache file opened")
+    monkeypatch.setattr(qwalled.cli, "_read_cache", no_cache)
+    monkeypatch.setattr(qwalled.cli, "_write_cache", no_cache)
+    built = _counting_builds(monkeypatch)
+    cache = tmp_path / "cache"
+    code, out, _ = run_cli(capsys, "branch", "--r", "3", "--s", "2",
+                           "--cache-dir", str(cache), "1", "2/1")
+    assert code == EXIT_OK and json.loads(out)["ok"]
+    assert built == [(1, 12)] and not cache.exists()
+
+
 def test_sweep(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--r", "2", "--s", "1",
                            "--amax", "3")
@@ -545,6 +562,51 @@ def test_flipped_digit_in_cache_is_rebuilt(tmp_path, capsys):
     digit = re.search(r'\[\d+,\d+,"(\d)', written).start(1)
     flipped = str((int(written[digit]) + 1) % 10)
     path.write_text(written[:digit] + flipped + written[digit + 1:])
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
+    assert code == EXIT_OK and out == cold and err == ""
+    assert path.read_text() == written
+
+
+def _rename_g1(data):
+    data["act"]["g7"] = data["act"].pop("g1")
+
+
+def _drop_gs1(data):
+    del data["act"]["gs1"]
+
+
+def _column_99(data):
+    data["act"]["e"][0][1] = 99
+
+
+def _g5_in_a_word(data):
+    data["basis_words"][-1][0] = "g5"
+
+
+def _act_as_a_list(data):
+    data["act"] = sorted(data["act"].items())
+
+
+@pytest.mark.parametrize("edit", [_rename_g1, _drop_gs1, _column_99,
+                                  _g5_in_a_word, _act_as_a_list],
+                         ids=lambda f: f.__name__)
+def test_cache_that_does_not_fit_the_algebra_is_rebuilt(tmp_path, capsys,
+                                                        edit):
+    # valid JSON under a valid CRC-32 whose tokens, indices or basis words
+    # do not fit B_{2,2}: the loader refuses it, and the engine is rebuilt
+    # and written back
+    import zlib
+    argv = ["cellular", "--r", "2", "--s", "2", "--field", "gfp:13,2,6"]
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    cache = tmp_path / "cache"
+    run_cli(capsys, *argv, "--cache-dir", str(cache))
+    path = _only_cache_file(cache)
+    written = path.read_text()
+    data = json.loads(written.split("\n", 1)[1])
+    edit(data)
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    path.write_text("%08x\n%s" % (zlib.crc32(text.encode()), text))
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
     assert code == EXIT_OK and out == cold and err == ""
     assert path.read_text() == written

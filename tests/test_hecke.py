@@ -19,7 +19,14 @@ from qwalled.combinat import (
     std_tableaux,
     t_row,
 )
-from qwalled.engine import act, build_engine, evaluate_factors, g_tok, sigma
+from qwalled.engine import (
+    act,
+    build_engine,
+    evaluate_factors,
+    g_tok,
+    inv_letters,
+    sigma,
+)
 from qwalled.groundfield import GenericField, PrimeField
 from qwalled.hecke import HeckeAlgebra, HeckeError
 from qwalled.linalg import Echelon
@@ -29,7 +36,7 @@ FIELDS = (GEN, PrimeField(5, 2, 3))
 
 
 def _letters(w):
-    return [(g_tok(i), 1) for i in reduced_word(w)]
+    return [g_tok(i) for i in reduced_word(w)]
 
 
 def _ev(hq, letters, x=None):
@@ -53,17 +60,17 @@ def test_quadratic_relation():
     q, q_inv = GEN.q, GEN.raw_div(GEN.one, GEN.q)
     one = {0: GEN.one}
     for i in (1, 2):
-        g = [(GEN.one, [(g_tok(i), 1)])]
+        g = [(GEN.one, [g_tok(i)])]
         assert not evaluate_factors(
             hq, [g + [(GEN.raw_neg(q), [])], g + [(q_inv, [])]], one)
-        assert _ev(hq, [(g_tok(i), 1), (g_tok(i), -1)]) == one
+        assert _ev(hq, [g_tok(i)] + inv_letters([g_tok(i)])) == one
 
 
 def test_braid_and_commuting():
     hq = build_engine(4, 1, GEN, layer=0)
 
     def g(*word):
-        return _ev(hq, [(g_tok(i), 1) for i in word])
+        return _ev(hq, [g_tok(i) for i in word])
     assert g(1, 2, 1) == g(2, 1, 2)
     assert g(2, 3, 2) == g(3, 2, 3)
     assert g(1, 3) == g(3, 1)
@@ -93,9 +100,9 @@ def test_symmetrizer_eigenvalues():
                 for row in t_row(lam).rows:
                     for a, b in zip(row, row[1:]):
                         assert b == a + 1
-                        assert _ev(hq, [(g_tok(a), 1)], m) \
+                        assert _ev(hq, [g_tok(a)], m) \
                             == field.vec_iaxpy({}, q, m)
-                        assert _ev(hq, [(g_tok(a), 1)], nn) \
+                        assert _ev(hq, [g_tok(a)], nn) \
                             == field.vec_iaxpy({}, minus_q_inv, nn)
 
 
@@ -114,7 +121,7 @@ def test_sigma_antiautomorphism():
         for n in (2, 3, 4):
             hq = build_engine(n, 1, field, layer=0)
             for i in range(1, n):
-                g = _ev(hq, [(g_tok(i), 1)])
+                g = _ev(hq, [g_tok(i)])
                 assert sigma(hq, g) == g
             for lam in partitions(n):
                 for kind in ("m", "n"):
@@ -190,9 +197,9 @@ def test_normal_form_independence():
     hq = build_engine(4, 1, GEN, layer=0)
     for _ in range(100):
         word = [rng.randrange(1, 4) for _ in range(rng.randrange(0, 7))]
-        direct = _ev(hq, [(g_tok(i), 1) for i in word])
+        direct = _ev(hq, [g_tok(i) for i in word])
         # evaluate in a random association order via explicit products
-        parts = [_ev(hq, [(g_tok(i), 1)]) for i in word] or [{0: GEN.one}]
+        parts = [_ev(hq, [g_tok(i)]) for i in word] or [{0: GEN.one}]
         while len(parts) > 1:
             k = rng.randrange(len(parts) - 1)
             parts[k:k + 2] = [product(hq, parts[k], parts[k + 1])]
