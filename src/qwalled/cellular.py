@@ -160,7 +160,8 @@ class _CellData:
     right index (t, d).  The tails go through a prefix memo {letters:
     vector} that lives for one left index, so rights that share tableaux
     share the products of their common prefixes.  Each item is (label,
-    left, right, engine vector).
+    left, right, engine vector).  The cell modules built on these
+    coordinates are kept by label in modules (cell_module).
     """
 
     def __init__(self, engine):
@@ -171,6 +172,7 @@ class _CellData:
         self.index = {}
         self.by_label = {}
         self.ech = Echelon(engine.field, track=True)
+        self.modules = {}
         for label in self.labels:
             bl = basis_labels(engine.r, engine.s, label)
             self.by_label[label] = bl
@@ -231,9 +233,9 @@ class CellModule:
     engine's layout, {(basis index, token): row}, so act and
     evaluate_factors act on module vectors as on engine vectors; row
     (i, tok) is the class of C_{(u,a) i} * tok, with the anchor row (u,a)
-    fixed to (t^lambda, identity).  The Gram matrix, its determinant and,
-    over a function field, the determinant's reduced Laurent fraction are
-    memoized on the module.
+    fixed to (t^lambda, identity).  The Gram matrix and, over a function
+    field, its determinant's reduced Laurent fraction are memoized on the
+    module.
     """
 
     def __init__(self, engine, label, anchor=None):
@@ -259,7 +261,6 @@ class CellModule:
                 self.act_table[(i, tok)] = self._extract(
                     data, act(engine, x, [tok]))
         self._gram = None
-        self._det = None
         self._det_fraction = None
 
     def _extract(self, data, vec):
@@ -287,9 +288,10 @@ class CellModule:
 
 def cell_module(engine, label):
     """The engine's cell module C(f, lambda), built on first use."""
-    mod = engine._modules.get(label)
+    modules = cellular_data(engine).modules
+    mod = modules.get(label)
     if mod is None:
-        mod = engine._modules[label] = CellModule(engine, label)
+        mod = modules[label] = CellModule(engine, label)
     return mod
 
 
@@ -333,9 +335,7 @@ def gram_matrix(module):
 
 
 def gram_determinant(module):
-    if module._det is None:
-        module._det = determinant(module.field, gram_matrix(module))
-    return module._det
+    return determinant(module.field, gram_matrix(module))
 
 
 def gram_determinant_fraction(module):

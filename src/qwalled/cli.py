@@ -1,6 +1,11 @@
 """Command-line surface: build or cache engines, run the verification
 suites, and emit tables and reports.
 
+Field specs are parsed here and nowhere else.  Every command gets its
+engines from layer_engine, which keeps them for the run and reads and
+writes the cache file of the full algebra; the cache code checks only the
+file (its CRC-32), and engine_from_json judges its text.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 a malformed field spec or a field where q - q^{-1} is not invertible), 141
 when stdout is closed before the output is written (128 + SIGPIPE, the
@@ -120,21 +125,17 @@ def _digest(text):
 
 def _read_cache(path, config, field):
     """The cached engine, or None when the file is missing, fails its
-    CRC-32, cannot be decoded, or holds an engine for another key."""
+    CRC-32, or engine_from_json refuses its text."""
     try:
-        with open(path) as handle:
+        # the file is ASCII as written; a damaged byte reads as U+FFFD,
+        # which fails the CRC-32
+        with open(path, errors="replace") as handle:
             digest, _, text = handle.read().partition("\n")
         if _digest(text) != digest:
             return None
-        engine = engine_from_json(text)
-    except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            EngineError, FieldError):
+        return engine_from_json(text, config.r, config.s, field)
+    except (OSError, EngineError):
         return None
-    key = (config.r, config.s, field.spec_string(),
-           math.factorial(config.r + config.s))
-    if (engine.r, engine.s, engine.field.spec_string(), engine.dim) != key:
-        return None
-    return engine
 
 
 def _check_size(config):
@@ -144,34 +145,6 @@ def _check_size(config):
             "r + s = %d exceeds the size bound %d; raise it with "
             "--max-total if you accept the runtime"
             % (config.r + config.s, config.max_total))
-
-
-def load_engine(config, field):
-    """The (r, s) algebra over the field, through the cache when there is
-    one."""
-    _check_size(config)
-    if not config.cache_dir:
-        return build_engine(config.r, config.s, field)
-    path = _cache_path(config, field)
-    engine = _read_cache(path, config, field)
-    if engine is None:
-        # a cache that cannot be written fails before the closure
-        try:
-            os.makedirs(config.cache_dir, exist_ok=True)
-        except OSError as exc:
-            raise _cache_error(path, exc.strerror or exc)
-        if os.path.isdir(path):
-            raise _cache_error(path, "Is a directory")
-        engine = build_engine(config.r, config.s, field)
-        try:
-            _write_cache(path, config.cache_dir, engine)
-        except OSError as exc:
-            raise _cache_error(path, exc.strerror or exc)
-    return engine
-
-
-def _cache_error(path, reason):
-    return UsageError("cannot write the engine cache %s: %s" % (path, reason))
 
 
 def _write_cache(path, cache_dir, engine):
@@ -188,20 +161,38 @@ def _write_cache(path, cache_dir, engine):
         raise
 
 
-def layer_engine(config, field, f):
+def layer_engine(config, field, f=None):
     """The engine holding the cell modules of layer f: the block e^f
     B/J_{f+1} up to GRAM_QUOTIENT_MAX_LAYER (the top layer at r = s has
-    none), else the full algebra.  Loaded once per run and field, so the
-    fields of a spec and the points of a sweep share their Gram data.  A
-    block is closed afresh and never cached."""
-    layer = f if f <= GRAM_QUOTIENT_MAX_LAYER \
-        and not f == config.r == config.s else None
-    key = (field.spec_string(), layer)
-    if key not in config.engines:
-        _check_size(config)
-        config.engines[key] = load_engine(config, field) if layer is None \
-            else build_engine(config.r, config.s, field, layer=layer)
-    return config.engines[key]
+    none), else the full algebra, which f None asks for.  Each engine is
+    loaded once per run and kept in config.engines by (field, layer), so
+    the fields of a spec and the points of a sweep share their Gram data.
+    Only the full algebra goes through the cache file; a block is closed
+    afresh and never cached."""
+    layer = None if f is None or f > GRAM_QUOTIENT_MAX_LAYER \
+        or f == config.r == config.s else f
+    key = (field, layer)
+    if key in config.engines:
+        return config.engines[key]
+    _check_size(config)
+    if layer is not None or not config.cache_dir:
+        engine = build_engine(config.r, config.s, field, layer=layer)
+    else:
+        path = _cache_path(config, field)
+        engine = _read_cache(path, config, field)
+        if engine is None:
+            try:
+                # a cache that cannot be written fails before the closure
+                os.makedirs(config.cache_dir, exist_ok=True)
+                if os.path.isdir(path):
+                    raise IsADirectoryError("Is a directory")
+                engine = build_engine(config.r, config.s, field)
+                _write_cache(path, config.cache_dir, engine)
+            except OSError as exc:
+                raise UsageError("cannot write the engine cache %s: %s"
+                                 % (path, exc.strerror or exc))
+    config.engines[key] = engine
+    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +239,7 @@ def _label_text(label):
 # subcommands; each returns (exit_code, output string)
 
 def cmd_dims(config, field):
-    engine = load_engine(config, field)
+    engine = layer_engine(config, field)
     labels = cell_labels(config.r, config.s)
     rows = []
     total = 0
@@ -269,7 +260,7 @@ def cmd_dims(config, field):
 
 
 def cmd_relations(config, field):
-    engine = load_engine(config, field)
+    engine = layer_engine(config, field)
     checks = verify_relations(engine)
     rows = [{"name": name, "ok": ok} for name, ok in checks]
     ok = all(r["ok"] for r in rows)
@@ -283,7 +274,7 @@ def cmd_relations(config, field):
 def cmd_cellular(config, field):
     if config.anchors is not None and config.anchors < 1:
         raise UsageError("--anchors must be at least 1")
-    engine = load_engine(config, field)
+    engine = layer_engine(config, field)
     result = validate_cell_datum(engine, alternate_anchors=config.anchors)
     report = _report(config, field, basis=result["basis"],
                      involution=result["involution"],
@@ -316,7 +307,7 @@ def cmd_gram(config, field):
 
 
 def cmd_central(config, field):
-    engine = load_engine(config, field)
+    engine = layer_engine(config, field)
     rows = []
     ok = True
     for label in cell_labels(config.r, config.s):
@@ -493,7 +484,7 @@ def build_parser():
 def run(config):
     """Execute one subcommand; returns (exit_code, output string).  config
     is the namespace of build_parser, plus the attribute engines: the
-    engines of this run by (field spec, layer), kept by layer_engine."""
+    engines of this run by (field, layer), kept by layer_engine."""
     if config.r < 1 or config.s < 1:
         raise UsageError("r and s must be positive")
     if config.format == "csv" and config.command in NO_CSV:

@@ -37,6 +37,11 @@ kills one of its states: it still expresses state * prefix, and the next
 application resolves it through the current substitutions.  Vectors are
 accumulated in place with the field's kernel ``vec_iaxpy``; stored vectors
 (action rows, substitutions, memo entries) are never mutated.
+
+Every engine is built on a Field the caller made; this module parses no
+field spec.  engine_to_json writes the full algebra, and
+engine_from_json(text, r, s, field) reads it back and is the one judge of
+such text: anything that is not B_{r,s} over that field is an EngineError.
 """
 
 import json
@@ -44,7 +49,6 @@ import math
 from collections import deque
 
 from .combinat import coset_count, s_range_word
-from .groundfield import fields_from_spec
 
 SCHEMA_VERSION = 1
 
@@ -114,12 +118,10 @@ class AlgebraEngine:
             self._root_relations.append(_relation(
                 f, [(f.one, x_f)], [(f.raw_pow(f.rho, layer), [])]))
         # data derived from the engine lives exactly as long as the engine:
-        # sigma images of basis vectors, the cellular coordinate system
-        # (cellular.cellular_data) and the cell modules by label
-        # (cellular.cell_module)
+        # sigma images of basis vectors and the cellular coordinate system
+        # (cellular.cellular_data), which holds the cell modules
         self._sigma_cache = {}
         self._cell_data = None
-        self._modules = {}
 
     def _layer_letters(self, f):
         """The word of a generator of J_{f+1} = B e^{f+1} B: e^{f+1} without
@@ -401,16 +403,8 @@ def layer_dimension(r, s, f):
     return coset_count(r, s, f) * math.factorial(r - f) * math.factorial(s - f)
 
 
-def build_engine(r, s, field_tag, layer=None, **kwargs):
-    """Build the algebra engine (or its block at a layer) over a field or
-    field-spec string."""
-    field = field_tag
-    if isinstance(field_tag, str):
-        fields = fields_from_spec(field_tag)
-        if len(fields) != 1:
-            raise EngineError("field spec %r is not a single field"
-                              % field_tag)
-        field = fields[0]
+def build_engine(r, s, field, layer=None, **kwargs):
+    """Build the algebra engine (or its block at a layer) over a field."""
     return AlgebraEngine(r, s, field, layer=layer, **kwargs)
 
 
@@ -553,36 +547,42 @@ def engine_to_json(engine):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def engine_from_json(text):
-    """Rebuild an engine from its serialized form without re-closure."""
-    data = json.loads(text)
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise EngineError("unsupported schema version %r"
-                          % data["schema_version"])
-    fields = fields_from_spec(data["field"])
-    if len(fields) != 1:
-        raise EngineError("ambiguous field spec in export")
-    field = fields[0]
+def engine_from_json(text, r, s, field):
+    """B_{r,s} over the field, rebuilt without re-closure from the text
+    engine_to_json wrote.  The one judge of a cache file's text: it raises
+    EngineError unless the text decodes, its schema, r, s, field spec and
+    dim = (r+s)! are the ones asked for, its tokens and basis indices fit,
+    and the identity times basis word i is basis vector i for every i."""
     eng = AlgebraEngine.__new__(AlgebraEngine)
-    eng._setup(data["r"], data["s"], field)
-    dim = eng.dim = data["dim"]
-    words = eng.basis_words = data["basis_words"]
-    if data["act"].keys() != set(eng.tokens) or len(words) != dim \
-            or any(tok not in eng.tokens for w in words for tok in w):
-        raise EngineError("the export's tokens or basis words do not fit "
-                          "B_{%d,%d}" % (eng.r, eng.s))
-    eng.act_table = {}
-    # the tables hold few distinct scalars: parse each text once
-    parsed = {}
-    for tok, triplets in data["act"].items():
-        rows = {i: {} for i in range(dim)}
-        for i, k, val in triplets:
-            if not (0 <= i < dim and 0 <= k < dim):
-                raise EngineError("basis index out of range in the export")
-            raw = parsed.get(val)
-            if raw is None:
-                raw = parsed[val] = field.parse(val)
-            rows[i][k] = raw
-        for i in range(dim):
-            eng.act_table[(i, tok)] = rows[i]
+    eng._setup(r, s, field)
+    dim = eng.dim = math.factorial(r + s)
+    table = eng.act_table = {(i, tok): {} for i in range(dim)
+                             for tok in eng.tokens}
+    one = field.one
+    try:
+        data = json.loads(text)
+        words = eng.basis_words = data["basis_words"]
+        # the tables hold few distinct scalars: parse each text once
+        parsed = {}
+        for tok, triplets in data["act"].items():
+            for i, k, val in triplets:
+                raw = parsed.get(val)
+                if raw is None:
+                    raw = parsed[val] = field.parse(val)
+                table[(i, tok)][k] = raw
+        fits = (data["schema_version"], data["r"], data["s"], data["field"],
+                data["dim"], len(words), set(data["act"])) \
+            == (SCHEMA_VERSION, r, s, field.spec_string(), dim, dim,
+                set(eng.tokens)) \
+            and all(0 <= k < dim for row in table.values() for k in row) \
+            and all(tok in eng.tokens for word in words for tok in word) \
+            and all(act(eng, {0: one}, word) == {i: one}
+                    for i, word in enumerate(words))
+    except Exception as exc:
+        # the text comes from outside: whatever fails while decoding it,
+        # the field's own parse errors included, refuses it
+        raise EngineError("the export does not decode: %r" % exc) from exc
+    if not fits:
+        raise EngineError("the export is not B_{%d,%d} over %s in schema %d"
+                          % (r, s, field.spec_string(), SCHEMA_VERSION))
     return eng

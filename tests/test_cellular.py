@@ -13,6 +13,7 @@ from qwalled.groundfield import (
     GenericField,
     OneVarField,
     PrimeField,
+    fields_from_spec,
     transfer_from_generic,
 )
 from qwalled.cellular import (
@@ -248,7 +249,7 @@ def test_block_cellular_data():
     # the block of layer 1 holds the layer-1 elements whose left index has
     # the identity coset rep; it is no cellular algebra, and a left index
     # outside it is no anchor
-    blk = build_engine(3, 2, "gfp:13,2,6", layer=1)
+    blk = build_engine(3, 2, PrimeField(13, 2, 6), layer=1)
     data = cellular_data(blk)
     assert data.labels == [lab for lab in cell_labels(3, 2) if lab.f == 1]
     assert len(data.items) == blk.dim == 12
@@ -445,11 +446,12 @@ def test_layer_quotient_gram_matches_full_engine(r, s, spec):
     # C(f, lambda) and its form live in the block e^f B/J_{f+1}: the block
     # of the label's layer gives the Gram matrix and determinant of the full
     # engine, at every layer f <= 2, the top layer included when r != s
-    full = build_engine(r, s, spec)
+    field = fields_from_spec(spec)[0]
+    full = build_engine(r, s, field)
     for f in range(min(r, s, 2) + 1):
         if f == r == s:
             continue
-        quo = build_engine(r, s, spec, layer=f)
+        quo = build_engine(r, s, field, layer=f)
         for label in cell_labels(r, s):
             if label.f != f:
                 continue
@@ -491,7 +493,7 @@ def test_cellular_elements_pinned(r, s, spec, layer, b32):
     if (r, s, spec) == (3, 2, "generic"):
         eng = b32
     else:
-        eng = build_engine(r, s, spec, layer=layer)
+        eng = build_engine(r, s, fields_from_spec(spec)[0], layer=layer)
     assert _cellular_digest(eng) == CELLULAR_PINS[(r, s, spec, layer)]
 
 
@@ -499,7 +501,7 @@ def test_cellular_data_evaluates_each_head_once(monkeypatch):
     # the left factors are evaluated once per left index, not once per
     # (left, right) pair; the tails go through a prefix memo
     from qwalled import cellular
-    eng = build_engine(3, 2, "gfp:13,2,6")
+    eng = build_engine(3, 2, PrimeField(13, 2, 6))
     count = [0]
     evaluate = cellular.evaluate_factors
 
@@ -516,7 +518,7 @@ def test_cellular_data_evaluates_each_head_once(monkeypatch):
 def test_one_term_factor_keeps_its_coefficient():
     # a factor of one term is a sum like any other: 2 e_1 is twice e_1, on
     # the engine and on every cell module where e_1 acts
-    eng = build_engine(2, 1, "gfp:13,2,6")
+    eng = build_engine(2, 1, PrimeField(13, 2, 6))
     f = eng.field
     two = f.raw_from_int(2)
     twice, once = [[(two, [E_TOK])]], [[(f.one, [E_TOK])]]

@@ -526,8 +526,10 @@ def test_cache_for_another_key_is_rebuilt(tmp_path, capsys):
 def test_edited_cache_is_rebuilt(tmp_path, capsys):
     # a coefficient edited in place leaves valid JSON for the right key;
     # only the CRC-32 on the first line tells the file is not what was
-    # written
+    # written.  The edited row is off the path of every basis word, so the
+    # loader's basis-word check does not see it
     from qwalled.engine import engine_from_json
+    from qwalled.groundfield import GenericField
     argv = ["relations", "--r", "2", "--s", "2"]
     code, cold, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK and json.loads(cold)["ok"]
@@ -537,10 +539,12 @@ def test_edited_cache_is_rebuilt(tmp_path, capsys):
     written = path.read_text()
     digest, body = written.split("\n", 1)
     data = json.loads(body)
-    triplet = data["act"]["e"][0]
+    words = data["basis_words"]
+    triplet = next(t for tok, triplets in sorted(data["act"].items())
+                   for t in triplets if words[t[0]] + [tok] not in words)
     triplet[2] = "7" if triplet[2] != "7" else "5"
     edited = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    assert engine_from_json(edited).dim == 24
+    assert engine_from_json(edited, 2, 2, GenericField()).dim == 24
     path.write_text(digest + "\n" + edited)
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
     assert code == EXIT_OK and out == cold and err == ""
@@ -587,14 +591,22 @@ def _act_as_a_list(data):
     data["act"] = sorted(data["act"].items())
 
 
+def _swap_g1_gs1_in_a_word(data):
+    # every token valid, but the word is not the one of its basis vector
+    word = max(data["basis_words"], key=len)
+    word[:] = [{"g1": "gs1", "gs1": "g1"}.get(tok, tok) for tok in word]
+
+
 @pytest.mark.parametrize("edit", [_rename_g1, _drop_gs1, _column_99,
-                                  _g5_in_a_word, _act_as_a_list],
+                                  _g5_in_a_word, _act_as_a_list,
+                                  _swap_g1_gs1_in_a_word],
                          ids=lambda f: f.__name__)
 def test_cache_that_does_not_fit_the_algebra_is_rebuilt(tmp_path, capsys,
                                                         edit):
     # valid JSON under a valid CRC-32 whose tokens, indices or basis words
     # do not fit B_{2,2}: the loader refuses it, and the engine is rebuilt
-    # and written back
+    # and written back; sigma reads the basis words, so a wrong word loaded
+    # would fail the involution check of cellular
     import zlib
     argv = ["cellular", "--r", "2", "--s", "2", "--field", "gfp:13,2,6"]
     code, cold, _ = run_cli(capsys, *argv)

@@ -31,6 +31,7 @@ from qwalled.groundfield import (
     OneVarField,
     PrimeField,
     RationalField,
+    fields_from_spec,
     transfer_from_generic,
 )
 from qwalled.linalg import Echelon
@@ -179,7 +180,7 @@ def test_verify_relations_can_fail():
     # a wrong row of the action table (the identity times g_1 read as the
     # identity) breaks the quadratic relation of g_1 and its commutation
     # with g*_1
-    eng = build_engine(2, 2, "gfp:13,2,6")
+    eng = build_engine(2, 2, PrimeField(13, 2, 6))
     assert all(ok for _, ok in verify_relations(eng))
     eng.act_table[(0, g_tok(1))] = {0: eng.field.one}
     report = verify_relations(eng)
@@ -279,7 +280,7 @@ def test_dim_b_e1(b22, b32):
 def test_json_roundtrip(b22):
     js = engine_to_json(b22)
     assert engine_to_json(b22) == js  # deterministic
-    eng2 = engine_from_json(js)
+    eng2 = engine_from_json(js, 2, 2, GEN)
     assert eng2.dim == b22.dim
     assert eng2.basis_words == b22.basis_words
     x = ev(b22, G(1) + E + GS(1))
@@ -292,9 +293,9 @@ def test_json_roundtrip(b22):
 @pytest.mark.parametrize("spec", ["generic", "q-power:1", "q-power:0:neg",
                                   "rational:2,3", "gfp:13,2,6"])
 def test_json_load_matches_closure(spec):
-    eng = build_engine(2, 2, spec)
+    eng = build_engine(2, 2, fields_from_spec(spec)[0])
     js = engine_to_json(eng)
-    loaded = engine_from_json(js)
+    loaded = engine_from_json(js, 2, 2, eng.field)
     assert engine_to_json(loaded) == js
     f = eng.field
     assert loaded.field == f
@@ -314,17 +315,30 @@ def test_json_load_parses_each_text_once(b32, monkeypatch):
         return parse(self, text)
 
     monkeypatch.setattr(GenericField, "parse", counting_parse)
-    engine_from_json(js)
+    engine_from_json(js, 3, 2, GEN)
     assert sorted(parsed) == sorted(texts)
     assert len(parsed) == 20
 
 
-def test_json_schema_guard(b22):
+@pytest.mark.parametrize("change,key", [
+    ({"schema_version": 999}, (2, 2, GEN)),
+    ({}, (3, 1, GEN)),
+    ({}, (2, 3, GEN)),
+    ({}, (2, 2, OneVarField(1))),
+    ({"dim": 25}, (2, 2, GEN)),
+    (None, (2, 2, GEN)),
+], ids=["schema", "r", "s", "field", "dim", "not-json"])
+def test_json_schema_guard(b22, change, key):
+    # the loader is the one judge of a cache file's text: it refuses a
+    # schema, r, s, field spec or dim (here not (r+s)!) other than the
+    # ones asked for, and text that is not JSON
     import json
-    data = json.loads(engine_to_json(b22))
-    data["schema_version"] = 999
+    js = engine_to_json(b22)
+    assert engine_from_json(js, 2, 2, GEN).dim == 24
+    text = "not json" if change is None \
+        else json.dumps(dict(json.loads(js), **change))
     with pytest.raises(EngineError):
-        engine_from_json(json.dumps(data))
+        engine_from_json(text, *key)
 
 
 def test_inverse_tokens_undo_their_generators(b32):
@@ -395,7 +409,7 @@ def test_layer_quotient_dimensions(r, s):
 
 @pytest.fixture(scope="module")
 def b33p():
-    return build_engine(3, 3, "gfp:13,2,6")
+    return build_engine(3, 3, PrimeField(13, 2, 6))
 
 
 def test_layer_generator_is_e_power(b33p):
@@ -424,7 +438,7 @@ def test_ecap_letters_is_e_power(b33p):
 def test_root_relation_identity(spec):
     # the root relation of the block rests on e^f g_1 ... g_f e^f =
     # rho^f e^f, which holds with delta = 0, where e^f e^f = 0
-    eng = build_engine(3, 3, spec)
+    eng = build_engine(3, 3, fields_from_spec(spec)[0])
     for f in (1, 2):
         ef = ev(eng, eng.ecap_letters(f))
         x_f = ev(eng, [g_tok(k) for k in range(1, f + 1)], ef)
@@ -481,7 +495,8 @@ CLOSURE_PINS = {
 @pytest.mark.parametrize("r,s,spec", sorted(CLOSURE_PINS))
 def test_closure_output_pinned(r, s, spec, b32):
     import hashlib
-    eng = b32 if (r, s, spec) == (3, 2, "generic") else build_engine(r, s, spec)
+    eng = b32 if (r, s, spec) == (3, 2, "generic") \
+        else build_engine(r, s, fields_from_spec(spec)[0])
     digest = hashlib.sha256(engine_to_json(eng).encode()).hexdigest()
     assert digest == CLOSURE_PINS[(r, s, spec)]
 
@@ -499,7 +514,7 @@ def test_closure_applies_each_prefix_once(r, s, calls, spec, monkeypatch):
         return apply_build(self, vec, tok)
 
     monkeypatch.setattr(AlgebraEngine, "_apply_build", counting)
-    build_engine(r, s, spec)
+    build_engine(r, s, fields_from_spec(spec)[0])
     assert count[0] == calls
 
 
@@ -513,7 +528,7 @@ def test_max_states_guard():
 def test_block_closure_size_guard():
     # the (4, 3) block of layer 1 creates 1,298 states to keep 144
     with pytest.raises(EngineError, match="exceeded 1000 states"):
-        build_engine(4, 3, "gfp:13,2,6", layer=1, max_states=1000)
+        build_engine(4, 3, PrimeField(13, 2, 6), layer=1, max_states=1000)
 
 
 def test_closure_never_multiplies_by_one(monkeypatch):
@@ -543,7 +558,8 @@ def test_closure_never_multiplies_by_one(monkeypatch):
 
 @pytest.fixture(scope="module")
 def b22_images():
-    return [build_engine(2, 2, spec) for spec in ("gfp:13,2,6", "q-power:1")]
+    return [build_engine(2, 2, field)
+            for field in (PrimeField(13, 2, 6), OneVarField(1))]
 
 
 @st.composite
