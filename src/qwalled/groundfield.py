@@ -35,6 +35,26 @@ module imports sympy; the tests use it as their reference.  Text
 ("num / den", the denominator's lex-leading coefficient positive) is
 written and read natively.
 
+Values of R are hash-consed, as in Filliatre and Conchon, "Type-Safe
+Modular Hash-Consing" (2006): a closure or a cellular pass makes many
+sums and products but few distinct ones (the generic (3, 2) closure makes
+11,491 products of 589 distinct operand pairs), so each is computed once.
+Every GenericField and OneVarField instance owns three tables: its
+interned values, keyed by (frozenset(N.items()), i, j), and two memos of
+raw_add and raw_mul keyed by the operands' identities.  Every value of R
+the field makes is interned, so equal values from one field are one
+object, and a memo entry holds both operands, so their ids stay theirs.
+The tables belong to the instance, not the module, so no caller or test
+sees another's, and they go when the field goes; values of two instances
+are still equal under ==.  A _Frac operand bypasses the memos and its
+result is not interned when it stays outside R: fractions are rare, each
+is reduced by heugcd as it is made, and hashing both of its dicts cost
+more than the repeats saved.  So ``heugcd`` calls and ``fallbacks`` count
+as they would without the tables.  TABLE_MAX bounds the tables: past that
+many numerator terms and memo entries all three are cleared, which costs
+speed, never a result.  The memos make the rule below load-bearing: a
+numerator dict is never mutated once it is part of a raw value.
+
 Laurent data (a terms dict {(a, b): c} of nonzero integers, as read from
 text by ``laurent_from_text`` or taken from a generic value by
 ``to_laurent_fraction``) become field values in one pass through
@@ -233,7 +253,8 @@ class Field:
 
 
 # -- Laurent numerators: dicts {(a, b): c} for sum c q^a rho^b, c != 0 ------
-# A numerator dict is never mutated once it is part of a raw value.
+# A numerator dict is never mutated once it is part of a raw value: a field's
+# memos return stored results by the identities of their operands.
 
 def _terms_mul(x, y):
     if len(x) > len(y):
@@ -552,6 +573,11 @@ def _reduced(num, den):
     return _mul((num, 0, 0), inv)
 
 
+# the size past which a function field clears its tables: the numerator
+# terms of its interned values plus the entries of its two memos
+TABLE_MAX = 1 << 16
+
+
 class _FunctionField(Field):
     """Q(q, rho) or Q(q), with the values of R kept natively.
 
@@ -560,14 +586,47 @@ class _FunctionField(Field):
     other value is a reduced _Frac; an operation with a _Frac operand lifts
     the other operand and reduces its result.  A _Frac, a pair, never
     equals a tuple of R, a triple.
+
+    Every value of R that the field makes is hash-consed: ``_values`` maps
+    (frozenset(N.items()), i, j) to the one value with that key.
+    ``_sums`` and ``_products`` memoize raw_add and raw_mul of two values
+    of R on the operands' ids, unordered; an entry (a, b, result) holds
+    both operands, so neither id can be reused while the entry lives.
+    ``_held`` counts the numerator terms and memo entries that the three
+    tables hold, against TABLE_MAX.
     """
 
+    def _set_constants(self, q, rho):
+        self._values, self._sums, self._products = {}, {}, {}
+        self._held = 0
+        super()._set_constants(self._intern(q), self._intern(rho))
+
+    def _intern(self, x):
+        """The field's one value equal to x, a raw value of R."""
+        n, i, j = x
+        key = (frozenset(n.items()), i, j)
+        out = self._values.get(key)
+        if out is None:
+            self._held += len(n) + 1
+            if self._held > TABLE_MAX:
+                # cleared in place: _memoized holds a memo across this call
+                self._values.clear()
+                self._sums.clear()
+                self._products.clear()
+                self._held = len(n) + 1
+            out = self._values[key] = x
+        return out
+
+    def _canonical(self, x):
+        """x, a raw value, interned when it lies in R."""
+        return self._intern(x) if x.__class__ is tuple else x
+
     def raw_from_int(self, n):
-        return ({(0, 0): n}, 0, 0) if n else _ZERO
+        return self._intern(({(0, 0): n}, 0, 0) if n else _ZERO)
 
     def raw_from_laurent(self, terms):
         terms = self._exponent_terms(terms)
-        return (dict(terms), 0, 0) if terms else _ZERO
+        return self._intern((dict(terms), 0, 0) if terms else _ZERO)
 
     def raw_is_zero(self, a):
         return not a[0]
@@ -584,26 +643,39 @@ class _FunctionField(Field):
     def raw_neg(self, a):
         if a.__class__ is tuple:
             n, i, j = a
-            return ({k: -c for k, c in n.items()}, i, j)
+            return self._intern(({k: -c for k, c in n.items()}, i, j))
         return _Frac({k: -c for k, c in a.num.items()}, a.den)
+
+    def _memoized(self, memo, op, a, b):
+        """op(a, b) for values a and b of R, computed once per pair."""
+        ia, ib = id(a), id(b)
+        key = (ia, ib) if ia < ib else (ib, ia)
+        hit = memo.get(key)
+        if hit is None:
+            out = self._intern(op(a, b))
+            self._held += 1
+            hit = memo[key] = (a, b, out)
+        return hit[2]
 
     def raw_add(self, a, b):
         if a.__class__ is tuple and b.__class__ is tuple:
-            return _add(a, b)
+            return self._memoized(self._sums, _add, a, b)
         (n1, d1), (n2, d2) = _lift(a), _lift(b)
         if d1 == d2:
-            return _reduced(_terms_add(n1, n2), d1)
-        return _reduced(_terms_add(_terms_mul(n1, d2), _terms_mul(n2, d1)),
-                        _terms_mul(d1, d2))
+            return self._canonical(_reduced(_terms_add(n1, n2), d1))
+        return self._canonical(_reduced(
+            _terms_add(_terms_mul(n1, d2), _terms_mul(n2, d1)),
+            _terms_mul(d1, d2)))
 
     def raw_sub(self, a, b):
         return self.raw_add(a, self.raw_neg(b))
 
     def raw_mul(self, a, b):
         if a.__class__ is tuple and b.__class__ is tuple:
-            return _mul(a, b)
+            return self._memoized(self._products, _mul, a, b)
         (n1, d1), (n2, d2) = _lift(a), _lift(b)
-        return _reduced(_terms_mul(n1, n2), _terms_mul(d1, d2))
+        return self._canonical(_reduced(_terms_mul(n1, n2),
+                                        _terms_mul(d1, d2)))
 
     def raw_div(self, a, b):
         global fallbacks
@@ -612,10 +684,11 @@ class _FunctionField(Field):
         if a.__class__ is tuple and b.__class__ is tuple:
             inv = _inverse(b)
             if inv is not None:
-                return _mul(a, inv)
+                return self._intern(_mul(a, inv))
             fallbacks += 1
         (n1, d1), (n2, d2) = _lift(a), _lift(b)
-        return _reduced(_terms_mul(n1, d2), _terms_mul(d1, n2))
+        return self._canonical(_reduced(_terms_mul(n1, d2),
+                                        _terms_mul(d1, n2)))
 
     def to_laurent_fraction(self, a):
         """The (numerator, denominator) of a raw value as Laurent terms

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paper_checks import product
-from qwalled.cellular import coset_letters
+from qwalled import groundfield
+from qwalled.cellular import (
+    cell_labels,
+    cell_module,
+    cellular_data,
+    coset_letters,
+    gram_determinant,
+)
 from qwalled.combinat import coset_count, coset_reps
 from qwalled.engine import (
     AlgebraEngine,
@@ -494,11 +501,59 @@ CLOSURE_PINS = {
 
 @pytest.mark.parametrize("r,s,spec", sorted(CLOSURE_PINS))
 def test_closure_output_pinned(r, s, spec, b32):
-    import hashlib
     eng = b32 if (r, s, spec) == (3, 2, "generic") \
         else build_engine(r, s, fields_from_spec(spec)[0])
-    digest = hashlib.sha256(engine_to_json(eng).encode()).hexdigest()
-    assert digest == CLOSURE_PINS[(r, s, spec)]
+    assert _closure_digest(eng) == CLOSURE_PINS[(r, s, spec)]
+
+
+def _closure_digest(eng):
+    import hashlib
+    return hashlib.sha256(engine_to_json(eng).encode()).hexdigest()
+
+
+def _interned_pipeline(field):
+    """A (3, 2) closure over the field, its cellular data and the Gram
+    determinants of its f = 1 labels, closed from the full engine."""
+    eng = build_engine(3, 2, field)
+    cellular_data(eng)
+    dets = [field.to_text(gram_determinant(cell_module(eng, lab)))
+            for lab in cell_labels(3, 2) if lab.f == 1]
+    return eng, dets
+
+
+def _table_holds(field):
+    """Whether every interned value still matches its key, and every
+    memoized sum and product is still its operands' sum and product."""
+    return all(key == (frozenset(v[0].items()), v[1], v[2])
+               for key, v in field._values.items()) \
+        and all(out == groundfield._add(a, b)
+                for a, b, out in field._sums.values()) \
+        and all(out == groundfield._mul(a, b)
+                for a, b, out in field._products.values())
+
+
+def test_interned_values_are_never_mutated(monkeypatch):
+    # the memos trust the operands' identities, so a numerator dict that
+    # changed after it was interned would corrupt every later sum and
+    # product taken with it
+    field = GenericField()
+    eng, dets = _interned_pipeline(field)
+    assert _table_holds(field)
+    size = len(field._values)
+    assert _closure_digest(eng) == CLOSURE_PINS[(3, 2, "generic")]
+    # past a small cap each table is cleared and fills again: the same
+    # engine and determinants, from tables that never exceed it
+    cap = 64
+    assert size > 10 * cap
+    monkeypatch.setattr(groundfield, "TABLE_MAX", cap)
+    capped = GenericField()
+    eng, capped_dets = _interned_pipeline(capped)
+    assert capped_dets == dets
+    assert _closure_digest(eng) == CLOSURE_PINS[(3, 2, "generic")]
+    assert 0 < len(capped._values) \
+        and len(capped._values) + len(capped._sums) \
+        + len(capped._products) <= cap
+    assert _table_holds(capped)
 
 
 @pytest.mark.parametrize("r,s,calls", [(3, 2, 4824), (2, 2, 722)])

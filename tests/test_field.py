@@ -465,6 +465,81 @@ def test_fractions_are_canonical_when_made(field, data):
     assert field.parse(field.to_text(x)) == x
 
 
+# ---------------------------------------------------------------------------
+# hash-consed values of R and the memoized sums and products
+
+def _plain(op, x, y):
+    """op(x, y) by the kernels alone, with no table or memo: _add, _mul and
+    _inverse on values of R, else the fraction path on both lifts."""
+    if type(x) is tuple and type(y) is tuple:
+        if op == "add":
+            return groundfield._add(x, y)
+        if op == "mul":
+            return groundfield._mul(x, y)
+        inv_y = groundfield._inverse(y)
+        if inv_y is not None:
+            return groundfield._mul(x, inv_y)
+    (n1, d1), (n2, d2) = groundfield._lift(x), groundfield._lift(y)
+    terms_mul = groundfield._terms_mul
+    if op == "add":
+        num = groundfield._terms_add(terms_mul(n1, d2), terms_mul(n2, d1))
+        return groundfield._reduced(num, terms_mul(d1, d2))
+    if op == "mul":
+        return groundfield._reduced(terms_mul(n1, n2), terms_mul(d1, d2))
+    return groundfield._reduced(terms_mul(n1, d2), terms_mul(d1, n2))
+
+
+def _plain_neg(x):
+    if type(x) is tuple:
+        return ({k: -c for k, c in x[0].items()}, x[1], x[2])
+    return groundfield._Frac({k: -c for k, c in x.num.items()}, x.den)
+
+
+# two instances of each family, each with its own tables
+FIELD_PAIRS = [(GenericField(), GenericField()),
+               (OneVarField(2), OneVarField(2)),
+               (OneVarField(-1, -1), OneVarField(-1, -1))]
+
+
+@pytest.mark.parametrize("pair", FIELD_PAIRS, ids=lambda p: repr(p[0]))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memoized_ops_match_plain_kernels(pair, data):
+    field, other = pair
+    # values of R and fractions outside it, and their copies in the other
+    # instance, read back from text
+    values = [data.draw(st.one_of(r_values(field),
+                                  fractions_outside_r(field)))[0]
+              for _ in range(2)]
+    copies = [other.parse(field.to_text(x)) for x in values]
+    x, y = values
+    ops = {"add": field.raw_add, "mul": field.raw_mul}
+    if not field.raw_is_zero(y):
+        ops["div"] = field.raw_div
+    made = [x, y]
+    for name, op in ops.items():
+        out = op(x, y)
+        assert out == _plain(name, x, y)
+        assert getattr(other, "raw_" + name)(*copies) == out
+        if name != "div":
+            assert op(y, x) == out
+        if type(out) is tuple:
+            # a second call, and for a sum or a product the swapped
+            # operands, find the first result
+            assert op(x, y) is out
+            assert name == "div" or op(y, x) is out
+        made.append(out)
+    neg = field.raw_neg(x)
+    assert neg == _plain_neg(x) and other.raw_neg(copies[0]) == neg
+    made.append(neg)
+    for value in made:
+        if type(value) is tuple:
+            # equal values of R from one field are one object
+            assert field.parse(field.to_text(value)) is value
+            assert field.raw_sub(field.raw_add(value, y), y) is value
+            assert other.parse(field.to_text(value)) == value
+
+
 TRANSFER_TARGETS = [OneVarField(2), OneVarField(-1, -1), RationalField(2, 4),
                     PrimeField(11, 2, 3)]
 
