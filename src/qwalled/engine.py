@@ -10,8 +10,10 @@ full algebra, and to layer_dimension(r, s, f) for the block of layer f.
 
 A token is the text it is serialized as: "e", "g<i>" or "gs<j>", and the
 inverse tokens "g<i>^-1" and "gs<j>^-1", which only inv_letters makes.  A
-word is a list of tokens.  An inverse is expanded as g^{-1} = g - (q -
-q^{-1}), so no action table holds a row for one.
+word is a list of tokens.  No action table holds a row for an inverse:
+act and the closure both apply g^{-1} = g - (q - q^{-1}) as the row of g
+plus -(q - q^{-1}) times the vector, so relation words keep their inverse
+letters.
 
 An engine at layer f closes the layer block e^f B/J_{f+1}, a right module
 holding the cell modules C(f, lambda) and their Gram forms; J_{f+1} =
@@ -238,11 +240,17 @@ class AlgebraEngine:
         return out
 
     def _apply_build(self, vec, tok):
-        iaxpy = self.field.vec_iaxpy
+        """vec times one token; an inverse token is applied as act does."""
+        field = self.field
+        iaxpy = field.vec_iaxpy
         act_vec = self._act_vec
+        base = tok.removesuffix(INV)
+        vec = self._resolve_vec(vec)
         out = {}
-        for st, c in self._resolve_vec(vec).items():
-            iaxpy(out, c, act_vec(st, tok))
+        for st, c in vec.items():
+            iaxpy(out, c, act_vec(st, base))
+        if base != tok:
+            iaxpy(out, field.raw_neg(field.qdiff), vec)
         return out
 
     def _eval_word(self, memo, word):
@@ -293,8 +301,9 @@ class AlgebraEngine:
 
     def ecap_letters(self, f):
         """The word of e^f = e_{1,1} ... e_{f,f} by tool.d.1: e^1 = e_1 and
-        e^{k+1} = e^k g_k g*_k^{-1} e_{k,k}, half the words of the plain
-        product once the inverses are expanded; e^0 is the empty word."""
+        e^{k+1} = e^k g_k g*_k^{-1} e_{k,k}, each step 2 letters shorter
+        than e_{k+1,k+1} and with 1 fewer inverse letter; e^0 is the empty
+        word."""
         letters = [E_TOK] if f else []
         for k in range(1, f):
             letters += [g_tok(k)] + inv_letters([gs_tok(k)]) \
@@ -350,22 +359,9 @@ def defining_identities(engine):
 
 
 def _relation(field, lhs, rhs):
-    """lhs - rhs of two factors as [(raw coeff, word)], with g^{-1}
-    expanded as g - (q - q^{-1}): no word of it holds an inverse token."""
-    mqd = field.raw_neg(field.qdiff)
-    terms = lhs + [(field.raw_neg(c), word) for c, word in rhs]
-    out = []
-    for c, word in terms:
-        combos = [(c, [])]
-        for tok in word:
-            base = tok.removesuffix(INV)
-            if base == tok:
-                combos = [(cw, w + [tok]) for cw, w in combos]
-            else:
-                combos = [x for cw, w in combos for x in (
-                    (cw, w + [base]), (field.raw_mul(cw, mqd), w))]
-        out += combos
-    return out
+    """lhs - rhs of two factors as [(raw coeff, word)].  The words keep
+    their inverse letters: the closure applies g^-1 the way act does."""
+    return lhs + [(field.raw_neg(c), word) for c, word in rhs]
 
 
 def act(owner, vec, word):
