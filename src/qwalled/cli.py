@@ -10,9 +10,22 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including
 a malformed field spec or a field where q - q^{-1} is not invertible), 141
 when stdout is closed before the output is written (128 + SIGPIPE, the
 status a shell reports for a writer killed by a closed pipe).
+
+Every call is a fresh process.  Besides the mathematics it pays for the
+interpreter and its site hooks, for compiling qwalled from source when
+no bytecode can be written (PYTHONDONTWRITEBYTECODE=1; pip install . or
+one python -m compileall src removes that) and for exit; the README's
+"Start-up" gives the numbers.  At exit the interpreter would collect
+every object the call made, only for the OS to take the memory back, so
+main as the process entry point freezes the collector (gc.freeze) once
+the output is written, whatever the exit code.  That is safe: no object
+the program keeps needs a finalizer, and the cache file is closed and
+renamed before main returns.  A caller that passes main its argv keeps a
+normal collector.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -149,10 +162,11 @@ def _check_size(config):
 
 def _write_cache(path, cache_dir, engine):
     import tempfile
+    # serialized first, so that a failure there leaves no descriptor open
+    text = engine_to_json(engine)
     # a rename is atomic, so no reader ever sees a partial file
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        text = engine_to_json(engine)
         with os.fdopen(fd, "w") as handle:
             handle.write(_digest(text) + "\n" + text)
         os.replace(tmp, path)
@@ -511,6 +525,17 @@ def run(config):
 
 
 def main(argv=None):
+    """Run one call; returns its exit code.  argv None means the process
+    entry point (python -m qwalled.cli and the console script), which
+    freezes the collector on every way out, as the module docstring says."""
+    try:
+        return _main(argv)
+    finally:
+        if argv is None:
+            gc.freeze()
+
+
+def _main(argv):
     config = build_parser().parse_args(argv)
     config.engines = {}
     try:

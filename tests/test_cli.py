@@ -1,9 +1,14 @@
 """Tests for the command-line surface."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qwalled
 from qwalled.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_FAILURE,
@@ -20,6 +25,18 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qwalled.__file__)))
+
+
+def run_process(*args, env=None, **kwargs):
+    """``python -m qwalled.cli`` in its own process, the entry point that
+    freezes the collector at exit, importing qwalled from this checkout."""
+    return subprocess.run(
+        [sys.executable, "-m", "qwalled.cli", *args],
+        env=dict(os.environ, PYTHONPATH=SRC, **(env or {})), timeout=120,
+        **kwargs)
 
 
 def test_parse_bipartition():
@@ -268,20 +285,11 @@ def test_bad_field_is_a_usage_error(capsys, spec):
 
 
 def test_closed_stdout_exits_quietly():
-    import os
-    import subprocess
-    import sys
-
-    import qwalled
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalled.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "qwalled.cli", "dims", "--r", "2",
-             "--s", "1"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        proc = run_process("dims", "--r", "2", "--s", "1",
+                           stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert proc.returncode == EXIT_BROKEN_PIPE
@@ -294,18 +302,10 @@ def test_closed_stdout_exits_quietly():
 def test_output_is_independent_of_the_hash_seed(argv):
     # labels, tableaux and coset reps are tuples keyed into dicts; no
     # output may depend on the order that string hashing gives them
-    import os
-    import subprocess
-    import sys
-
-    import qwalled
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalled.__file__)))
     outs = []
     for seed in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qwalled.cli", *argv],
-            capture_output=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        proc = run_process(*argv, env={"PYTHONHASHSEED": seed},
+                           capture_output=True)
         assert proc.returncode == EXIT_OK and proc.stderr == b""
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and outs[0]
@@ -325,6 +325,64 @@ def test_cache_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "central", "--r", "2", "--s", "1",
                            "--cache-dir", cache)
     assert code == EXIT_OK and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["dims", "--r", "2", "--s", "1"], EXIT_OK),
+    (["dims", "--r", "0", "--s", "1"], EXIT_USAGE),
+])
+def test_in_process_call_keeps_the_collector(argv, expected, capsys):
+    # only the process entry point (argv None) freezes the collector; a
+    # caller passing argv keeps collecting its engine and cell-data cycles
+    frozen = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == expected
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
+
+
+def test_cache_roundtrip_across_processes(tmp_path):
+    # the entry point freezes the collector at exit: the cache file is
+    # complete by then, and a second process reads it back
+    argv = ["dims", "--r", "2", "--s", "1", "--cache-dir", str(tmp_path)]
+    first = run_process(*argv, capture_output=True)
+    assert first.returncode == EXIT_OK and first.stderr == b""
+    path = _only_cache_file(tmp_path)
+    written = path.stat()
+    second = run_process(*argv, capture_output=True)
+    assert second.returncode == EXIT_OK and second.stderr == b""
+    assert second.stdout == first.stdout and json.loads(first.stdout)["ok"]
+    # read, not rebuilt: a rebuild renames a new file into place
+    assert path.stat().st_ino == written.st_ino
+    assert path.stat().st_mtime_ns == written.st_mtime_ns
+
+
+def test_usage_error_process_exits_2_with_one_line():
+    proc = run_process("dims", "--r", "0", "--s", "1", capture_output=True)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == b""
+    assert proc.stderr == b"error: r and s must be positive\n"
+
+
+def test_failed_cache_write_leaves_no_file_or_descriptor(tmp_path,
+                                                         monkeypatch):
+    import qwalled.cli
+
+    class Refused(Exception):
+        pass
+
+    def refuse(engine):
+        raise Refused
+
+    def lowest_free_descriptor():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    monkeypatch.setattr(qwalled.cli, "engine_to_json", refuse)
+    free = lowest_free_descriptor()
+    with pytest.raises(Refused):
+        main(["dims", "--r", "2", "--s", "1", "--cache-dir", str(tmp_path)])
+    assert lowest_free_descriptor() == free
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_text_and_csv_formats(capsys):
@@ -634,12 +692,6 @@ def test_cli_never_imports_sympy(tmp_path):
     # from zlib, which every call loads anyway (argparse imports shutil),
     # and no call loads hashlib.  The child runs with -S, so that no site
     # hook preloads any of them.
-    import os
-    import subprocess
-    import sys
-
-    import qwalled
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qwalled.__file__)))
     script = "\n".join([
         "import contextlib, io, sys",
         "import qwalled.cli",
@@ -673,7 +725,7 @@ def test_cli_never_imports_sympy(tmp_path):
     proc = subprocess.run([sys.executable, "-S", "-c", script,
                            str(tmp_path / "cache")],
                           stderr=subprocess.PIPE,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     assert len(os.listdir(tmp_path / "cache")) == 1
 
