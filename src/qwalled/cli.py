@@ -75,8 +75,10 @@ EXIT_BROKEN_PIPE = 141
 
 DEFAULT_MAX_TOTAL = 6
 
-# labels up to this layer take their cell modules from a block; at (4, 3),
-# f = 3 over Q(q) the block had not closed in 60 s, the algebra takes 29 s
+# labels up to this layer take their cell modules from a block.  At (4, 3),
+# f = 3 over Q(q) (q-power:1) the block closes too, in about 16 s with
+# 1,103 states, and the full algebra in about 5.5 s (one process each on one
+# CPU of a 2-vCPU guest, Python 3.11); a higher bound needs its own timings
 GRAM_QUOTIENT_MAX_LAYER = 2
 
 # the commands whose reports have no table, and so no csv output

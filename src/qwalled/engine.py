@@ -32,13 +32,13 @@ act applies a word to a vector through an act_table, and
 evaluate_factors applies a product of factors; both take an engine or a
 cell module, whose act_table has the same layout.
 
-At each state taken from the queue, all relations are evaluated through one
-prefix memo {word prefix: vector}, so a prefix shared by several relation
-words is applied once.  A memo entry stays valid when a later imposition
-kills one of its states: it still expresses state * prefix, and the next
-application resolves it through the current substitutions.  Vectors are
-accumulated in place with the field's kernel ``vec_iaxpy``; stored vectors
-(action rows, substitutions, memo entries) are never mutated.
+The closure compiles its relation words once into a prefix tree, and each
+relation into (coeff, node) terms.  At each state taken from the queue, a
+node's value, state * its word, is computed at most once, by one apply step
+from its parent's; it stays valid when a later imposition kills one of its
+states, as the next step resolves it.  A unit vector times a generator is
+its stored action row, shared: stored vectors (rows, substitutions, node
+values) are read only; ``vec_iaxpy`` accumulates only into new dicts.
 
 Every engine is built on a Field the caller made; this module parses no
 field spec.  engine_to_json writes the full algebra, and
@@ -139,7 +139,9 @@ class AlgebraEngine:
         expected = math.factorial(self.r + self.s) if self.layer is None \
             else layer_dimension(self.r, self.s, self.layer)
         max_states = self._max_states or max(200, 50 * expected)
-        one = self.field.one
+        iaxpy = self.field.vec_iaxpy
+        nodes, root, rels = _prefix_tree(
+            self.field, self._root_relations, self.relations)
         self._defs = [None]
         self._subst = {}
         self._act = {}
@@ -148,13 +150,25 @@ class AlgebraEngine:
             st = self._queue.popleft()
             if st in self._subst:
                 continue
-            memo = {(): {st: one}}
-            rels = self.relations if st else \
-                self._root_relations + self.relations
-            for rel in rels:
-                self._impose(self._eval_relation(memo, rel))
-                if st in self._subst:
-                    break
+            vals = [{st: self.field.one}] + [None] * (len(nodes) - 1)
+            for terms, pair in rels if st else root + rels:
+                for _, n in terms:
+                    path = []
+                    while vals[n] is None:
+                        path.append(n)
+                        n = nodes[n][0]
+                    for n in reversed(path):
+                        parent, base, inv = nodes[n]
+                        vals[n] = self._apply_build(vals[parent], base, inv)
+                if pair and vals[pair[0]] == vals[pair[1]]:
+                    continue
+                total = {}
+                for c, n in terms:
+                    iaxpy(total, c, vals[n])
+                if total:
+                    self._impose(total)
+                    if st in self._subst:
+                        break
             if st in self._subst:
                 continue
             for tok in self.tokens:
@@ -168,17 +182,14 @@ class AlgebraEngine:
             raise EngineError("closure dimension %d, expected %d"
                               % (self.dim, expected))
         index = {st: i for i, st in enumerate(alive)}
-        words = {}
+        words = {0: []}
 
         def word_of(st):
-            w = words.get(st)
-            if w is None:
+            if st not in words:
                 parent, tok = self._defs[st]
-                w = word_of(parent) + [tok]
-                words[st] = w
-            return w
+                words[st] = word_of(parent) + [tok]
+            return words[st]
 
-        words[0] = []
         self.basis_words = [word_of(st) for st in alive]
         self.act_table = {}
         for st in alive:
@@ -194,13 +205,10 @@ class AlgebraEngine:
         if v is None:
             new = len(self._defs)
             self._defs.append((st, tok))
-            v = {new: self.field.one}
-            self._act[key] = v
+            v = self._act[key] = {new: self.field.one}
             self._queue.append(new)
-            return v
-        if not self._subst.keys().isdisjoint(v):
-            v = self._resolve_vec(v)
-            self._act[key] = v
+        elif not self._subst.keys().isdisjoint(v):
+            v = self._act[key] = self._resolve_vec(v)
         return v
 
     def _compress(self, seeds):
@@ -239,35 +247,21 @@ class AlgebraEngine:
             iaxpy(out, c, {k: one} if sub is None else sub)
         return out
 
-    def _apply_build(self, vec, tok):
-        """vec times one token; an inverse token is applied as act does."""
+    def _apply_build(self, vec, base, inv):
+        """vec times the token base, or its inverse as act applies it.  A
+        unit vector times a generator is the stored row: read only."""
         field = self.field
         iaxpy = field.vec_iaxpy
         act_vec = self._act_vec
-        base = tok.removesuffix(INV)
         vec = self._resolve_vec(vec)
+        if not inv and len(vec) == 1 and field.one in vec.values():
+            return act_vec(next(iter(vec)), base)
         out = {}
         for st, c in vec.items():
             iaxpy(out, c, act_vec(st, base))
-        if base != tok:
+        if inv:
             iaxpy(out, field.raw_neg(field.qdiff), vec)
         return out
-
-    def _eval_word(self, memo, word):
-        """state * word, through the prefix memo of the state."""
-        vec = memo.get(word)
-        if vec is None:
-            vec = self._apply_build(self._eval_word(memo, word[:-1]),
-                                    word[-1])
-            memo[word] = vec
-        return vec
-
-    def _eval_relation(self, memo, rel):
-        iaxpy = self.field.vec_iaxpy
-        total = {}
-        for coeff, word in rel:
-            iaxpy(total, coeff, self._eval_word(memo, tuple(word)))
-        return total
 
     def _impose(self, vec):
         f = self.field
@@ -280,15 +274,14 @@ class AlgebraEngine:
             m = max(v)
             if m == 0:
                 raise EngineError("relations collapse the identity")
-            c = v[m]
             rest = {k: cv for k, cv in v.items() if k != m}
-            inv = f.raw_div(f.raw_from_int(-1), c)
-            self._subst[m] = f.vec_iaxpy({}, inv, rest)
+            self._subst[m] = f.vec_iaxpy({}, f.raw_div(minus_one, v[m]), rest)
             for tok in self.tokens:
                 old = self._act.pop((m, tok), None)
                 if old is not None:
-                    new = self._apply_build(self._subst[m], tok)
-                    pending.append(f.vec_iaxpy(new, minus_one, old))
+                    # the step may give a stored row: accumulate in a copy
+                    new = self._apply_build(self._subst[m], tok, False)
+                    pending.append(f.vec_iaxpy(dict(new), minus_one, old))
 
     # -- distinguished elements -------------------------------------------
 
@@ -356,6 +349,29 @@ def defining_identities(engine):
         rel("def.m", e + mid + e + [g1], e + mid + e + [s1])
         rel("def.n", [g1] + e + mid + e, [s1] + e + mid + e)
     return out
+
+
+def _prefix_tree(field, *relation_lists):
+    """Relation lists as one prefix tree of their words, nodes[n] = (parent,
+    base token, inverse) with node 0 the empty word, and each relation as
+    (its (coeff, node) terms, its two nodes if it is w1 - w2 or None)."""
+    nodes, index, out = [None], {}, []
+    unit_difference = [field.one, field.raw_from_int(-1)]
+    for rels in relation_lists:
+        out.append([])
+        for rel in rels:
+            terms = []
+            for coeff, word in rel:
+                n = 0
+                for tok in word:
+                    if (n, tok) not in index:
+                        index[n, tok] = len(nodes)
+                        nodes.append((n, tok.removesuffix(INV), INV in tok))
+                    n = index[n, tok]
+                terms.append((coeff, n))
+            pair = [c for c, _ in terms] == unit_difference
+            out[-1].append((terms, [n for _, n in terms] if pair else None))
+    return nodes, *out
 
 
 def _relation(field, lhs, rhs):

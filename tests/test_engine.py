@@ -24,6 +24,7 @@ from qwalled.engine import (
     act,
     build_engine,
     central_element,
+    defining_identities,
     engine_from_json,
     engine_to_json,
     evaluate_factors,
@@ -495,10 +496,13 @@ def test_prime_field_engine_dim():
     assert all(ok for _, ok in verify_relations(eng))
 
 
-# SHA-256 of engine_to_json, recorded from the closure without the prefix
-# memo: the memo must leave basis words and action tables unchanged.
-# Recorded when relation words kept their inverse letters, which changed
-# the order in which the closure creates states
+# SHA-256 of the closure's basis words and action table (_closure_digest),
+# keyed (r, s, spec) for the full algebra and (r, s, spec, f) for the
+# block of layer f.  Full engines were recorded from the closure without
+# the prefix memo, when relation words first kept their inverse letters;
+# blocks from the closure that evaluated relations through a per-state
+# memo of word tuples.  Closure order decides basis words, so the pins
+# hold it fixed
 CLOSURE_PINS = {
     (3, 2, "gfp:13,2,6"):
         "ed5781c1e4b76ea6ad7b0393a21a5ddef8972267cf20152bdb05e009ecb73c05",
@@ -506,19 +510,69 @@ CLOSURE_PINS = {
         "8229c75af0851acdb4b79802d539a500f668d4da335d83494f8f3ec47d9ac7c0",
     (2, 2, "q-power:1"):
         "d4d18424f289dd7970c67bc85f59fd3a3dcc3d74fa44b7feefe160feafec5b49",
+    # the blocks that gfp-large, generic-session and sweep close
+    (4, 3, "gfp:13,2,6", 1):
+        "cef37205f19c26f792009e50c00fe9afec6355b25dc11ebdc4bd67f2e256058e",
+    (3, 2, "generic", 0):
+        "5a64a11ec107f3d5d17ea053231fedcb315dbf155b2e39fd38e420ff3c407532",
+    (3, 2, "generic", 1):
+        "605770a48803b372a56dc29833548532e6ecba2fa314dc79abca4b71da2a0b4e",
+    (3, 2, "generic", 2):
+        "5b4286ce1c80ad68f6fd17788c6e4c22e62addd77a516ad48411902ab5cea6b2",
 }
+PINNED_BLOCKS = sorted(key for key in CLOSURE_PINS if len(key) == 4)
 
 
-@pytest.mark.parametrize("r,s,spec", sorted(CLOSURE_PINS))
+@pytest.mark.parametrize("r,s,spec", sorted(key for key in CLOSURE_PINS
+                                            if len(key) == 3))
 def test_closure_output_pinned(r, s, spec, b32):
     eng = b32 if (r, s, spec) == (3, 2, "generic") \
         else build_engine(r, s, fields_from_spec(spec)[0])
     assert _closure_digest(eng) == CLOSURE_PINS[(r, s, spec)]
 
 
+@pytest.mark.parametrize("r,s,spec,f", PINNED_BLOCKS)
+def test_block_closure_output_pinned(r, s, spec, f):
+    eng = build_engine(r, s, fields_from_spec(spec)[0], layer=f)
+    assert _closure_digest(eng) == CLOSURE_PINS[(r, s, spec, f)]
+
+
 def _closure_digest(eng):
+    """The full algebra's engine_to_json; a block, which has no serialized
+    form, as its basis words and its action table of (i, k, text)
+    triplets by token."""
     import hashlib
-    return hashlib.sha256(engine_to_json(eng).encode()).hexdigest()
+    import json
+    if eng.layer is None:
+        text = engine_to_json(eng)
+    else:
+        to_text = eng.field.to_text
+        table = {tok: [[i, k, to_text(row[k])] for i in range(eng.dim)
+                       for row in [eng.act_table[(i, tok)]]
+                       for k in sorted(row)]
+                 for tok in eng.tokens}
+        text = json.dumps({"basis_words": eng.basis_words, "act": table},
+                          sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("r,s,spec,f", PINNED_BLOCKS)
+def test_block_satisfies_the_algebra_identities(r, s, spec, f):
+    # verify_relations needs an algebra: on a block, check the module
+    # against the identities themselves, through act at every basis vector
+    eng = build_engine(r, s, fields_from_spec(spec)[0], layer=f)
+    field = eng.field
+    units = [{i: field.one} for i in range(eng.dim)]
+    for name, lhs, rhs in defining_identities(eng):
+        assert all(evaluate_factors(eng, [lhs], x)
+                   == evaluate_factors(eng, [rhs], x) for x in units), name
+    # J_{f+1}, generated by e^{f+1}, is zero in the block
+    if f < min(r, s):
+        assert all(act(eng, x, eng.ecap_letters(f + 1)) == {} for x in units)
+    # x_f = rho^f at the identity: x_f = e^f g_1 ... g_f, the g* at f = r
+    tok = gs_tok if f == r else g_tok
+    x_f = eng.ecap_letters(f) + [tok(i) for i in range(1, f + 1)]
+    assert act(eng, units[0], x_f) == {0: field.raw_pow(field.rho, f)}
 
 
 def _interned_pipeline(field):
@@ -569,14 +623,16 @@ def test_interned_values_are_never_mutated(monkeypatch):
 @pytest.mark.parametrize("r,s,calls", [(3, 2, 4224), (2, 2, 602)])
 @pytest.mark.parametrize("spec", ["gfp:13,2,6", "q-power:1"])
 def test_closure_applies_each_prefix_once(r, s, calls, spec, monkeypatch):
-    # one memo per state: without it the closure makes 6,984 and 986
-    # applications; the count does not depend on the field
+    # each node of the relations' prefix tree is applied at most once per
+    # state, and imposing a coincidence re-applies through the same step;
+    # without shared prefixes the closure makes 6,984 and 986
+    # applications.  The count does not depend on the field
     count = [0]
     apply_build = AlgebraEngine._apply_build
 
-    def counting(self, vec, tok):
+    def counting(self, *args):
         count[0] += 1
-        return apply_build(self, vec, tok)
+        return apply_build(self, *args)
 
     monkeypatch.setattr(AlgebraEngine, "_apply_build", counting)
     build_engine(r, s, fields_from_spec(spec)[0])
