@@ -23,7 +23,7 @@ from .combinat import (
     std_tableau_pairs,
     t_row,
 )
-from .engine import act, evaluate_factors, g_tok, gs_tok
+from .engine import act, evaluate_factors, g_tok, gs_tok, sigma
 from .hecke import HeckeAlgebra
 from .linalg import Echelon, determinant, matrix_rank
 
@@ -365,7 +365,6 @@ def validate_cell_datum(engine, alternate_anchors=None):
     of, alternative anchors; a number below 1 would check nothing and
     raises CellularError).
     """
-    from .engine import sigma
     if engine.layer is not None:
         raise CellularError("the layer-%d block is not a cellular algebra"
                             % engine.layer)

@@ -2,9 +2,10 @@
 suites, and emit tables and reports.
 
 Field specs are parsed here and nowhere else.  Every command gets its
-engines from layer_engine, which keeps them for the run and reads and
-writes the cache file of the full algebra; the cache code checks only the
-file (its CRC-32), and engine_from_json judges its text.
+engines from layer_engine, which keeps them for the run: a label takes
+the block of its layer wherever one exists, anything else the full
+algebra, whose cache file it reads and writes; the cache code checks
+only the file (its CRC-32), and engine_from_json judges its text.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 a malformed field spec or a field where q - q^{-1} is not invertible), 141
@@ -74,12 +75,6 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
 DEFAULT_MAX_TOTAL = 6
-
-# labels up to this layer take their cell modules from a block.  At (4, 3),
-# f = 3 over Q(q) (q-power:1) the block closes too, in about 16 s with
-# 1,103 states, and the full algebra in about 5.5 s (one process each on one
-# CPU of a 2-vCPU guest, Python 3.11); a higher bound needs its own timings
-GRAM_QUOTIENT_MAX_LAYER = 2
 
 # the commands whose reports have no table, and so no csv output
 NO_CSV = ("cellular", "semisimple")
@@ -179,14 +174,13 @@ def _write_cache(path, cache_dir, engine):
 
 def layer_engine(config, field, f=None):
     """The engine holding the cell modules of layer f: the block e^f
-    B/J_{f+1} up to GRAM_QUOTIENT_MAX_LAYER (the top layer at r = s has
-    none), else the full algebra, which f None asks for.  Each engine is
-    loaded once per run and kept in config.engines by (field, layer), so
-    the fields of a spec and the points of a sweep share their Gram data.
-    Only the full algebra goes through the cache file; a block is closed
-    afresh and never cached."""
-    layer = None if f is None or f > GRAM_QUOTIENT_MAX_LAYER \
-        or f == config.r == config.s else f
+    B/J_{f+1}, or the full algebra when f is None or the layer has no
+    block (the top layer at r = s).  Each engine is loaded once per run
+    and kept in config.engines by (field, layer), so the fields of a spec
+    and the points of a sweep share their Gram data.  Only the full
+    algebra goes through the cache file; a block is closed afresh and
+    never cached."""
+    layer = None if f == config.r == config.s else f
     key = (field, layer)
     if key in config.engines:
         return config.engines[key]
@@ -400,11 +394,10 @@ def cmd_branch(config, field):
 
 
 def cmd_sweep(config):
-    amax = config.amax
-    if amax is None:
-        amax = config.r + config.s
-    elif not 0 <= amax <= EXPONENT_MAX:
-        raise UsageError("--amax must be between 0 and %d" % EXPONENT_MAX)
+    amax = config.r + config.s if config.amax is None else config.amax
+    if not 0 <= amax <= EXPONENT_MAX:
+        raise UsageError("--amax (default r + s) must be between 0 and %d, "
+                         "not %d" % (EXPONENT_MAX, amax))
     rows = []
     generic = GenericField()
     for a in range(-amax, amax + 1):

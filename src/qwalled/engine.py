@@ -136,9 +136,11 @@ class AlgebraEngine:
     # -- closure -----------------------------------------------------------
 
     def _build(self):
-        expected = math.factorial(self.r + self.s) if self.layer is None \
+        full = math.factorial(self.r + self.s)
+        expected = full if self.layer is None \
             else layer_dimension(self.r, self.s, self.layer)
-        max_states = self._max_states or max(200, 50 * expected)
+        # one cap per (r, s): (4, 4), f = 3 creates 13,933 states for 96
+        max_states = self._max_states or max(200, 50 * full)
         iaxpy = self.field.vec_iaxpy
         nodes, root, rels = _prefix_tree(
             self.field, self._root_relations, self.relations)

@@ -153,9 +153,9 @@ def _counting_builds(monkeypatch):
 
 def test_gram_closes_one_layer_quotient(capsys, monkeypatch):
     # at f = 1 the Gram form needs only the block e_1 B/J_2, of dimension
-    # |D^1| 2! 2! = 9 * 4 = 36 at (3, 3); the top layer of (3, 2) closes
-    # the block e^2 B of dimension |D^2| = 6, but the top layer at r = s
-    # has no block and closes the full algebra
+    # |D^1| 2! 2! = 9 * 4 = 36 at (3, 3); the top layers of (3, 2) and
+    # (4, 3) close the blocks e^f B of dimension |D^f| = 6 and 24, but the
+    # top layer at r = s has no block and closes the full algebra
     built = _counting_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "gram", "--r", "3", "--s", "3",
                            "--field", "gfp:13,2,6", "1", "2/2")
@@ -166,9 +166,35 @@ def test_gram_closes_one_layer_quotient(capsys, monkeypatch):
                            "--field", "gfp:13,2,6", "2", "1/-")
     assert code == EXIT_OK and built == [(2, 6)]
     built.clear()
+    code, out, _ = run_cli(capsys, "gram", "--r", "4", "--s", "3",
+                           "--max-total", "7", "--field", "gfp:13,2,6",
+                           "3", "1/-")
+    assert code == EXIT_OK and built == [(3, 24)]
+    built.clear()
     code, out, _ = run_cli(capsys, "gram", "--r", "2", "--s", "2",
                            "--field", "gfp:13,2,6", "2", "/")
     assert code == EXIT_OK and built == [(None, 24)]
+
+
+# the stdout of f = 3 labels at r + s = 7 over GF(13), recorded when they
+# still closed the full algebra (about 3.5 s each; 0.2 s through the block)
+TOP_BLOCK_PINS = {
+    ("gram", "--r", "4", "--s", "3", "3", "1/-"):
+        "d619c2a09d89d86167ca77391cd0e360303bc6f8f5a3afec3e2c24319976cff3",
+    ("gram", "--r", "3", "--s", "4", "--", "3", "-/1"):
+        "51381ecc30e455e7e95de1a28d6e10f51d9dd9f6c93cee8a48487b7d9ae8049c",
+    ("branch", "--r", "4", "--s", "3", "3", "1/-"):
+        "a870025378e0baf0cce360cc99534f435bdfd294229250321da6153d2fbd89fe",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TOP_BLOCK_PINS))
+def test_layer_three_output_pinned(argv, capsys):
+    import hashlib
+    code, out, _ = run_cli(capsys, *argv[:5], "--max-total", "7",
+                           "--field", "gfp:13,2,6", *argv[5:])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == TOP_BLOCK_PINS[argv]
 
 
 def test_gram_quotient_is_size_guarded_and_not_cached(tmp_path, capsys,
@@ -544,6 +570,11 @@ def test_sweep_amax(capsys):
     assert code == EXIT_USAGE and out == "" and "amax" in err
     code, out, _ = run_cli(capsys, "sweep", "--r", "2", "--s", "1")
     assert code == EXIT_OK and json.loads(out)["amax"] == 3
+    # the default r + s is held to the same bound
+    code, out, err = run_cli(capsys, "sweep", "--r", "60", "--s", "50",
+                             "--mode", "closed_form")
+    assert code == EXIT_USAGE and out == "" and "amax" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _only_cache_file(cache):

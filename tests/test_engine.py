@@ -652,12 +652,14 @@ def test_block_closure_size_guard():
         build_engine(4, 3, PrimeField(13, 2, 6), layer=1, max_states=1000)
 
 
-def test_layer_three_block_closes():
+@pytest.mark.parametrize("r,s,dim", [(4, 3, 24), (5, 3, 120), (4, 4, 96)])
+def test_layer_three_block_closes(r, s, dim):
     # relation words keep their inverse letters, which the closure applies
-    # as act does: the (4, 4) block of layer 3 creates 13,933 states to
-    # keep 96
-    eng = build_engine(4, 4, PrimeField(13, 2, 6), layer=3, max_states=20_000)
-    assert eng.dim == 96 == layer_dimension(4, 4, 3)
+    # as act does.  These blocks create 987, 2,323 and 13,933 states, all
+    # under the default cap of their algebra, max(200, 50 (r+s)!); the
+    # (4, 4) block would exceed 50 times its own dimension, 4,800
+    eng = build_engine(r, s, PrimeField(13, 2, 6), layer=3)
+    assert eng.dim == dim == layer_dimension(r, s, 3)
 
 
 def test_closure_never_multiplies_by_one(monkeypatch):
