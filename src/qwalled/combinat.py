@@ -44,9 +44,7 @@ class Partition(tuple):
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
 
-    def partial_sums(self, length=None):
-        if length is None:
-            length = len(self)
+    def partial_sums(self, length):
         sums, acc = [], 0
         for i in range(length):
             acc += self[i]

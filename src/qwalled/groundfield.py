@@ -31,9 +31,7 @@ native heuristic gcd (``heugcd``, the GCDHEU that sympy uses over
 Z[q, rho]), which raises FieldError in the rare case that its evaluation
 points run out; its denominator gets a positive leading coefficient, and a
 fraction whose denominator is a unit of R becomes an (N, i, j) value.  No
-module imports sympy; the tests use it as their reference.  Text
-("num / den", the denominator's lex-leading coefficient positive) is
-written and read natively.
+module imports sympy; the tests use it as their reference.
 
 Values of R are hash-consed, as in Filliatre and Conchon, "Type-Safe
 Modular Hash-Consing" (2006): a closure or a cellular pass makes many
@@ -55,6 +53,10 @@ many numerator terms and memo entries all three are cleared, which costs
 speed, never a result.  The memos make the rule below load-bearing: a
 numerator dict is never mutated once it is part of a raw value.
 
+Every field has one text format: ``Field.to_text`` writes the reduced
+Laurent fraction that ``to_laurent_fraction`` gives as "num / den" in
+``laurent_text`` ("num" where den is 1), and ``Field.parse`` reads it at
+its own q and rho, so every field reads the text of a generic value.
 Laurent data (a terms dict {(a, b): c} of nonzero integers, as read from
 text by ``laurent_from_text`` or taken from a generic value by
 ``to_laurent_fraction``) become field values in one pass through
@@ -81,6 +83,9 @@ from math import gcd as _int_gcd
 
 class FieldError(Exception):
     """Raised for invalid field constructions or illegal arithmetic."""
+
+
+_POLY_ONE = {(0, 0): 1}
 
 
 def laurent_text(terms):
@@ -116,12 +121,8 @@ def laurent_from_text(text):
             factor = factor.strip()
             if factor.startswith("q^"):
                 a += int(factor[2:])
-            elif factor == "q":
-                a += 1
             elif factor.startswith("rho^"):
                 b += int(factor[4:])
-            elif factor == "rho":
-                b += 1
             else:
                 coeff *= int(factor)
         terms[(a, b)] = terms.get((a, b), 0) + coeff
@@ -133,7 +134,8 @@ class Field:
 
     A field's scalars are its raw values, handled only through its
     methods.  Each concrete field sets, through _set_constants, the raw
-    values q, rho, one and qdiff = q - q^{-1}.
+    values q, rho, one and qdiff = q - q^{-1}; to_text and parse are written
+    once, here, from its raw_from_int and to_laurent_fraction.
     """
 
     # the attributes that the repr shows
@@ -244,12 +246,26 @@ class Field:
         """Least e >= 1 with 1 + q^2 + ... + q^(2(e-1)) = 0, else math.inf."""
         return math.inf
 
-    def to_text(self, a):
+    def to_laurent_fraction(self, a):
+        """The reduced (numerator, denominator) of a raw value as Laurent
+        terms dicts, the denominator's lex-leading coefficient positive."""
         raise NotImplementedError
 
+    def to_text(self, a):
+        """"num / den" from to_laurent_fraction, "num" where den is 1."""
+        num, den = self.to_laurent_fraction(a)
+        if den == _POLY_ONE:
+            return laurent_text(num)
+        return "%s / %s" % (laurent_text(num), laurent_text(den))
+
     def parse(self, text):
-        """The raw value written by to_text."""
-        raise NotImplementedError
+        """The raw value written by to_text, read at the field's q and rho."""
+        parts = text.split("/")
+        if len(parts) > 2:
+            raise FieldError("too many '/' in %r" % text)
+        num, *den = (self.raw_from_laurent(laurent_from_text(part))
+                     for part in parts)
+        return self.raw_div(num, den[0]) if den else num
 
 
 # -- Laurent numerators: dicts {(a, b): c} for sum c q^a rho^b, c != 0 ------
@@ -543,8 +559,6 @@ def heugcd(f, g):
 # Neither dict is mutated once it is part of a _Frac.
 _Frac = namedtuple("_Frac", "num den")
 
-_POLY_ONE = {(0, 0): 1}
-
 
 def _lift(x):
     """A raw value as a (numerator, denominator) pair of polynomials with no
@@ -690,27 +704,7 @@ class _FunctionField(Field):
         return self._canonical(_reduced(_terms_mul(n1, d2),
                                         _terms_mul(d1, n2)))
 
-    def to_laurent_fraction(self, a):
-        """The (numerator, denominator) of a raw value as Laurent terms
-        dicts: polynomials with no common factor, the denominator's leading
-        coefficient (q before rho, lexicographically) positive."""
-        return _lift(a)
-
-    def to_text(self, a):
-        num, den = _lift(a)
-        if den == _POLY_ONE:
-            return laurent_text(num)
-        return "%s / %s" % (laurent_text(num), laurent_text(den))
-
-    def parse(self, text):
-        parts = text.split("/")
-        if len(parts) > 2:
-            raise FieldError("too many '/' in %r" % text)
-        num = self.raw_from_laurent(laurent_from_text(parts[0]))
-        if len(parts) == 1:
-            return num
-        return self.raw_div(num, self.raw_from_laurent(
-            laurent_from_text(parts[1])))
+    to_laurent_fraction = staticmethod(_lift)
 
 
 class GenericField(_FunctionField):
@@ -802,13 +796,8 @@ class RationalField(Field):
     def raw_from_int(self, n):
         return self._fraction(n)
 
-    def to_text(self, a):
-        if a.denominator == 1:
-            return str(a.numerator)
-        return "%d / %d" % (a.numerator, a.denominator)
-
-    def parse(self, text):
-        return self._fraction(text.replace(" ", ""))
+    def to_laurent_fraction(self, a):
+        return ({(0, 0): a.numerator} if a else {}, {(0, 0): a.denominator})
 
     def spec_string(self):
         return "rational:%s,%s" % (self.q, self.rho)
@@ -905,11 +894,8 @@ class PrimeField(Field):
                 e //= ell
         return e
 
-    def to_text(self, a):
-        return str(a)
-
-    def parse(self, text):
-        return self.raw_from_int(int(text))
+    def to_laurent_fraction(self, a):
+        return ({(0, 0): a} if a else {}, _POLY_ONE)
 
     def spec_string(self):
         return "gfp:%d,%d,%d" % (self.p, self.q, self.rho)

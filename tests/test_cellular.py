@@ -238,6 +238,29 @@ def test_validate_cell_datum_32(b32):
     assert report["ok"], report["failures"]
 
 
+def test_validate_cell_datum_reports_triangular_failures(b22, monkeypatch):
+    # a module that cannot be built at one anchor, and another whose action
+    # differs from the first one built, each break axiom (c)
+    import qwalled.cellular
+    data = cellular_data(b22)
+    label = next(lab for lab in data.labels if len(data.by_label[lab]) >= 3)
+    anchors = data.by_label[label]
+
+    def flawed(engine, lab, anchor):
+        if lab == label and anchor == anchors[0]:
+            raise CellularError("no module at this anchor")
+        mod = CellModule(engine, lab, anchor)
+        if lab == label and anchor == anchors[2]:
+            mod.act_table = {}
+        return mod
+    monkeypatch.setattr(qwalled.cellular, "CellModule", flawed)
+    report = validate_cell_datum(b22)
+    assert report["basis"] and report["involution"]
+    assert not report["triangular"] and not report["ok"]
+    assert report["failures"] == [("triangular", label, anchors[0]),
+                                  ("left-index", label, anchors[2])]
+
+
 @pytest.mark.parametrize("anchors", [0, -1])
 def test_validate_cell_datum_needs_an_anchor(b21, anchors):
     # axiom (c) checked on no anchor (or all but the last) is no check

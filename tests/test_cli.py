@@ -217,6 +217,51 @@ def test_central(capsys):
     assert data["ok"] and all(c["verified"] for c in data["characters"])
 
 
+def test_central_reports_an_unverified_label(capsys, monkeypatch):
+    # a label whose central character fails is reported with the closed
+    # form scalar, unverified, and the call exits 1
+    from qwalled.groundfield import GenericField
+    from qwalled.repthy import RepError, central_character, central_scalar
+    failing = Bipartition((1,), ())
+
+    def fails_once(module):
+        if module.label.shape == failing:
+            raise RepError("not scalar")
+        return central_character(module)
+    monkeypatch.setattr(qwalled.cli, "central_character", fails_once)
+    code, out, _ = run_cli(capsys, "central", "--r", "2", "--s", "1")
+    assert code == EXIT_FAILURE
+    data = json.loads(out)
+    assert not data["ok"] and len(data["characters"]) == 3
+    row, = [c for c in data["characters"] if not c["verified"]]
+    assert (row["f"], row["shape"]) == (1, "1/-")
+    label, = [lab for lab in qwalled.cli.cell_labels(2, 1)
+              if lab.shape == failing]
+    gen = GenericField()
+    assert row["scalar"] == gen.to_text(central_scalar(label, gen))
+
+
+def test_cellular_reports_a_failed_axiom(capsys, monkeypatch):
+    # one wrong sigma image fails the involution axiom and the call
+    import qwalled.cellular
+    real_sigma = qwalled.cellular.sigma
+    calls = []
+
+    def perturbed(engine, vec):
+        calls.append(vec)
+        out = dict(real_sigma(engine, vec))
+        if len(calls) == 1:
+            engine.field.vec_iaxpy(out, engine.field.one, {0: engine.field.one})
+        return out
+    monkeypatch.setattr(qwalled.cellular, "sigma", perturbed)
+    code, out, _ = run_cli(capsys, "cellular", "--r", "2", "--s", "1")
+    assert code == EXIT_FAILURE
+    data = json.loads(out)
+    assert data["basis"] and data["triangular"]
+    assert not data["involution"] and not data["ok"]
+    assert len(data["failures"]) == 1
+
+
 def test_simples(capsys):
     code, out, _ = run_cli(capsys, "simples", "--r", "1", "--s", "1",
                            "--field", "delta-zero")

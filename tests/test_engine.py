@@ -383,6 +383,20 @@ def test_errors(b22):
             build_engine(2, 2, GEN, layer=layer)
 
 
+def test_relation_collapsing_the_identity(monkeypatch):
+    # with g_1 = 1 the quadratic relation of g_1 reads q - q^{-1} = 0, so
+    # the identity state is zero and the closure refuses
+    import qwalled.engine
+
+    def with_g1_one(engine):
+        one = engine.field.one
+        return defining_identities(engine) \
+            + [("extra", [(one, [g_tok(1)])], [(one, [])])]
+    monkeypatch.setattr(qwalled.engine, "defining_identities", with_g1_one)
+    with pytest.raises(EngineError, match="collapse the identity"):
+        build_engine(2, 1, PrimeField(13, 2, 6))
+
+
 def test_dimension_mismatch(monkeypatch):
     # a block is checked against layer_dimension(r, s, f); the full
     # algebra against (r+s)! alone

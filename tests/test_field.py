@@ -9,6 +9,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
 from qwalled import groundfield
+from qwalled.cellular import cell_labels
+from qwalled.engine import build_engine
 from qwalled.groundfield import (
     FieldError,
     GenericField,
@@ -21,6 +23,7 @@ from qwalled.groundfield import (
     transfer_from_generic,
     vanishes_under,
 )
+from qwalled.repthy import central_scalar
 
 GEN = GenericField()
 
@@ -701,6 +704,31 @@ def test_text_roundtrip(field):
         back = field.parse(text)
         assert back == e
         assert field.to_text(back) == text
+
+
+def _generic_values():
+    """delta, 1/delta, qdiff, the (3, 2) central scalars and the (2, 2)
+    action-table coefficients over Q(q, rho)."""
+    values = [GEN.delta(), inv(GEN, GEN.delta()), GEN.qdiff]
+    values += [central_scalar(label, GEN) for label in cell_labels(3, 2)]
+    values += [c for row in build_engine(2, 2, GEN).act_table.values()
+               for c in row.values()]
+    return values
+
+
+@pytest.mark.parametrize("spec", ["gfp:13,2,6", "gfp:5,2,1", "rational:2,3",
+                                  "q-power:1", "q-power:0:neg"])
+def test_every_field_reads_generic_text(spec):
+    # a field reads the text of a generic value as its transfer; where the
+    # denominator vanishes (1/delta at rho^2 = 1) both raise FieldError
+    field, = fields_from_spec(spec)
+    outcomes = set()
+    for x in _generic_values():
+        moved = _outcome(transfer_from_generic, x, field)
+        assert _outcome(field.parse, GEN.to_text(x)) == moved
+        outcomes.add(moved is FieldError)
+    assert outcomes == ({False, True} if spec in ("gfp:5,2,1", "q-power:0:neg")
+                        else {False})
 
 
 # ---------------------------------------------------------------------------
