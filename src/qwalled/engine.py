@@ -251,18 +251,23 @@ class AlgebraEngine:
 
     def _apply_build(self, vec, base, inv):
         """vec times the token base, or its inverse as act applies it.  A
-        unit vector times a generator is the stored row: read only."""
+        unit vector times a generator is the stored row: read only; a term
+        probes its row once, and a missing or stale row takes _act_vec."""
         field = self.field
         iaxpy = field.vec_iaxpy
-        act_vec = self._act_vec
-        vec = self._resolve_vec(vec)
-        if not inv and len(vec) == 1 and field.one in vec.values():
-            return act_vec(next(iter(vec)), base)
+        rows, subst = self._act, self._subst.keys()
+        if not subst.isdisjoint(vec):
+            vec = self._resolve_vec(vec)
         out = {}
         for st, c in vec.items():
-            iaxpy(out, c, act_vec(st, base))
+            row = rows.get((st, base))
+            if row is None or not subst.isdisjoint(row):
+                row = self._act_vec(st, base)
+            if not inv and len(vec) == 1 and c == field.one:
+                return row
+            iaxpy(out, c, row)
         if inv:
-            iaxpy(out, field.raw_neg(field.qdiff), vec)
+            iaxpy(out, field.minus_qdiff, vec)
         return out
 
     def _impose(self, vec):
@@ -385,7 +390,7 @@ def _relation(field, lhs, rhs):
 def act(owner, vec, word):
     """vec times a word through owner.act_table {(basis index, token):
     row}.  The owner is an engine or a cell module; an inverse token g^-1 =
-    g - (q - q^{-1}) takes the row of g and adds -qdiff * vec."""
+    g - (q - q^{-1}) takes the row of g and adds minus_qdiff * vec."""
     field = owner.field
     iaxpy = field.vec_iaxpy
     table = owner.act_table
@@ -395,7 +400,7 @@ def act(owner, vec, word):
         for i, c in vec.items():
             iaxpy(out, c, table[(i, base)])
         if base != tok:
-            iaxpy(out, field.raw_neg(field.qdiff), vec)
+            iaxpy(out, field.minus_qdiff, vec)
         vec = out
     return vec
 
@@ -566,7 +571,9 @@ def engine_from_json(text, r, s, field):
     engine_to_json wrote.  The one judge of a cache file's text: it raises
     EngineError unless the text decodes, its schema, r, s, field spec and
     dim = (r+s)! are the ones asked for, its tokens and basis indices fit,
-    and the identity times basis word i is basis vector i for every i."""
+    each (row, column) of a token is given once and with a nonzero value
+    (no vector holds a zero), and the identity times basis word i is basis
+    vector i for every i."""
     eng = AlgebraEngine.__new__(AlgebraEngine)
     eng._setup(r, s, field)
     dim = eng.dim = math.factorial(r + s)
@@ -589,6 +596,9 @@ def engine_from_json(text, r, s, field):
             == (SCHEMA_VERSION, r, s, field.spec_string(), dim, dim,
                 set(eng.tokens)) \
             and all(0 <= k < dim for row in table.values() for k in row) \
+            and sum(map(len, table.values())) \
+            == sum(map(len, data["act"].values())) \
+            and not any(map(field.raw_is_zero, parsed.values())) \
             and all(tok in eng.tokens for word in words for tok in word) \
             and all(act(eng, {0: one}, word) == {i: one}
                     for i, word in enumerate(words))

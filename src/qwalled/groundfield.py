@@ -9,9 +9,9 @@ Four coefficient fields are supported:
 
 A scalar is a raw value of its field -- an int mod p, a Fraction, or one
 of the values below -- and the field is its only API: the raw_* methods
-compute with raw values, and a field holds q, rho, one and qdiff =
-q - q^{-1} as raw values.  Every raw value is canonical when it is made,
-so equal scalars are equal Python objects and == is their equality.
+compute with raw values, and a field holds q, rho, one, qdiff = q - q^{-1}
+and minus_qdiff = -qdiff as raw values.  Every raw value is canonical when
+made, so equal scalars are equal Python objects and == is their equality.
 
 All arithmetic is exact.  Generic and one-variable values that lie in the
 ring R = Z[q^{+-1}, rho^{+-1}, (q - 1)^{-1}, (q + 1)^{-1}] -- every closure
@@ -72,7 +72,10 @@ that cancel.  Its contract: the caller owns the accumulator u (a dict it
 made and has not handed out), v is only read, and a vector that has been
 stored (an action-table row, a substitution, a pivot row or combination)
 is never passed as u.  ``PrimeField`` overrides the kernel with one integer
-``%`` per term.
+``%`` per term, and each function field with one loop that reads memo hits
+by the operands' ids, calling raw_mul or raw_add only on a miss: an entry
+holds its operands, so a live value's id keys only its own entries, and
+``_intern`` clears the memos in place, so the loop's references stay valid.
 """
 import math
 import operator
@@ -134,8 +137,8 @@ class Field:
 
     A field's scalars are its raw values, handled only through its
     methods.  Each concrete field sets, through _set_constants, the raw
-    values q, rho, one and qdiff = q - q^{-1}; to_text and parse are written
-    once, here, from its raw_from_int and to_laurent_fraction.
+    values q, rho, one, qdiff = q - q^{-1} and minus_qdiff; to_text and
+    parse are written once, here, from raw_from_int and to_laurent_fraction.
     """
 
     # the attributes that the repr shows
@@ -146,6 +149,7 @@ class Field:
         self.rho = rho
         self.one = self.raw_from_int(1)
         self.qdiff = self.raw_sub(q, self.raw_div(self.one, q))
+        self.minus_qdiff = self.raw_neg(self.qdiff)
 
     # spec_string is canonical, so it is the field's identity
     def __eq__(self, other):
@@ -703,6 +707,31 @@ class _FunctionField(Field):
         (n1, d1), (n2, d2) = _lift(a), _lift(b)
         return self._canonical(_reduced(_terms_mul(n1, d2),
                                         _terms_mul(d1, n2)))
+
+    def vec_iaxpy(self, u, c, v):
+        # Field.vec_iaxpy reading memo hits inline (module docstring); no
+        # entry holds a _Frac, so a _Frac operand always misses
+        if not c[0]:
+            return u
+        one, sums, products = self.one, self._sums, self._products
+        ic = id(c)
+        for k, a in v.items():
+            if c is one or a is one:
+                ca = a if c is one else c
+            else:
+                ia = id(a)
+                hit = products.get((ic, ia) if ic < ia else (ia, ic))
+                ca = self.raw_mul(c, a) if hit is None else hit[2]
+            x = u.get(k)
+            if x is not None:
+                ix, ica = id(x), id(ca)
+                hit = sums.get((ix, ica) if ix < ica else (ica, ix))
+                ca = self.raw_add(x, ca) if hit is None else hit[2]
+                if not ca[0]:
+                    del u[k]
+                    continue
+            u[k] = ca
+        return u
 
     to_laurent_fraction = staticmethod(_lift)
 

@@ -67,7 +67,7 @@ def central_scalar(label, field):
     f = field
     out = f.raw_mul(f.delta(), f.raw_from_int(label.f))
     sides = ((label.shape.first, 1, f.qdiff, f.raw_div(f.one, f.rho)),
-             (label.shape.second, -1, f.raw_neg(f.qdiff), f.rho))
+             (label.shape.second, -1, f.minus_qdiff, f.rho))
     for lam, sign, qdiff, weight in sides:
         total = f.raw_from_int(0)
         for i, j in lam.boxes():

@@ -731,18 +731,22 @@ def _swap_g1_gs1_in_a_word(data):
     word[:] = [{"g1": "gs1", "gs1": "g1"}.get(tok, tok) for tok in word]
 
 
-@pytest.mark.parametrize("edit", [_rename_g1, _drop_gs1, _column_99,
-                                  _g5_in_a_word, _act_as_a_list,
-                                  _swap_g1_gs1_in_a_word],
-                         ids=lambda f: f.__name__)
-def test_cache_that_does_not_fit_the_algebra_is_rebuilt(tmp_path, capsys,
-                                                        edit):
-    # valid JSON under a valid CRC-32 whose tokens, indices or basis words
-    # do not fit B_{2,2}: the loader refuses it, and the engine is rebuilt
-    # and written back; sigma reads the basis words, so a wrong word loaded
-    # would fail the involution check of cellular
+def _zero_coefficient(data):
+    # a stored zero breaks the kernels' contract that no vector holds one:
+    # over GF(p) the prime kernel drops it, over Q(q, rho) it is copied
+    # into every product with the row
+    data["act"]["g1"].append([5, 0, "0"])
+
+
+def _repeated_entry(data):
+    data["act"]["g1"].append(list(data["act"]["g1"][0]))
+
+
+def _edited_cache_is_rebuilt(tmp_path, capsys, argv, edit):
+    """A cache file of argv edited into valid JSON under a valid CRC-32:
+    the call prints what it prints with no cache, and writes the file
+    back as it was."""
     import zlib
-    argv = ["cellular", "--r", "2", "--s", "2", "--field", "gfp:13,2,6"]
     code, cold, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     cache = tmp_path / "cache"
@@ -756,6 +760,31 @@ def test_cache_that_does_not_fit_the_algebra_is_rebuilt(tmp_path, capsys,
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
     assert code == EXIT_OK and out == cold and err == ""
     assert path.read_text() == written
+
+
+@pytest.mark.parametrize("edit", [_rename_g1, _drop_gs1, _column_99,
+                                  _g5_in_a_word, _act_as_a_list,
+                                  _swap_g1_gs1_in_a_word, _zero_coefficient,
+                                  _repeated_entry],
+                         ids=lambda f: f.__name__)
+def test_cache_that_does_not_fit_the_algebra_is_rebuilt(tmp_path, capsys,
+                                                        edit):
+    # valid JSON under a valid CRC-32 whose tokens, indices, basis words or
+    # coefficients do not fit B_{2,2}: the loader refuses it, and the
+    # engine is rebuilt and written back; sigma reads the basis words, so a
+    # wrong word loaded would fail the involution check of cellular.  Over
+    # GF(13) a zero or a repeated entry loads to the same products, so only
+    # the file left unrewritten would show it
+    _edited_cache_is_rebuilt(tmp_path, capsys, [
+        "cellular", "--r", "2", "--s", "2", "--field", "gfp:13,2,6"], edit)
+
+
+def test_cache_with_a_zero_coefficient_over_q_q_rho_is_rebuilt(tmp_path,
+                                                              capsys):
+    # loaded, the zero in g1 would fail def.g[1,1]
+    _edited_cache_is_rebuilt(tmp_path, capsys,
+                             ["relations", "--r", "2", "--s", "2"],
+                             _zero_coefficient)
 
 
 def test_cli_never_imports_sympy(tmp_path):

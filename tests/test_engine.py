@@ -36,6 +36,7 @@ from qwalled.engine import (
     verify_relations,
 )
 from qwalled.groundfield import (
+    Field,
     GenericField,
     OneVarField,
     PrimeField,
@@ -632,6 +633,23 @@ def test_interned_values_are_never_mutated(monkeypatch):
         and len(capped._values) + len(capped._sums) \
         + len(capped._products) <= cap
     assert _table_holds(capped)
+
+
+def test_function_field_kernel_leaves_the_tables_of_the_base_kernel(
+        monkeypatch):
+    # the function fields' vec_iaxpy reads memo hits inline and calls
+    # raw_mul and raw_add on a miss: it removes call overhead only, so the
+    # tables (under the default cap, never cleared here) hold what
+    # Field.vec_iaxpy leaves in them
+    def tables(field):
+        _interned_pipeline(field)
+        return (field._held, len(field._sums), len(field._products),
+                set(field._values))
+
+    fast = tables(GenericField())
+    monkeypatch.setattr(groundfield._FunctionField, "vec_iaxpy",
+                        Field.vec_iaxpy)
+    assert tables(GenericField()) == fast
 
 
 @pytest.mark.parametrize("r,s,calls", [(3, 2, 4224), (2, 2, 602)])

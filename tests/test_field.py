@@ -12,6 +12,7 @@ from qwalled import groundfield
 from qwalled.cellular import cell_labels
 from qwalled.engine import build_engine
 from qwalled.groundfield import (
+    Field,
     FieldError,
     GenericField,
     OneVarField,
@@ -541,6 +542,40 @@ def test_memoized_ops_match_plain_kernels(pair, data):
             assert field.parse(field.to_text(value)) is value
             assert field.raw_sub(field.raw_add(value, y), y) is value
             assert other.parse(field.to_text(value)) == value
+
+
+@pytest.mark.parametrize("cap", [groundfield.TABLE_MAX, 64])
+@pytest.mark.parametrize("pair", FIELD_PAIRS, ids=lambda p: repr(p[0]))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_function_field_kernel_matches_the_base_kernel(pair, cap, data):
+    # the function fields' vec_iaxpy reads memo hits by the operands' ids:
+    # it must add as Field.vec_iaxpy does, with values of R, fractions
+    # outside R, one, a value equal to one that is not field.one (the other
+    # instance's), sums that cancel, and, under a cap of 64, tables that
+    # are cleared in the middle of a call
+    field, other = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundfield, "TABLE_MAX", cap)
+        values = st.one_of(r_values(field), fractions_outside_r(field)) \
+            .map(lambda x: x[0]).filter(lambda x: not field.raw_is_zero(x))
+        values = st.one_of(values, st.sampled_from([field.one, other.one]))
+        keys = st.integers(0, 5)
+        v = data.draw(st.dictionaries(keys, values, max_size=4))
+        c = data.draw(st.one_of(values, st.just(field.raw_from_int(0))))
+        u = data.draw(st.dictionaries(keys, values, max_size=4))
+        for k in v:
+            if not field.raw_is_zero(c) and data.draw(st.booleans()):
+                u[k] = field.raw_neg(field.raw_mul(c, v[k]))
+        before = dict(v)
+        # first mostly memo misses, then mostly hits
+        first = field.vec_iaxpy(dict(u), c, v)
+        base = Field.vec_iaxpy(field, dict(u), c, v)
+        again = field.vec_iaxpy(u, c, v)
+    assert again is u
+    assert first == base == again
+    assert not any(map(field.raw_is_zero, again.values()))
+    assert v == before
 
 
 TRANSFER_TARGETS = [OneVarField(2), OneVarField(-1, -1), RationalField(2, 4),
